@@ -53,11 +53,12 @@ fn main() {
             }
             eprintln!("[fig6d] {} @ β={beta}", task.name);
         }
-        cand.reduction_ratio = if cand.postings_total == 0 {
-            0.0
-        } else {
-            1.0 - cand.postings_scanned as f64 / cand.postings_total as f64
-        };
+        cand.reduction_ratio =
+            if cand.postings_total == 0 || cand.postings_scanned >= cand.postings_total {
+                0.0
+            } else {
+                1.0 - cand.postings_scanned as f64 / cand.postings_total as f64
+            };
         let n = setup.tasks.len() as f64;
         let point = Fig6dPoint {
             beta,

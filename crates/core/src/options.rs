@@ -29,11 +29,6 @@ pub struct AutoFjOptions {
     pub num_thresholds: usize,
     /// Blocking factor `β` (candidates kept per probe = `β·√|L|`).
     pub blocking_factor: f64,
-    /// Use the PPJoin-style filter-pruned probe path in blocking.  The
-    /// filtered and unfiltered paths produce byte-identical candidates
-    /// (property-pinned); this knob exists as the reference arm of that pin
-    /// and as an escape hatch, not as a quality trade-off.
-    pub use_blocking_filters: bool,
     /// Learn and apply negative rules (Algorithm 2).  Disabling this gives
     /// the paper's `AutoFJ-NR` ablation.
     pub use_negative_rules: bool,
@@ -55,7 +50,6 @@ impl Default for AutoFjOptions {
             precision_target: 0.9,
             num_thresholds: 50,
             blocking_factor: 1.5,
-            use_blocking_filters: true,
             use_negative_rules: true,
             union_of_configurations: true,
             ball_mode: BallMode::ConfigTheta,
@@ -94,12 +88,7 @@ impl AutoFjOptions {
 
     /// The blocker implied by these options.
     pub fn blocker(&self) -> Blocker {
-        let b = Blocker::with_factor(self.blocking_factor);
-        if self.use_blocking_filters {
-            b
-        } else {
-            b.without_filters()
-        }
+        Blocker::with_factor(self.blocking_factor)
     }
 }
 
@@ -113,21 +102,20 @@ mod tests {
         assert_eq!(o.precision_target, 0.9);
         assert_eq!(o.num_thresholds, 50);
         assert_eq!(o.weight_steps, 10);
-        assert!(o.use_blocking_filters);
         assert!(o.use_negative_rules);
         assert!(o.union_of_configurations);
         assert!(o.validate().is_ok());
     }
 
     #[test]
-    fn blocker_respects_filter_knob() {
-        let on = AutoFjOptions::default();
-        assert!(on.blocker().filters());
-        let off = AutoFjOptions {
-            use_blocking_filters: false,
-            ..Default::default()
-        };
-        assert!(!off.blocker().filters());
+    fn blocker_follows_the_blocking_factor() {
+        for factor in [0.3, 1.5, 4.0] {
+            let options = AutoFjOptions {
+                blocking_factor: factor,
+                ..Default::default()
+            };
+            assert_eq!(options.blocker().factor(), factor);
+        }
     }
 
     #[test]

@@ -175,16 +175,17 @@ pub struct CandidateStats {
     pub ll_pairs: u64,
     /// Largest candidate list kept for any single probe record.
     pub per_probe_max: u64,
-    /// Records admitted for exact scoring across all probes — the superset
-    /// the prefix/length filters could not prune.
+    /// Records exactly verified across all probes — the superset the
+    /// essential-list bound could not prune.
     pub scored_records: u64,
-    /// Posting entries actually walked by the probes.
+    /// Posting entries actually walked by the probes: the prefix warm-up
+    /// plus the essential lists.
     pub postings_scanned: u64,
-    /// Posting entries an unfiltered scan would have walked.
+    /// Posting entries the dense walk would have read.
     pub postings_total: u64,
-    /// `1 − postings_scanned / postings_total`: the fraction of index
-    /// traversal the filters pruned away (0 when filters are off or nothing
-    /// was probed).
+    /// `1 − postings_scanned / postings_total`: the fraction of the dense
+    /// traversal the probes skipped (0 when nothing was probed or the
+    /// probes read at least as much as the dense walk).
     pub reduction_ratio: f64,
 }
 

@@ -745,6 +745,7 @@ impl ServingState {
                 || !offsets.windows(2).all(|w| w[0] <= w[1])
                 || *offsets.last().unwrap() as usize != postings.len()
                 || postings.iter().any(|&l| l as usize >= num_left_idx.max(1))
+                || !idf.iter().all(|w| w.is_finite() && *w > 0.0)
             {
                 return Err(StoreError::Corrupt(
                     "inconsistent blocking index arrays".to_string(),
@@ -846,6 +847,7 @@ impl ServingState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::{Fnv64, HEADER_LEN, SECTION_ENTRY_LEN};
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -1064,6 +1066,35 @@ mod tests {
         assert!(matches!(
             ServingState::load(&path),
             Err(StoreError::ChecksumMismatch { .. })
+        ));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn non_positive_idf_is_a_typed_error() {
+        // The blocking probe relies on strictly positive idf weights; a
+        // snapshot whose checksum holds but whose idf does not must be
+        // refused with an error, not a panic inside the index rebuild.
+        let (state, _) = learned();
+        let path = temp_path("zero_idf");
+        state.save(&path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let le_u64 = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+        let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+        let entry = (0..count)
+            .map(|i| HEADER_LEN as usize + i * SECTION_ENTRY_LEN as usize)
+            .find(|&at| bytes[at..at + 8] == SEC_GRIDX)
+            .expect("index section");
+        // The idf slice ends the section: zero its last weight.
+        let end = (le_u64(entry + 8) + le_u64(entry + 16)) as usize;
+        bytes[end - 8..end].copy_from_slice(&0.0f64.to_le_bytes());
+        let mut hasher = Fnv64::new();
+        hasher.update(&bytes[HEADER_LEN as usize..]);
+        bytes[24..32].copy_from_slice(&hasher.finish().to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            ServingState::load(&path),
+            Err(StoreError::Corrupt(_))
         ));
         std::fs::remove_file(&path).ok();
     }

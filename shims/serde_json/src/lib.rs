@@ -144,9 +144,16 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
 // Parsing
 // ---------------------------------------------------------------------------
 
+/// Deepest nesting of arrays and objects the parser accepts — real
+/// serde_json's recursion limit.  Parsing recurses once per level, so
+/// without a cap one line of ~100k `[` overflows the parsing thread's stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -154,6 +161,7 @@ impl<'a> Parser<'a> {
         Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -310,57 +318,23 @@ impl<'a> Parser<'a> {
             b't' => self.parse_literal("true", Value::Bool(true)),
             b'f' => self.parse_literal("false", Value::Bool(false)),
             b'"' => self.parse_string().map(Value::Str),
-            b'[' => {
+            open @ (b'[' | b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(Error::new(format!(
+                        "recursion limit exceeded: more than {MAX_DEPTH} nested arrays or \
+                         objects at byte {}",
+                        self.pos
+                    )));
+                }
                 self.pos += 1;
-                let mut items = Vec::new();
-                if self.peek()? == b']' {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                loop {
-                    items.push(self.parse_value()?);
-                    match self.peek()? {
-                        b',' => self.pos += 1,
-                        b']' => {
-                            self.pos += 1;
-                            return Ok(Value::Array(items));
-                        }
-                        other => {
-                            return Err(Error::new(format!(
-                                "expected `,` or `]`, got `{}`",
-                                other as char
-                            )))
-                        }
-                    }
-                }
-            }
-            b'{' => {
-                self.pos += 1;
-                let mut fields = Vec::new();
-                if self.peek()? == b'}' {
-                    self.pos += 1;
-                    return Ok(Value::Object(fields));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.parse_string()?;
-                    self.expect(b':')?;
-                    let value = self.parse_value()?;
-                    fields.push((key, value));
-                    match self.peek()? {
-                        b',' => self.pos += 1,
-                        b'}' => {
-                            self.pos += 1;
-                            return Ok(Value::Object(fields));
-                        }
-                        other => {
-                            return Err(Error::new(format!(
-                                "expected `,` or `}}`, got `{}`",
-                                other as char
-                            )))
-                        }
-                    }
-                }
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.parse_array()
+                } else {
+                    self.parse_object()
+                };
+                self.depth -= 1;
+                value
             }
             b'-' | b'0'..=b'9' => self.parse_number(),
             other => Err(Error::new(format!(
@@ -369,9 +343,66 @@ impl<'a> Parser<'a> {
             ))),
         }
     }
+
+    /// The rest of an array whose `[` was consumed.
+    fn parse_array(&mut self) -> Result<Value> {
+        let mut items = Vec::new();
+        if self.peek()? == b']' {
+            self.pos += 1;
+            return Ok(Value::Array(items));
+        }
+        loop {
+            items.push(self.parse_value()?);
+            match self.peek()? {
+                b',' => self.pos += 1,
+                b']' => {
+                    self.pos += 1;
+                    return Ok(Value::Array(items));
+                }
+                other => {
+                    return Err(Error::new(format!(
+                        "expected `,` or `]`, got `{}`",
+                        other as char
+                    )))
+                }
+            }
+        }
+    }
+
+    /// The rest of an object whose `{` was consumed.
+    fn parse_object(&mut self) -> Result<Value> {
+        let mut fields = Vec::new();
+        if self.peek()? == b'}' {
+            self.pos += 1;
+            return Ok(Value::Object(fields));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.parse_string()?;
+            self.expect(b':')?;
+            let value = self.parse_value()?;
+            fields.push((key, value));
+            match self.peek()? {
+                b',' => self.pos += 1,
+                b'}' => {
+                    self.pos += 1;
+                    return Ok(Value::Object(fields));
+                }
+                other => {
+                    return Err(Error::new(format!(
+                        "expected `,` or `}}`, got `{}`",
+                        other as char
+                    )))
+                }
+            }
+        }
+    }
 }
 
 /// Parse a JSON string into any shim-`Deserialize` type.
+///
+/// Arrays and objects may nest at most 128 levels deep; deeper input is an
+/// [`Error`], as in real serde_json.
 pub fn from_str<T: Deserialize>(text: &str) -> Result<T> {
     let mut parser = Parser::new(text);
     let value = parser.parse_value()?;
@@ -422,6 +453,24 @@ mod tests {
     fn unicode_escapes_parse() {
         let s: String = from_str(r#""é😀""#).unwrap();
         assert_eq!(s, "é😀");
+    }
+
+    #[test]
+    fn nesting_is_capped_at_the_recursion_limit() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let parse = |text: &str| Parser::new(text).parse_value();
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("recursion limit"), "{err}");
+        // Far past the cap, on a 1 MiB stack: an error, not an overflow.
+        let deep = format!("{}{}", "[{\"a\":".repeat(50_000), "1");
+        let result = std::thread::Builder::new()
+            .stack_size(1024 * 1024)
+            .spawn(move || Parser::new(&deep).parse_value().is_err())
+            .unwrap()
+            .join()
+            .unwrap();
+        assert!(result);
     }
 
     #[test]

@@ -2,15 +2,43 @@
 //! blocking guarantees, estimator bounds and metric bounds.
 
 use autofj::block::{block_reference, Blocker, GramIndex, ProbeScratch};
-use autofj::core::{AutoFjOptions, AutoFuzzyJoin, NegativeRuleSet};
+use autofj::core::{AutoFuzzyJoin, NegativeRuleSet};
 use autofj::eval::{adjusted_recall, evaluate_assignment, pr_auc, ScoredPrediction};
-use autofj::text::{JoinFunctionSpace, PreparedColumn};
+use autofj::text::prepared::scheme_index;
+use autofj::text::{JoinFunctionSpace, PreparedColumn, Preprocessing, Tokenization};
 use proptest::prelude::*;
 use std::sync::Mutex;
 
 /// Strategy: short token-ish strings (letters, digits, spaces).
 fn name_strategy() -> impl Strategy<Value = String> {
     proptest::string::string_regex("[A-Za-z0-9]{1,8}( [A-Za-z0-9]{1,8}){0,5}").unwrap()
+}
+
+/// Gram vocabulary of the Zipf-skewed tables (prime, so the id scramble in
+/// [`zipf_gram_set`] is a permutation).
+const ZIPF_VOCAB: u32 = 601;
+/// Resolution of the uniform draws [`zipf_gram_set`] maps onto grams.
+const ZIPF_DRAWS: u32 = 1 << 20;
+
+/// Map uniform draws in `0..ZIPF_DRAWS` to a sorted, deduplicated gram set
+/// whose frequencies follow a Zipf-like law: `u ↦ ⌊(V + 1)^u⌋ − 1` makes
+/// rank `r` about `1/(r + 1)` likely.  Ranks are scrambled onto gram ids so
+/// that the probe's rarest-first order differs from id order.
+fn zipf_gram_set(draws: &[u32]) -> Vec<u32> {
+    let v = f64::from(ZIPF_VOCAB);
+    let mut set: Vec<u32> = draws
+        .iter()
+        .map(|&d| {
+            let u = f64::from(d) / f64::from(ZIPF_DRAWS);
+            let rank = ((v + 1.0).powf(u).floor() as u32)
+                .saturating_sub(1)
+                .min(ZIPF_VOCAB - 1);
+            (rank * 7919) % ZIPF_VOCAB
+        })
+        .collect();
+    set.sort_unstable();
+    set.dedup();
+    set
 }
 
 /// `build_global` mutates process-wide state; the blocking-equivalence
@@ -115,12 +143,11 @@ proptest! {
         );
     }
 
-    /// The prefix/length-filtered probe is *exact*: on arbitrary gram-id
-    /// sets it returns the same top-k as the retained exhaustive walk, and
-    /// every record the exhaustive walk ranks into the top-k is among the
-    /// records the filters admitted for exact scoring (the superset
-    /// guarantee that makes the filters candidate-count reductions, not
-    /// approximations).
+    /// The MaxScore probe is *exact*: on arbitrary gram-id sets it returns
+    /// the same top-k as the dense-walk oracle, and every record the oracle
+    /// ranks into the top-k is among the records the probe verified (the
+    /// superset guarantee that makes its pruning a candidate-count
+    /// reduction, not an approximation).
     #[test]
     fn filtered_probe_is_exact_and_supersets_unfiltered(
         mut sets in proptest::collection::vec(
@@ -152,46 +179,104 @@ proptest! {
         }
     }
 
-    /// Turning the blocking filters off (the unfiltered reference arm) must
-    /// not change the final `JoinResult` at all — across random tables,
-    /// blocking factors and thread counts, the two paths serialize
-    /// byte-identically.
+    /// The pruning of the MaxScore probe never changes what blocking keeps,
+    /// hence never the join result: every L–R and L–L candidate list that
+    /// `Blocker::block_prepared` and `Blocker::block_id_sets` return equals
+    /// the dense-walk oracle's list for that probe, across random tables,
+    /// blocking factors and 1 and 4 threads.
     #[test]
     fn blocking_filters_never_change_the_join_result(
-        left in proptest::collection::vec(name_strategy(), 1..20),
+        left in proptest::collection::vec(name_strategy(), 1..40),
         right in proptest::collection::vec(name_strategy(), 0..10),
         factor in 0.3f64..3.0,
         threads_pick in 0usize..2,
     ) {
         let threads = if threads_pick == 0 { 1 } else { 4 };
-        let space = JoinFunctionSpace::reduced24();
-        let filtered_opts = AutoFjOptions {
-            blocking_factor: factor,
-            ..AutoFjOptions::default()
-        };
-        let unfiltered_opts = AutoFjOptions {
-            use_blocking_filters: false,
-            ..filtered_opts.clone()
-        };
+        let all: Vec<&str> = left
+            .iter()
+            .map(String::as_str)
+            .chain(right.iter().map(String::as_str))
+            .collect();
+        let col = PreparedColumn::build(&all);
+        let si = scheme_index(Preprocessing::Lower, Tokenization::Gram3);
+        let sets: Vec<Vec<u32>> = (0..col.len())
+            .map(|i| col.record(i).token_sets[si].clone())
+            .collect();
+        let num_grams = col.vocab(Preprocessing::Lower, Tokenization::Gram3).len();
+        let (left_sets, right_sets) = sets.split_at(left.len());
+        let blocker = Blocker::with_factor(factor);
 
         let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build_global()
             .expect("configure shim pool");
-        let with_filters =
-            autofj::core::join_single_column(&left, &right, &space, &filtered_opts);
-        let without_filters =
-            autofj::core::join_single_column(&left, &right, &space, &unfiltered_opts);
+        let prepared = blocker.block_prepared(&col, left.len());
+        let by_ids = blocker.block_id_sets(left_sets, right_sets, num_grams);
         rayon::ThreadPoolBuilder::new()
             .num_threads(0)
             .build_global()
             .expect("reset shim pool");
         drop(_guard);
 
-        let a = serde_json::to_string(&with_filters).expect("serialize");
-        let b = serde_json::to_string(&without_filters).expect("serialize");
-        prop_assert_eq!(a, b);
+        let index = GramIndex::from_id_sets(left_sets, num_grams);
+        let k = blocker.candidates_per_record(left.len());
+        let mut scratch = ProbeScratch::new(left.len());
+        for out in [&prepared, &by_ids] {
+            for (r, probe) in right_sets.iter().enumerate() {
+                let oracle = index.top_k_unfiltered(probe, k, None, &mut scratch);
+                prop_assert_eq!(&out.left_candidates_of_right[r], &oracle);
+            }
+            for (l, probe) in left_sets.iter().enumerate() {
+                let oracle = index.top_k_unfiltered(probe, k, Some(l as u32), &mut scratch);
+                prop_assert_eq!(&out.left_candidates_of_left[l], &oracle);
+            }
+        }
+    }
+
+    /// The MaxScore probe is exact where its essential split bites: on
+    /// tables of 100–400 records with 15–40 grams each drawn from a
+    /// Zipf-skewed gram distribution (a few grams in most records, a long
+    /// rare tail), with duplicated records (index tie-breaks) and `k` from 1
+    /// to beyond `|L|`, every probe — each record with and without itself
+    /// excluded, plus a fresh one — returns the dense walk's top-k, and the
+    /// records it verified cover that top-k.
+    #[test]
+    fn maxscore_probe_is_exact_on_skewed_tables(
+        raw in proptest::collection::vec(
+            proptest::collection::vec(0u32..ZIPF_DRAWS, 15..41), 100..401),
+        raw_probe in proptest::collection::vec(0u32..ZIPF_DRAWS, 15..41),
+        duplicates in proptest::collection::vec((0usize..1000, 0usize..1000), 0..40),
+        k in 1usize..450,
+    ) {
+        let mut sets: Vec<Vec<u32>> = raw.iter().map(|r| zipf_gram_set(r)).collect();
+        for &(from, to) in &duplicates {
+            let from = from % sets.len();
+            let to = to % sets.len();
+            sets[to] = sets[from].clone();
+        }
+        let index = GramIndex::from_id_sets(&sets, ZIPF_VOCAB as usize);
+        let mut scratch = ProbeScratch::new(sets.len());
+        let mut oracle_scratch = ProbeScratch::new(sets.len());
+        let mut scored = Vec::new();
+        let fresh = zipf_gram_set(&raw_probe);
+        let probes = sets
+            .iter()
+            .enumerate()
+            .flat_map(|(i, s)| [(s, Some(i as u32)), (s, None)])
+            .chain([(&fresh, None)]);
+        for (probe, exclude) in probes {
+            let oracle = index.top_k_unfiltered(probe, k, exclude, &mut oracle_scratch);
+            prop_assert_eq!(&index.top_k(probe, k, exclude, &mut scratch), &oracle);
+            let traced = index.top_k_traced(probe, k, exclude, &mut scratch, &mut scored);
+            prop_assert_eq!(&traced, &oracle);
+            for &li in &oracle {
+                prop_assert!(
+                    scored.contains(&(li as u32)),
+                    "oracle top-k record {li} was never verified (k={k}, exclude={exclude:?})"
+                );
+            }
+        }
     }
 
     /// The end-to-end joiner never panics on arbitrary inputs and always

@@ -258,3 +258,47 @@ fn protocol_errors_do_not_poison_the_connection() {
         assert_eq!(matched, expected);
     });
 }
+
+#[test]
+fn deeply_nested_request_gets_an_error_not_a_crash() {
+    let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let left: Vec<String> = vec![
+        "2007 LSU Tigers football team".into(),
+        "2008 Wisconsin Badgers football team".into(),
+    ];
+    let right: Vec<String> = vec!["2007 LSU Tigers football".into()];
+    let (state, _) = ServingState::learn(
+        &left,
+        &right,
+        &JoinFunctionSpace::reduced24(),
+        &AutoFjOptions::default(),
+    );
+    let expected = state.query_batch(&right)[0];
+
+    with_server(state, 1, |addr| {
+        {
+            use std::io::{BufRead, BufReader, Write};
+            let mut stream = std::net::TcpStream::connect(addr).expect("connect raw");
+            // Unbounded recursive parsing would overflow the acceptor's stack on
+            // this line and abort the whole server.
+            let mut hostile = "[".repeat(100_000);
+            hostile.push('\n');
+            stream.write_all(hostile.as_bytes()).expect("write");
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("read");
+            assert!(line.contains("Error"), "got: {line}");
+            assert!(line.contains("recursion limit"), "got: {line}");
+            // The same connection still answers a well-formed Join.
+            stream
+                .write_all(b"{\"Join\":{\"record\":\"2007 LSU Tigers football\"}}\n")
+                .expect("write join");
+            line.clear();
+            reader.read_line(&mut line).expect("read join");
+            assert!(line.contains("Join"), "got: {line}");
+        }
+        // One acceptor: the raw connection above is closed, so this one is served.
+        let mut client = Client::connect(addr).expect("connect");
+        assert_eq!(client.join(&right[0]).expect("join"), expected);
+    });
+}
