@@ -3,6 +3,7 @@
 
 use autofj_block::Blocker;
 use autofj_eval::ScoredPrediction;
+use autofj_text::PreparedColumn;
 
 /// Candidate pairs for a task: for every right record, the blocked left
 /// candidate indices (ordered by blocking score).
@@ -16,7 +17,8 @@ impl CandidateSet {
     /// Generate candidates with the default blocker (same blocking as
     /// Auto-FuzzyJoin, so every method sees the same pairs).
     pub fn generate(left: &[String], right: &[String]) -> Self {
-        let blocking = Blocker::new().block(left, right);
+        let all: Vec<&str> = left.iter().chain(right).map(String::as_str).collect();
+        let blocking = Blocker::new().block_prepared(&PreparedColumn::build(&all), left.len());
         Self {
             candidates: blocking.left_candidates_of_right,
         }

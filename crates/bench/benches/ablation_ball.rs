@@ -16,8 +16,10 @@ fn bench_ball_modes(c: &mut Criterion) {
     let task = benchmark_specs(BenchmarkScale::Tiny)[36].generate();
     let space = JoinFunctionSpace::reduced24();
     let options = AutoFjOptions::default();
-    let blocking = options.blocker().block(&task.left, &task.right);
     let oracle = SingleColumnOracle::build(space.functions(), &task.left, &task.right);
+    let blocking = options
+        .blocker()
+        .block_prepared(oracle.column(), task.left.len());
     let pre = Precompute::build(
         &oracle,
         &blocking.left_candidates_of_right,

@@ -32,8 +32,10 @@ fn bench_pipeline(c: &mut Criterion) {
     });
 
     // Components: pre-compute vs greedy (Figure 7(d)'s decomposition).
-    let blocking = options.blocker().block(&task.left, &task.right);
     let oracle = SingleColumnOracle::build(space24.functions(), &task.left, &task.right);
+    let blocking = options
+        .blocker()
+        .block_prepared(oracle.column(), task.left.len());
     group.bench_function("precompute_24_configs", |b| {
         b.iter(|| {
             black_box(Precompute::build(

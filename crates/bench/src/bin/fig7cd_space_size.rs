@@ -59,13 +59,15 @@ fn main() {
             m += run_supervised(&MagellanRf::default(), task, q.precision, 7).adjusted_recall;
             // Component timing: measure the pre-compute (blocking + distances
             // + precision estimates) separately from the greedy search.
-            let blocking = options.blocker().block(&task.left, &task.right);
             let start = Instant::now();
             let oracle = autofj_core::oracle::SingleColumnOracle::build(
                 space.functions(),
                 &task.left,
                 &task.right,
             );
+            let blocking = options
+                .blocker()
+                .block_prepared(oracle.column(), task.left.len());
             let pre = autofj_core::estimate::Precompute::build(
                 &oracle,
                 &blocking.left_candidates_of_right,

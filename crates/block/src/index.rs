@@ -64,8 +64,7 @@
 
 use autofj_text::prepared::scheme_index;
 use autofj_text::preprocess::Preprocessing;
-use autofj_text::tokenize::{qgram_intern_into, qgram_lookup_into, GramScratch, Tokenization};
-use autofj_text::vocab::Vocab;
+use autofj_text::tokenize::Tokenization;
 use autofj_text::PreparedColumn;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -964,83 +963,17 @@ impl Blocker {
         ((self.factor * (left_len as f64).sqrt()).ceil() as usize).max(1)
     }
 
-    /// Run blocking over raw strings, producing L–R and L–L candidate sets.
-    ///
-    /// Reference records are tokenized into interned gram ids sequentially
-    /// (so id assignment is deterministic at every thread count); probe
-    /// records only *look up* gram ids, which is read-only and runs in
-    /// parallel chunks with per-worker scratch.  Candidate lists keep the
-    /// same deterministic order regardless of thread count.
-    pub fn block<S1: AsRef<str> + Sync, S2: AsRef<str> + Sync>(
-        &self,
-        left: &[S1],
-        right: &[S2],
-    ) -> BlockingOutput {
-        let prep = Preprocessing::Lower;
-        let mut vocab = Vocab::new();
-        let mut scratch = GramScratch::default();
-        let mut buf: Vec<u32> = Vec::new();
-        let left_sets: Vec<Vec<u32>> = left
-            .iter()
-            .map(|s| {
-                buf.clear();
-                qgram_intern_into(
-                    &prep.apply(s.as_ref()),
-                    3,
-                    &mut vocab,
-                    &mut buf,
-                    &mut scratch,
-                );
-                buf.sort_unstable();
-                buf.dedup();
-                buf.clone()
-            })
-            .collect();
-        let vocab = &vocab;
-        let chunk = right
-            .len()
-            .div_ceil(rayon::current_num_threads().max(1))
-            .max(1);
-        let right_sets: Vec<Vec<u32>> = right
-            .chunks(chunk)
-            .collect::<Vec<_>>()
-            .into_par_iter()
-            .map(|records| {
-                let mut scratch = GramScratch::default();
-                records
-                    .iter()
-                    .map(|s| {
-                        let mut ids = Vec::new();
-                        qgram_lookup_into(
-                            &prep.apply(s.as_ref()),
-                            3,
-                            vocab,
-                            &mut ids,
-                            &mut scratch,
-                        );
-                        ids.sort_unstable();
-                        ids.dedup();
-                        ids
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .flatten()
-            .collect();
-        self.block_id_sets(&left_sets, &right_sets, vocab.len())
-    }
-
     /// Run blocking over a [`PreparedColumn`] holding the `num_left`
-    /// reference records followed by the query records — the zero-tokenization
-    /// path used by the single-column pipeline, which prepares each record
-    /// exactly once and shares the interned gram sets across blocking,
-    /// negative rules and distance evaluation.
+    /// reference records followed by the query records, producing the L–R
+    /// and L–L candidate sets.  This is the entry point of every pipeline:
+    /// each record is prepared exactly once, and the same interned sets feed
+    /// blocking, negative rules and distance evaluation.
     ///
-    /// Uses the `(lower-case, 3-gram)` scheme of the column.  Equivalent to
-    /// [`Self::block`] on the raw strings: the shared vocabulary assigns
-    /// reference-side grams the same relative ids (reference records are
-    /// interned first), and query-only grams have empty postings.
+    /// Uses the `(lower-case, 3-gram)` scheme of the column.  Reference
+    /// records are interned first, so the vocabulary numbers their grams
+    /// exactly as [`crate::block_reference`] does, and query-only grams have
+    /// empty postings.  Candidate lists keep the same deterministic order
+    /// regardless of thread count.
     pub fn block_prepared(&self, col: &PreparedColumn, num_left: usize) -> BlockingOutput {
         assert!(
             num_left <= col.len(),
@@ -1056,8 +989,8 @@ impl Blocker {
     }
 
     /// Run blocking directly over interned gram-id sets (each sorted and
-    /// deduplicated, ids `< num_grams`).  This is the layer both string entry
-    /// points converge on, and the one the property tests exercise.
+    /// deduplicated, ids `< num_grams`).  [`Self::block_prepared`] delegates
+    /// here; the property tests drive it directly.
     pub fn block_id_sets<S1: AsRef<[u32]> + Sync, S2: AsRef<[u32]> + Sync>(
         &self,
         left_sets: &[S1],
@@ -1103,24 +1036,25 @@ mod tests {
             .collect()
     }
 
-    /// Tokenize raw strings the way `Blocker::block` does (lower-case
-    /// 3-grams, interned left-first), for tests that drive `GramIndex`
-    /// directly.
+    /// Block raw strings through a prepared column of `left ++ right`.
+    fn block<S: AsRef<str> + Sync>(blocker: &Blocker, left: &[S], right: &[S]) -> BlockingOutput {
+        let all: Vec<&str> = left.iter().chain(right).map(AsRef::as_ref).collect();
+        blocker.block_prepared(&PreparedColumn::build(&all), left.len())
+    }
+
+    /// The lower-case 3-gram id sets `block_prepared` reads (interned
+    /// left-first), for tests that drive `GramIndex` directly.
     fn id_sets(left: &[String], right: &[String]) -> (Vec<Vec<u32>>, Vec<Vec<u32>>, usize) {
-        let prep = Preprocessing::Lower;
-        let mut vocab = Vocab::new();
-        let mut scratch = GramScratch::default();
-        let mut tok = |s: &str, vocab: &mut Vocab| {
-            let mut ids = Vec::new();
-            qgram_intern_into(&prep.apply(s), 3, vocab, &mut ids, &mut scratch);
-            ids.sort_unstable();
-            ids.dedup();
-            ids
-        };
-        let left_sets: Vec<Vec<u32>> = left.iter().map(|s| tok(s, &mut vocab)).collect();
-        let right_sets: Vec<Vec<u32>> = right.iter().map(|s| tok(s, &mut vocab)).collect();
-        let n = vocab.len();
-        (left_sets, right_sets, n)
+        let all: Vec<&str> = left.iter().chain(right).map(String::as_str).collect();
+        let col = PreparedColumn::build(&all);
+        let si = scheme_index(Preprocessing::Lower, Tokenization::Gram3);
+        let mut left_sets: Vec<Vec<u32>> = col
+            .records()
+            .iter()
+            .map(|rec| rec.token_sets[si].clone())
+            .collect();
+        let right_sets = left_sets.split_off(left.len());
+        (left_sets, right_sets, col.vocab_by_scheme(si).len())
     }
 
     #[test]
@@ -1136,7 +1070,7 @@ mod tests {
     fn exact_match_survives_blocking() {
         let left = teams();
         let right = vec![left[7].clone(), left[42].clone()];
-        let out = Blocker::new().block(&left, &right);
+        let out = block(&Blocker::new(), &left, &right);
         assert!(out.left_candidates_of_right[0].contains(&7));
         assert!(out.left_candidates_of_right[1].contains(&42));
     }
@@ -1145,7 +1079,7 @@ mod tests {
     fn fuzzy_match_survives_blocking() {
         let left = teams();
         let right = vec!["2003 LSU Tigres footbal".to_string()];
-        let out = Blocker::new().block(&left, &right);
+        let out = block(&Blocker::new(), &left, &right);
         // The true counterpart "2003 LSU Tigers football team" is at index 9.
         assert!(out.left_candidates_of_right[0].contains(&9));
     }
@@ -1153,7 +1087,7 @@ mod tests {
     #[test]
     fn ll_candidates_exclude_self() {
         let left = teams();
-        let out = Blocker::new().block(&left, &left[..0]);
+        let out = block(&Blocker::new(), &left, &left[..0]);
         for (li, cands) in out.left_candidates_of_left.iter().enumerate() {
             assert!(!cands.contains(&li));
         }
@@ -1163,7 +1097,7 @@ mod tests {
     fn candidate_lists_respect_k() {
         let left = teams();
         let b = Blocker::with_factor(0.5);
-        let out = b.block(&left, &left);
+        let out = block(&b, &left, &left);
         let k = out.candidates_per_record;
         assert!(out.left_candidates_of_right.iter().all(|c| c.len() <= k));
         assert!(out.left_candidates_of_left.iter().all(|c| c.len() <= k));
@@ -1173,17 +1107,17 @@ mod tests {
     fn larger_factor_keeps_more_candidates() {
         let left = teams();
         let right = vec!["2005 LSU Tigers football team".to_string()];
-        let small = Blocker::with_factor(0.5).block(&left, &right);
-        let large = Blocker::with_factor(3.0).block(&left, &right);
+        let small = block(&Blocker::with_factor(0.5), &left, &right);
+        let large = block(&Blocker::with_factor(3.0), &left, &right);
         assert!(large.left_candidates_of_right[0].len() >= small.left_candidates_of_right[0].len());
     }
 
     #[test]
     fn empty_tables_are_handled() {
-        let out = Blocker::new().block::<&str, &str>(&[], &[]);
+        let out = block::<&str>(&Blocker::new(), &[], &[]);
         assert_eq!(out.num_lr_pairs(), 0);
         assert_eq!(out.num_ll_pairs(), 0);
-        let out = Blocker::new().block(&["only left"], &[] as &[&str]);
+        let out = block(&Blocker::new(), &["only left"], &[]);
         assert!(out.left_candidates_of_right.is_empty());
         assert_eq!(out.left_candidates_of_left.len(), 1);
     }
@@ -1192,7 +1126,7 @@ mod tests {
     fn completely_unrelated_probe_gets_few_or_no_candidates() {
         let left = teams();
         let right = vec!["零件 øøøø ØØØ".to_string()];
-        let out = Blocker::new().block(&left, &right);
+        let out = block(&Blocker::new(), &left, &right);
         assert!(out.left_candidates_of_right[0].is_empty());
     }
 
@@ -1203,42 +1137,15 @@ mod tests {
     }
 
     #[test]
-    fn prepared_path_matches_raw_string_path() {
-        let left = teams();
-        let right = vec![
-            "2003 LSU Tigres footbal".to_string(),
-            "2015 Wisconsin Badgers football team".to_string(),
-            "unrelated probe".to_string(),
-        ];
-        let raw = Blocker::new().block(&left, &right);
-        let all: Vec<&str> = left
-            .iter()
-            .map(String::as_str)
-            .chain(right.iter().map(String::as_str))
-            .collect();
-        let col = PreparedColumn::build(&all);
-        let prepared = Blocker::new().block_prepared(&col, left.len());
-        assert_eq!(
-            raw.left_candidates_of_right,
-            prepared.left_candidates_of_right
-        );
-        assert_eq!(
-            raw.left_candidates_of_left,
-            prepared.left_candidates_of_left
-        );
-        assert_eq!(raw.candidates_per_record, prepared.candidates_per_record);
-    }
-
-    #[test]
     fn top_k_ties_break_toward_lower_index() {
         // Four identical reference records: every probe scores them equally,
         // so the kept candidates must be the lowest indices, ascending.
         let left = vec!["aaa bbb"; 4];
         let b = Blocker::with_factor(0.5); // k = 1
-        let out = b.block(&left, &["aaa bbb"]);
+        let out = block(&b, &left, &["aaa bbb"]);
         assert_eq!(out.left_candidates_of_right[0], vec![0]);
         let b = Blocker::with_factor(1.0); // k = 2
-        let out = b.block(&left, &["aaa bbb"]);
+        let out = block(&b, &left, &["aaa bbb"]);
         assert_eq!(out.left_candidates_of_right[0], vec![0, 1]);
     }
 
@@ -1299,7 +1206,7 @@ mod tests {
                 ]
             })
             .collect();
-        let out = Blocker::new().block(&left, &right);
+        let out = block(&Blocker::new(), &left, &right);
         for (i, cands) in out.left_candidates_of_right.iter().enumerate() {
             if i % 2 == 1 {
                 assert!(cands.is_empty(), "probe {i} leaked candidates");

@@ -101,8 +101,9 @@ impl StringGramIndex {
     }
 }
 
-/// Run the string-path reference blocker: same contract as
-/// [`Blocker::block`], sequential and allocation-heavy by design.
+/// Run the string-path reference blocker: same candidate lists as
+/// [`Blocker::block_prepared`] over a prepared column of `left ++ right`,
+/// sequential and allocation-heavy by design.
 pub fn block_reference<S1: AsRef<str>, S2: AsRef<str>>(
     left: &[S1],
     right: &[S2],
@@ -154,8 +155,10 @@ mod tests {
             "completely different".to_string(),
             left[4].clone(),
         ];
+        let all: Vec<&str> = left.iter().chain(&right).map(String::as_str).collect();
+        let col = autofj_text::PreparedColumn::build(&all);
         for factor in [0.5, 1.5, 3.0] {
-            let fast = Blocker::with_factor(factor).block(&left, &right);
+            let fast = Blocker::with_factor(factor).block_prepared(&col, left.len());
             let slow = block_reference(&left, &right, factor);
             assert_eq!(
                 fast.left_candidates_of_right, slow.left_candidates_of_right,

@@ -25,6 +25,7 @@
 //! println!("program: {}", result.program);
 //! ```
 
+pub mod candidates;
 pub mod estimate;
 pub mod greedy;
 pub mod multi_column;
@@ -36,7 +37,8 @@ pub mod single;
 pub mod table;
 pub mod timing;
 
-pub use negative_rules::{InternedRuleSet, NegativeRule, NegativeRuleSet};
+pub use candidates::{candidate_stage, Candidates};
+pub use negative_rules::InternedRuleSet;
 pub use options::{AutoFjOptions, BallMode};
 pub use program::{Config, JoinProgram, JoinResult, JoinedPair};
 pub use single::{join_single_column, join_single_column_with_artifacts, PipelineArtifacts};

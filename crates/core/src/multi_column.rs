@@ -10,18 +10,22 @@
 //! `F_w(l, r) = Σ_j w_j · f(l[j], r[j])` (Definition 4.1).
 //!
 //! Following §5.2.2, one configuration uses the same join function across all
-//! columns, missing values are empty strings, and two missing values compare
-//! at maximum distance — the latter falls out naturally because the empty
-//! string has maximal distance 1 to everything under our distance functions
-//! except another empty string; we special-case that pair in the per-column
-//! distance by treating empty-vs-empty as distance 1 at the cache layer is
-//! unnecessary since both records then provide no evidence either way.
+//! columns, and a missing value is the empty string.  Under our distance
+//! functions an empty value has distance 1 to every non-empty value, so a
+//! value missing on one side adds the column's full weight to the pair's
+//! distance.  Two empty values have distance 0: the code does not give a
+//! pair of missing values the maximum distance of §5.2.2.
+//!
+//! Blocking and negative rules (Algorithm 1 lines 1–2) run once, through
+//! [`crate::candidates::candidate_stage`], over a prepared column of the rows
+//! with all columns concatenated; every weight vector shares the resulting
+//! candidate sets.
 
-use crate::negative_rules::NegativeRuleSet;
+use crate::candidates::candidate_stage;
 use crate::options::AutoFjOptions;
 use crate::oracle::{MultiColumnDistanceCache, WeightedColumnsOracle};
 use crate::program::JoinResult;
-use crate::single::{assemble_result, filter_candidates, join_with_oracle};
+use crate::single::{assemble_result, join_with_oracle};
 use crate::table::Table;
 use autofj_text::{JoinFunctionSpace, PreparedColumn};
 use rayon::prelude::*;
@@ -61,21 +65,13 @@ pub fn join_multi_column(
 
     // Blocking and negative rules operate on the concatenation of all
     // columns, once; the candidate sets are shared by every weight vector.
-    let left_concat = left.concatenated_rows();
-    let right_concat = right.concatenated_rows();
-    let blocking = options.blocker().block(&left_concat, &right_concat);
-    let lr_candidates = if options.use_negative_rules {
-        let rules = NegativeRuleSet::learn(&left_concat, &blocking.left_candidates_of_left);
-        filter_candidates(
-            &left_concat,
-            &right_concat,
-            &blocking.left_candidates_of_right,
-            &rules,
-        )
-    } else {
-        blocking.left_candidates_of_right.clone()
+    let candidates = {
+        let mut rows = left.concatenated_rows();
+        rows.extend(right.concatenated_rows());
+        candidate_stage(&PreparedColumn::build(&rows), left.len(), options)
     };
-    let ll_candidates = &blocking.left_candidates_of_left;
+    let lr_candidates = candidates.lr_candidates();
+    let ll_candidates = &candidates.blocking.left_candidates_of_left;
 
     // Per-column prepared text and the distance cache shared by all weight
     // vectors tried below.  Columns are prepared in parallel; the
@@ -94,13 +90,13 @@ pub fn join_multi_column(
         &prepared,
         left.len(),
         right.len(),
-        &lr_candidates,
+        lr_candidates,
         ll_candidates,
     );
 
     let evaluate = |weights: &[f64]| {
         let oracle = WeightedColumnsOracle::new(&cache, weights.to_vec());
-        join_with_oracle(&oracle, &lr_candidates, ll_candidates, options)
+        join_with_oracle(&oracle, lr_candidates, ll_candidates, options)
     };
 
     // Algorithm 3.

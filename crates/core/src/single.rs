@@ -3,17 +3,16 @@
 //! Glues together blocking, negative-rule learning, distance pre-computation
 //! and the greedy search, and assembles the user-facing [`JoinResult`].
 
+use crate::candidates::{candidate_stage, Candidates};
 use crate::estimate::Precompute;
 use crate::greedy::{run_greedy, GreedyOutcome};
-use crate::negative_rules::{InternedRuleSet, NegativeRuleSet};
+use crate::negative_rules::InternedRuleSet;
 use crate::options::AutoFjOptions;
 use crate::oracle::{DistanceOracle, SingleColumnOracle};
 use crate::program::{Config, JoinProgram, JoinResult, JoinedPair};
 use crate::timing::{self, Phase};
 use autofj_block::BlockingOutput;
-use autofj_text::prepared::scheme_index;
-use autofj_text::{JoinFunctionSpace, Preprocessing, Tokenization};
-use rayon::prelude::*;
+use autofj_text::JoinFunctionSpace;
 
 /// Everything the single-column pipeline computed on the way to a
 /// [`JoinResult`] that an online serving layer needs to replay the join per
@@ -73,58 +72,18 @@ pub fn join_single_column_with_artifacts(
         let _t = timing::scoped(Phase::Prepare);
         SingleColumnOracle::build(space.functions(), left, right)
     };
-    let col = oracle.column();
-
-    // Line 1: blocking over L–L and L–R, on the interned 3-gram sets.
-    let blocking = {
-        let _t = timing::scoped(Phase::Block);
-        options.blocker().block_prepared(col, left.len())
-    };
-    let bs = blocking.stats;
-    timing::record_blocking_stats(
-        bs.lr_pairs,
-        bs.ll_pairs,
-        bs.per_probe_max,
-        bs.scored_records,
-        bs.postings_scanned,
-        bs.postings_total,
-    );
-
-    // Line 2: learn negative rules from L–L pairs and apply them to L–R
-    // pairs.  The rule word sets of Algorithm 2 (lower-case + stem + remove
-    // punctuation, split on whitespace) are exactly the interned token sets
-    // of the (L+S+RP, SP) scheme, already cached per record.
-    let (rules, filtered) = if options.use_negative_rules {
-        let _t = timing::scoped(Phase::NegativeRules);
-        let si = scheme_index(Preprocessing::LowerStemRemovePunct, Tokenization::Space);
-        let word_sets: Vec<&[u32]> = (0..col.len())
-            .map(|i| col.record(i).token_sets[si].as_slice())
-            .collect();
-        let rules =
-            InternedRuleSet::learn(&word_sets[..left.len()], &blocking.left_candidates_of_left);
-        let filtered = filter_candidates_interned(
-            &word_sets,
-            left.len(),
-            &blocking.left_candidates_of_right,
-            &rules,
-        );
-        (Some(rules), Some(filtered))
-    } else {
-        (None, None)
-    };
-    // With rules disabled the blocking output is used as-is — borrow it
-    // instead of cloning ~k·|R| candidate lists (matters at the large tier).
-    let lr_candidates: &[Vec<usize>] = filtered
-        .as_deref()
-        .unwrap_or(&blocking.left_candidates_of_right);
+    // Lines 1–2: blocking over L–L and L–R on the interned 3-gram sets, then
+    // negative rules learned from the L–L pairs and applied to the L–R
+    // pairs on the cached word-id sets.
+    let candidates = candidate_stage(oracle.column(), left.len(), options);
 
     // Lines 3–4: distances + precision pre-computation.
     let pre = {
         let _t = timing::scoped(Phase::Precompute);
         Precompute::build(
             &oracle,
-            lr_candidates,
-            &blocking.left_candidates_of_left,
+            candidates.lr_candidates(),
+            &candidates.blocking.left_candidates_of_left,
             options.num_thresholds,
         )
     };
@@ -136,6 +95,9 @@ pub fn join_single_column_with_artifacts(
         let _t = timing::scoped(Phase::Assemble);
         assemble_result(space, &outcome, columns, weights)
     };
+    let Candidates {
+        blocking, rules, ..
+    } = candidates;
     let artifacts = PipelineArtifacts {
         oracle,
         blocking,
@@ -143,54 +105,6 @@ pub fn join_single_column_with_artifacts(
         outcome,
     };
     (result, Some(artifacts))
-}
-
-/// Remove candidate pairs forbidden by learned interned rules; `word_sets`
-/// holds left records at `0..num_left` followed by the right records.  Each
-/// right record's candidate list is filtered independently in parallel.
-fn filter_candidates_interned(
-    word_sets: &[&[u32]],
-    num_left: usize,
-    lr_candidates: &[Vec<usize>],
-    rules: &InternedRuleSet,
-) -> Vec<Vec<usize>> {
-    if rules.is_empty() {
-        return lr_candidates.to_vec();
-    }
-    (0..lr_candidates.len())
-        .into_par_iter()
-        .map(|r| {
-            lr_candidates[r]
-                .iter()
-                .copied()
-                .filter(|&l| !rules.forbids(word_sets[l], word_sets[num_left + r]))
-                .collect()
-        })
-        .collect()
-}
-
-/// Remove candidate pairs forbidden by the learned negative rules
-/// (Algorithm 2, lines 8–12).  Each right record's candidate list is
-/// filtered independently in parallel.
-pub(crate) fn filter_candidates(
-    left: &[String],
-    right: &[String],
-    lr_candidates: &[Vec<usize>],
-    rules: &NegativeRuleSet,
-) -> Vec<Vec<usize>> {
-    if rules.is_empty() {
-        return lr_candidates.to_vec();
-    }
-    (0..lr_candidates.len())
-        .into_par_iter()
-        .map(|r| {
-            lr_candidates[r]
-                .iter()
-                .copied()
-                .filter(|&l| !rules.forbids(&left[l], &right[r]))
-                .collect()
-        })
-        .collect()
 }
 
 /// Turn a greedy outcome into the user-facing [`JoinResult`].

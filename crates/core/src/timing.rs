@@ -1,8 +1,8 @@
 //! Lightweight phase-timing harness for the join pipeline.
 //!
-//! The single-column driver and the greedy search wrap their stages in
-//! [`scoped`] guards; each guard adds its elapsed wall-clock time to a fixed
-//! process-global slot for its [`Phase`].  [`snapshot`] then reports the
+//! The single-column driver, the candidate stage and the greedy search wrap
+//! their stages in [`scoped`] guards; each guard adds its elapsed wall-clock
+//! time to a fixed process-global slot for its [`Phase`].  [`snapshot`] then reports the
 //! accumulated per-phase seconds (and entry counts), which `bench_smoke`
 //! surfaces as the `phases` section of the `BENCH_*.json` trajectory — so
 //! the perf record says *where* the time goes, not just the total.

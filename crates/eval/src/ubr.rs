@@ -29,8 +29,8 @@ pub fn upper_bound_recall(
     if total == 0 || left.is_empty() || right.is_empty() {
         return 0.0;
     }
-    let blocking = Blocker::new().block(left, right);
     let oracle = SingleColumnOracle::build(space.functions(), left, right);
+    let blocking = Blocker::new().block_prepared(oracle.column(), left.len());
     let feasible: HashSet<usize> = (0..space.len())
         .into_par_iter()
         .map(|f| {

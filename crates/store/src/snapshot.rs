@@ -34,8 +34,8 @@ use crate::pager::SnapshotFile;
 use autofj_block::{GramIndex, ProbeScratch};
 use autofj_core::estimate::ball_count_sorted;
 use autofj_core::{
-    join_single_column_with_artifacts, AutoFjOptions, BallMode, Config, InternedRuleSet,
-    JoinProgram, JoinResult, PipelineArtifacts,
+    candidate_stage, join_single_column_with_artifacts, AutoFjOptions, BallMode, Candidates,
+    Config, InternedRuleSet, JoinProgram, JoinResult, PipelineArtifacts,
 };
 use autofj_text::prepared::{scheme_index, NUM_SCHEMES};
 use autofj_text::vocab::Vocab;
@@ -260,8 +260,8 @@ impl ServingState {
     }
 
     /// Build the state from scratch for an already-learned `program`: prepare
-    /// the column, re-run blocking and negative-rule learning, and derive the
-    /// ball rows.  This is the reference construction the append-equivalence
+    /// the column, run the pipeline's candidate stage (blocking and
+    /// negative-rule learning) on it, and derive the ball rows.  This is the reference construction the append-equivalence
     /// tests compare against — appending records to a live state must be
     /// indistinguishable from rebuilding on the concatenated table.
     pub fn from_program(
@@ -279,19 +279,9 @@ impl ServingState {
             .collect();
         let column = PreparedColumn::build(&all);
         let num_left = left.len();
-        let blocking = options.blocker().block_prepared(&column, num_left);
-        let rules = if options.use_negative_rules {
-            let si = scheme_index(Preprocessing::LowerStemRemovePunct, Tokenization::Space);
-            let word_sets: Vec<&[u32]> = (0..num_left)
-                .map(|i| column.record(i).token_sets[si].as_slice())
-                .collect();
-            Some(InternedRuleSet::learn(
-                &word_sets,
-                &blocking.left_candidates_of_left,
-            ))
-        } else {
-            None
-        };
+        let Candidates {
+            blocking, rules, ..
+        } = candidate_stage(&column, num_left, options);
         let (functions, configs) = dedup_functions(
             program
                 .configs

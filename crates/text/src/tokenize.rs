@@ -174,25 +174,6 @@ pub fn qgram_intern_into(
     for_each_qgram(input, q, scratch, |gram| out.push(vocab.intern(gram)));
 }
 
-/// Tokenize `input` into character q-grams and look each gram up in an
-/// existing (read-only) vocabulary, appending the ids of *known* grams to
-/// `out`; unknown grams are skipped.  This is the probe-side path of the
-/// blocker: probing never grows the vocabulary, so it is safe to run from
-/// many workers in parallel with per-worker scratch.
-pub fn qgram_lookup_into(
-    input: &str,
-    q: usize,
-    vocab: &Vocab,
-    out: &mut Vec<u32>,
-    scratch: &mut GramScratch,
-) {
-    for_each_qgram(input, q, scratch, |gram| {
-        if let Some(id) = vocab.get(gram) {
-            out.push(id);
-        }
-    });
-}
-
 /// Split on whitespace.
 pub fn space_tokenize(input: &str) -> Vec<String> {
     input.split_whitespace().map(str::to_string).collect()
@@ -343,19 +324,5 @@ mod tests {
         assert_eq!(out, vec![base, vocab.get("alpha").unwrap(), base + 1, base]);
         assert_eq!(overflow, vec!["gamma".to_string(), "delta".to_string()]);
         assert_eq!(vocab.len() as u32, base, "lookup must not grow the vocab");
-    }
-
-    #[test]
-    fn lookup_skips_unknown_grams_and_never_interns() {
-        let mut vocab = Vocab::new();
-        let mut scratch = GramScratch::default();
-        let mut ids = Vec::new();
-        qgram_intern_into("abcd", 3, &mut vocab, &mut ids, &mut scratch);
-        let before = vocab.len();
-        let mut probe = Vec::new();
-        qgram_lookup_into("abcz", 3, &vocab, &mut probe, &mut scratch);
-        // "abc" is known, "bcz" is not.
-        assert_eq!(probe, vec![vocab.get("abc").unwrap()]);
-        assert_eq!(vocab.len(), before);
     }
 }

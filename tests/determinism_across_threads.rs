@@ -164,6 +164,43 @@ fn incremental_greedy_matches_recompute_reference_across_tasks_and_threads() {
     reset_pool();
 }
 
+/// Multi-column determinism: Algorithm 3 on a task with three random noise
+/// columns (the robustness matrix's `multi_column_random_noise` shape) —
+/// the candidate stage over concatenated rows, the per-column distance
+/// caches and the parallel blend evaluation — returns a byte-identical
+/// `JoinResult` at 1, 2 and 8 threads.
+#[test]
+fn multi_column_task_with_noise_columns_is_byte_identical_across_1_2_and_8_threads() {
+    use autofj::core::AutoFuzzyJoin;
+    use autofj::datagen::adversarial::add_random_columns;
+    use autofj::datagen::MultiColumnDataset;
+
+    let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let task = add_random_columns(&MultiColumnDataset::BR.generate(0.06, 5), 3, 0xBEEF);
+    let joiner = AutoFuzzyJoin::builder()
+        .space(JoinFunctionSpace::reduced24())
+        .num_thresholds(20)
+        .build();
+    let run_at = |threads: usize| {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build_global()
+            .expect("configure shim pool");
+        let result = joiner.join(&task.left, &task.right);
+        serde_json::to_string(&result).expect("JoinResult serializes")
+    };
+    let baseline = run_at(1);
+    assert!(baseline.contains("\"pairs\""));
+    for threads in [2usize, 8] {
+        assert_eq!(
+            run_at(threads),
+            baseline,
+            "multi-column JoinResult diverged between 1 and {threads} threads"
+        );
+    }
+    reset_pool();
+}
+
 #[test]
 fn adversarial_task_is_deterministic_at_odd_thread_counts() {
     let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());

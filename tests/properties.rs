@@ -2,7 +2,8 @@
 //! blocking guarantees, estimator bounds and metric bounds.
 
 use autofj::block::{block_reference, Blocker, GramIndex, ProbeScratch};
-use autofj::core::{AutoFuzzyJoin, NegativeRuleSet};
+use autofj::core::negative_rules::reference::NegativeRuleSet;
+use autofj::core::{candidate_stage, AutoFjOptions, AutoFuzzyJoin, InternedRuleSet, Table};
 use autofj::eval::{adjusted_recall, evaluate_assignment, pr_auc, ScoredPrediction};
 use autofj::text::prepared::scheme_index;
 use autofj::text::{JoinFunctionSpace, PreparedColumn, Preprocessing, Tokenization};
@@ -12,6 +13,92 @@ use std::sync::Mutex;
 /// Strategy: short token-ish strings (letters, digits, spaces).
 fn name_strategy() -> impl Strategy<Value = String> {
     proptest::string::string_regex("[A-Za-z0-9]{1,8}( [A-Za-z0-9]{1,8}){0,5}").unwrap()
+}
+
+/// A small word pool with punctuation, mixed case and non-ASCII letters:
+/// records drawn from it often differ by a single word, which is what
+/// negative rules learn from.
+const SWAP_WORDS: [&str; 18] = [
+    "Tigers",
+    "tigers!",
+    "LSU",
+    "l.s.u",
+    "2007",
+    "2008",
+    "Straße",
+    "STRASSE",
+    "café",
+    "Café.",
+    "Ärzte",
+    "Zürich",
+    "football",
+    "Football,",
+    "baseball",
+    "team",
+    "teams",
+    "(NCAA)",
+];
+
+/// Strategy: either a name as above or 2–4 words from [`SWAP_WORDS`].
+fn swap_strategy() -> impl Strategy<Value = String> {
+    let escaped: Vec<String> = SWAP_WORDS
+        .iter()
+        .map(|w| {
+            w.replace('.', r"\.")
+                .replace('(', r"\(")
+                .replace(')', r"\)")
+        })
+        .collect();
+    let word = format!("({})", escaped.join("|"));
+    proptest::string::string_regex(&format!(
+        "{word}( {word}){{1,3}}|[A-Za-z0-9]{{1,8}}( [A-Za-z0-9]{{1,8}}){{0,3}}"
+    ))
+    .unwrap()
+}
+
+/// A copy of row `row` (modulo the row count) with one word of cell `col`
+/// (modulo `columns`) replaced by a word of [`SWAP_WORDS`]: a single-word
+/// swap of the concatenated record.
+fn swapped(
+    rows: &[Vec<String>],
+    (row, col, pos, word): (usize, usize, usize, usize),
+    columns: usize,
+) -> Vec<String> {
+    let mut out = rows[row % rows.len()].clone();
+    let cell = &mut out[col % columns];
+    let mut words: Vec<&str> = cell.split(' ').collect();
+    let pos = pos % words.len();
+    words[pos] = SWAP_WORDS[word % SWAP_WORDS.len()];
+    *cell = words.join(" ");
+    out
+}
+
+/// Concatenate the first `columns` cells of each row the way the
+/// multi-column join does (`Table::concatenated_rows`); one column is the
+/// single-column case.
+fn concatenated(rows: &[Vec<String>], columns: usize) -> Vec<String> {
+    let cells = (0..columns)
+        .map(|c| {
+            let name = format!("c{c}");
+            let values: Vec<String> = rows.iter().map(|row| row[c].clone()).collect();
+            (name, values)
+        })
+        .collect::<Vec<_>>();
+    let cells: Vec<(&str, Vec<String>)> = cells
+        .iter()
+        .map(|(name, values)| (name.as_str(), values.clone()))
+        .collect();
+    Table::from_columns("t", cells).concatenated_rows()
+}
+
+/// The `(lower-case + stem + remove-punctuation, space)` word-id sets of a
+/// prepared column — the sets the interned negative rules read.
+fn rule_id_sets(col: &PreparedColumn) -> Vec<&[u32]> {
+    let si = scheme_index(Preprocessing::LowerStemRemovePunct, Tokenization::Space);
+    col.records()
+        .iter()
+        .map(|rec| rec.token_sets[si].as_slice())
+        .collect()
 }
 
 /// Gram vocabulary of the Zipf-skewed tables (prime, so the id scramble in
@@ -86,38 +173,72 @@ proptest! {
         names.dedup();
         prop_assume!(names.len() >= 5);
         let probe = names[pick % names.len()].clone();
-        let out = Blocker::new().block(&names, std::slice::from_ref(&probe));
+        let mut all = names.clone();
+        all.push(probe.clone());
+        let out = Blocker::new().block_prepared(&PreparedColumn::build(&all), names.len());
         let target = names.iter().position(|n| *n == probe).unwrap();
         prop_assert!(out.left_candidates_of_right[0].contains(&target));
     }
 
-    /// The interned-id blocker (both the raw-string and the prepared-column
-    /// entry points) produces candidate lists *identical* to the retained
-    /// string-path reference implementation, across random tables, blocking
-    /// factors and thread counts.
+    /// The candidate stage every pipeline runs — blocking, then negative
+    /// rules, over a prepared column — equals the string-path specifications
+    /// on random single-column tables and on multi-column tables (2–4
+    /// columns joined by `concatenated_rows`, as the multi-column join
+    /// does), across blocking factors and at 1 and 4 threads: its blocking
+    /// lists equal `block_reference`'s, and its filtered L–R lists equal
+    /// `block_reference`'s L–R lists filtered by the string-spec rules
+    /// learned from `block_reference`'s L–L lists.  Single-word swaps of
+    /// reference rows on both sides make rules learned and applied.
     #[test]
     fn interned_blocking_matches_string_reference(
-        left in proptest::collection::vec(name_strategy(), 1..30),
-        right in proptest::collection::vec(name_strategy(), 0..15),
+        base_rows in proptest::collection::vec(
+            proptest::collection::vec(swap_strategy(), 4..5), 1..20),
+        left_swaps in proptest::collection::vec(
+            (0usize..1000, 0usize..4, 0usize..8, 0usize..1000), 0..10),
+        right_swaps in proptest::collection::vec(
+            (0usize..1000, 0usize..4, 0usize..8, 0usize..1000), 0..12),
+        fresh_rows in proptest::collection::vec(
+            proptest::collection::vec(swap_strategy(), 4..5), 0..4),
+        columns in 1usize..5,
         factor in 0.3f64..3.0,
-        threads in 1usize..6,
+        threads_pick in 0usize..2,
     ) {
+        let threads = if threads_pick == 0 { 1 } else { 4 };
+        let mut left_rows = base_rows.clone();
+        left_rows.extend(left_swaps.iter().map(|&s| swapped(&base_rows, s, columns)));
+        let mut right_rows: Vec<Vec<String>> = right_swaps
+            .iter()
+            .map(|&s| swapped(&base_rows, s, columns))
+            .collect();
+        right_rows.extend(fresh_rows);
+        let left = concatenated(&left_rows, columns);
+        let right = concatenated(&right_rows, columns);
         let expected = block_reference(&left, &right, factor);
-        let blocker = Blocker::with_factor(factor);
+        let spec_rules = NegativeRuleSet::learn(&left, &expected.left_candidates_of_left);
+        let expected_lr: Vec<Vec<usize>> = expected
+            .left_candidates_of_right
+            .iter()
+            .enumerate()
+            .map(|(r, cands)| {
+                cands
+                    .iter()
+                    .copied()
+                    .filter(|&l| !spec_rules.forbids(&left[l], &right[r]))
+                    .collect()
+            })
+            .collect();
+        let options = AutoFjOptions {
+            blocking_factor: factor,
+            ..AutoFjOptions::default()
+        };
+        let all: Vec<&str> = left.iter().chain(&right).map(String::as_str).collect();
 
         let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build_global()
             .expect("configure shim pool");
-        let fast = blocker.block(&left, &right);
-        let all: Vec<&str> = left
-            .iter()
-            .map(String::as_str)
-            .chain(right.iter().map(String::as_str))
-            .collect();
-        let col = PreparedColumn::build(&all);
-        let prepared = blocker.block_prepared(&col, left.len());
+        let stage = candidate_stage(&PreparedColumn::build(&all), left.len(), &options);
         rayon::ThreadPoolBuilder::new()
             .num_threads(0)
             .build_global()
@@ -125,22 +246,16 @@ proptest! {
         drop(_guard);
 
         prop_assert_eq!(
-            &fast.left_candidates_of_right,
+            &stage.blocking.left_candidates_of_right,
             &expected.left_candidates_of_right
         );
         prop_assert_eq!(
-            &fast.left_candidates_of_left,
+            &stage.blocking.left_candidates_of_left,
             &expected.left_candidates_of_left
         );
-        prop_assert_eq!(fast.candidates_per_record, expected.candidates_per_record);
-        prop_assert_eq!(
-            &prepared.left_candidates_of_right,
-            &expected.left_candidates_of_right
-        );
-        prop_assert_eq!(
-            &prepared.left_candidates_of_left,
-            &expected.left_candidates_of_left
-        );
+        prop_assert_eq!(stage.blocking.candidates_per_record, expected.candidates_per_record);
+        prop_assert_eq!(stage.rules.as_ref().map(InternedRuleSet::len), Some(spec_rules.len()));
+        prop_assert_eq!(stage.lr_candidates(), &expected_lr[..]);
     }
 
     /// The MaxScore probe is *exact*: on arbitrary gram-id sets it returns
@@ -301,15 +416,39 @@ proptest! {
     }
 
     /// Negative rules never forbid a pair of identical strings and are
-    /// symmetric in their arguments.
+    /// symmetric in their arguments.  The interned rules learned from a
+    /// prepared column's (L+S+RP, SP) word-id sets match the string spec:
+    /// the same number of rules, and the same verdict on every pair of a
+    /// reference record with a reference or query record, on tables rich in
+    /// single-word swaps, punctuation, mixed case and non-ASCII letters.
     #[test]
-    fn negative_rules_are_sane(names in proptest::collection::vec(name_strategy(), 2..20)) {
+    fn negative_rules_are_sane(
+        names in proptest::collection::vec(swap_strategy(), 2..20),
+        queries in proptest::collection::vec(swap_strategy(), 0..10),
+    ) {
         let rules = NegativeRuleSet::learn_exhaustive(&names);
         for n in &names {
             prop_assert!(!rules.forbids(n, n));
         }
-        if names.len() >= 2 {
-            prop_assert_eq!(rules.forbids(&names[0], &names[1]), rules.forbids(&names[1], &names[0]));
+        prop_assert_eq!(rules.forbids(&names[0], &names[1]), rules.forbids(&names[1], &names[0]));
+
+        let all: Vec<&str> = names.iter().chain(&queries).map(String::as_str).collect();
+        let col = PreparedColumn::build(&all);
+        let sets = rule_id_sets(&col);
+        let every_pair: Vec<Vec<usize>> = (0..names.len())
+            .map(|i| (0..names.len()).filter(|&j| j != i).collect())
+            .collect();
+        let interned = InternedRuleSet::learn(&sets[..names.len()], &every_pair);
+        prop_assert_eq!(interned.len(), rules.len());
+        for l in 0..names.len() {
+            for (i, record) in all.iter().enumerate() {
+                prop_assert!(
+                    interned.forbids(sets[l], sets[i]) == rules.forbids(&names[l], record),
+                    "verdicts diverged for ({:?}, {:?})",
+                    names[l],
+                    record
+                );
+            }
         }
     }
 
