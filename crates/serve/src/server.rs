@@ -12,10 +12,17 @@
 //!   `RwLock<Arc<ServingState>>`.  Queries clone the `Arc` under the read
 //!   lock (nanoseconds) and then run lock-free against an immutable view.
 //!   Appends build the successor state *outside* the write lock (clone +
-//!   [`ServingState::append_right`], guarded by a separate writer mutex so
-//!   concurrent appends serialize), then swap it in under a brief write lock
-//!   and bump the epoch.  In-flight queries keep their old view; new
-//!   requests see the new one.
+//!   [`ServingState::append_right`], which re-derives only the IDF-weighted
+//!   ball rows; a separate writer mutex serializes concurrent appends), then
+//!   swap it in under a brief write lock and bump the epoch.  In-flight
+//!   queries keep their old view; new requests see the new one.
+//! * **Retirement off the read path.**  A replaced state is not dropped by
+//!   the swap: the writer keeps it in its mutex-guarded retired list and
+//!   frees it at a later `Append` once no reader holds it any more
+//!   (`Arc::strong_count == 1`; a retired state is unreachable from the
+//!   lock, so the count only falls).  Neither the state write lock nor a
+//!   reader dropping the last view of an old epoch ever pays for freeing a
+//!   whole state.
 //! * **Shutdown.**  A `Shutdown` request flips an atomic flag and pokes
 //!   every acceptor with a throwaway connection so blocked `accept()` calls
 //!   return and the scope joins.
@@ -30,15 +37,26 @@ use std::sync::{Arc, Mutex, RwLock};
 /// Shared server state: the swappable view plus counters.
 struct Shared {
     state: RwLock<Arc<ServingState>>,
-    /// Serializes append state-building; never held while the `RwLock` write
-    /// guard is (the swap happens after the build).
-    writer: Mutex<()>,
+    /// Serializes append state-building and holds the replaced states until
+    /// their last reader has left; taken before the `RwLock` write guard,
+    /// which is only held for the swap itself.
+    writer: Mutex<Vec<Arc<ServingState>>>,
     epoch: AtomicU64,
     queries: AtomicU64,
     shutdown: AtomicBool,
 }
 
 impl Shared {
+    fn new(state: ServingState) -> Self {
+        Self {
+            state: RwLock::new(Arc::new(state)),
+            writer: Mutex::new(Vec::new()),
+            epoch: AtomicU64::new(1),
+            queries: AtomicU64::new(0),
+            shutdown: AtomicBool::new(false),
+        }
+    }
+
     fn view(&self) -> Arc<ServingState> {
         self.state.read().expect("state lock poisoned").clone()
     }
@@ -68,13 +86,7 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         Ok(Self {
             listener,
-            shared: Arc::new(Shared {
-                state: RwLock::new(Arc::new(state)),
-                writer: Mutex::new(()),
-                epoch: AtomicU64::new(1),
-                queries: AtomicU64::new(0),
-                shutdown: AtomicBool::new(false),
-            }),
+            shared: Arc::new(Shared::new(state)),
         })
     }
 
@@ -196,12 +208,19 @@ fn handle_request(request: Request, shared: &Shared, scratch: &mut QueryScratch)
         }
         Request::Append { records } => {
             // Build the successor state outside the RwLock: readers keep
-            // serving the old view for the whole (potentially long) build.
-            let _writer = shared.writer.lock().expect("writer lock poisoned");
+            // serving the old view for the whole build.
+            let mut retired = shared.writer.lock().expect("writer lock poisoned");
+            // Free the replaced states no reader holds any more, here on the
+            // writer rather than on a reader or under the state lock.
+            retired.retain(|old| Arc::strong_count(old) > 1);
             let mut next = (*shared.view()).clone();
             next.append_right(&records);
             let num_right = next.num_right();
-            *shared.state.write().expect("state lock poisoned") = Arc::new(next);
+            let old = std::mem::replace(
+                &mut *shared.state.write().expect("state lock poisoned"),
+                Arc::new(next),
+            );
+            retired.push(old);
             let epoch = shared.epoch.fetch_add(1, Ordering::SeqCst) + 1;
             Response::Append { num_right, epoch }
         }
@@ -209,5 +228,59 @@ fn handle_request(request: Request, shared: &Shared, scratch: &mut QueryScratch)
             stats: shared.stats(),
         },
         Request::Shutdown => Response::Shutdown { ok: true },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use autofj_core::AutoFjOptions;
+    use autofj_text::JoinFunctionSpace;
+
+    fn append(shared: &Shared, scratch: &mut QueryScratch, record: &str) {
+        let request = Request::Append {
+            records: vec![record.to_string()],
+        };
+        assert!(matches!(
+            handle_request(request, shared, scratch),
+            Response::Append { .. }
+        ));
+    }
+
+    #[test]
+    fn replaced_state_is_freed_by_the_writer_not_the_reader() {
+        let left: Vec<String> = ["2005 LSU Tigers football team", "2006 Oregon Ducks team"]
+            .map(String::from)
+            .to_vec();
+        let right = vec!["2005 LSU Tigers football".to_string()];
+        let (state, _) = ServingState::learn(
+            &left,
+            &right,
+            &JoinFunctionSpace::reduced24(),
+            &AutoFjOptions::default(),
+        );
+        let shared = Shared::new(state);
+        let mut scratch = QueryScratch::for_state(&shared.view());
+
+        // A reader holds the first epoch's view across two appends.
+        let held = shared.view();
+        let first = Arc::downgrade(&held);
+        append(&shared, &mut scratch, "2006 Oregon Ducks");
+        append(&shared, &mut scratch, "2005 LSU Tigers");
+        assert_eq!(held.num_right(), 1, "the held view is the old epoch");
+        assert!(first.upgrade().is_some());
+
+        // The reader's drop is not the last reference: the writer still
+        // holds the replaced state, so freeing it never lands on a reader.
+        drop(held);
+        assert!(
+            first.upgrade().is_some(),
+            "the reader freed the replaced state"
+        );
+
+        // The next append finds it unheld and releases it on the writer.
+        append(&shared, &mut scratch, "2006 Oregon Ducks football");
+        assert!(first.upgrade().is_none(), "the writer kept an unheld state");
+        assert_eq!(shared.view().num_right(), 4);
     }
 }

@@ -53,10 +53,14 @@ pub const SEC_RULES: SectionTag = *b"RULES\0\0\0";
 /// Scalar configuration: table sizes, blocking `k`, flags, quality numbers
 /// and the selected configurations (slot + threshold bits).
 pub const SEC_CONF: SectionTag = *b"CONF\0\0\0\0";
-/// Per-function-slot sorted L–L reference distances (ball neighbourhoods).
+/// Per-function-slot sorted L–L reference distances (ball neighbourhoods),
+/// one row per reference record, cut to the distances below the ball cutoff
+/// of the slot's reach (the largest `2θ` over its configurations).  Older
+/// snapshots hold full rows; both load and count identically, and the
+/// loader refuses rows that are unsorted or hold NaN/∞.
 pub const SEC_LLDIST: SectionTag = *b"LLDIST\0\0";
 /// Per-reference blocked L–L candidate lists — kept so appends can re-derive
-/// the ball neighbourhoods after IDF weights shift.
+/// the IDF-weighted ball rows after the IDF weights shift.
 pub const SEC_LLCAND: SectionTag = *b"LLCAND\0\0";
 
 /// Errors opening or decoding a snapshot.

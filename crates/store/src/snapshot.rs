@@ -16,6 +16,17 @@
 //!   drive the per-pair precision estimate (Eq. 8/9), and
 //! * the selected configurations in selection order.
 //!
+//! A ball row keeps only the distances its slot can ever count.  The ball
+//! radius is `2θ` ([`BallMode::ConfigTheta`]) or `2d ≤ 2θ`
+//! ([`BallMode::PairDistance`]), so a row is cut below the ball cutoff of its
+//! slot's *reach* — the largest `2θ` over the slot's configurations — and
+//! still counts exactly what the full row would at every radius a query can
+//! ask.  One builder derives the rows for [`ServingState::from_artifacts`],
+//! [`ServingState::from_program`] and [`ServingState::append_right`], with
+//! one walk per kernel group bounded by the group's reach.  An append only
+//! re-derives the rows of IDF-weighted functions: every other L–L distance
+//! is a pure function of two reference records, which appends never touch.
+//!
 //! A query replays the exact batch pipeline for one record: blocking top-k →
 //! negative-rule filter → per-function nearest neighbour (first-wins strict
 //! minimum, in candidate order) → threshold check → conflict fold over
@@ -32,15 +43,17 @@ use crate::format::{
 };
 use crate::pager::SnapshotFile;
 use autofj_block::{GramIndex, ProbeScratch};
-use autofj_core::estimate::ball_count_sorted;
+use autofj_core::estimate::{ball_count_sorted, ball_cutoff};
 use autofj_core::{
     candidate_stage, join_single_column_with_artifacts, AutoFjOptions, BallMode, Candidates,
     Config, InternedRuleSet, JoinProgram, JoinResult, PipelineArtifacts,
 };
+use autofj_text::kernel::{plan_kernel_groups, with_scratch};
 use autofj_text::prepared::{scheme_index, NUM_SCHEMES};
 use autofj_text::vocab::Vocab;
 use autofj_text::{
-    JoinFunction, JoinFunctionSpace, PreparedColumn, PreparedRecord, Preprocessing, Tokenization,
+    JoinFunction, JoinFunctionSpace, PreparedColumn, PreparedRecord, Preprocessing, TokenWeighting,
+    Tokenization,
 };
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -123,9 +136,11 @@ pub struct ServingState {
     ll_candidates: Vec<Vec<usize>>,
     /// `ll_rows[slot][l]`: ascending L–L distances from reference record `l`
     /// to its blocked reference neighbours under `functions[slot]` — the ball
-    /// neighbourhood the per-pair precision counts over.  Re-derived from
-    /// `ll_candidates` on every append: IDF token weights cover the union of
-    /// both tables, so growing the right table shifts weighted distances.
+    /// neighbourhood the per-pair precision counts over — cut to the entries
+    /// below the ball cutoff of the slot's reach (see the module docs).  The
+    /// IDF-weighted slots are re-derived from `ll_candidates` on every append:
+    /// IDF token weights cover the union of both tables, so growing the right
+    /// table shifts their distances; all other slots carry over unchanged.
     ll_rows: Vec<Vec<Vec<f32>>>,
     estimated_precision: f64,
     estimated_recall: f64,
@@ -151,44 +166,126 @@ fn dedup_functions(
     (functions, configs)
 }
 
-/// Compute the sorted L–L ball rows for every reference record under every
-/// selected function — the exact per-left computation of
-/// `FunctionStats::build` (distances narrowed to `f32` in candidate order,
-/// non-finite dropped, sorted with the same comparator), extended from "only
-/// lefts that are someone's nearest" to all lefts so novel queries can land
-/// anywhere.  On the lefts the batch pipeline populated, the rows are
-/// byte-identical.
-fn derive_ball_rows(
+/// The largest ball radius any configuration of each slot can ask about:
+/// `2θ` under [`BallMode::ConfigTheta`], and `2d ≤ 2θ` under
+/// [`BallMode::PairDistance`] (a pair only joins when `d ≤ θ`), so the
+/// maximum `2θ` over a slot's configurations bounds every query radius.
+fn slot_reaches(num_slots: usize, configs: &[ServeConfig]) -> Vec<f64> {
+    let mut reach = vec![f64::NEG_INFINITY; num_slots];
+    for c in configs {
+        reach[c.slot] = reach[c.slot].max(2.0 * c.threshold as f64);
+    }
+    reach
+}
+
+/// Whether a function's distances read the corpus-wide IDF weights — the
+/// only L–L distances an append to the right table can move.
+fn reads_idf(f: &JoinFunction) -> bool {
+    f.weight == Some(TokenWeighting::Idf)
+}
+
+/// Build the sorted L–L ball rows of every slot, cut to the slot's reach.
+fn ball_rows(
     column: &PreparedColumn,
     functions: &[JoinFunction],
+    configs: &[ServeConfig],
     ll_candidates: &[Vec<usize>],
     num_left: usize,
 ) -> Vec<Vec<Vec<f32>>> {
-    functions
-        .iter()
-        .map(|f| {
-            (0..num_left)
-                .into_par_iter()
-                .with_min_len(16)
-                .map(|l| {
-                    let mut v: Vec<f32> = ll_candidates
-                        .get(l)
-                        .map(|cands| {
-                            cands
-                                .iter()
-                                .map(|&l2| f.distance(column, l, l2) as f32)
-                                .filter(|d| d.is_finite())
-                                .collect()
-                        })
-                        .unwrap_or_default();
-                    v.sort_unstable_by(|a, b| {
+    let mut rows = vec![Vec::new(); functions.len()];
+    fill_ball_rows(
+        column,
+        functions,
+        configs,
+        ll_candidates,
+        num_left,
+        &mut rows,
+        |_| true,
+    );
+    rows
+}
+
+/// (Re-)derive `rows[slot]` for every slot whose function passes `refresh`,
+/// with one walk per [`plan_kernel_groups`] group.
+///
+/// Each row is the per-left computation of `FunctionStats::build`
+/// (distances narrowed to `f32` in candidate order, non-finite dropped,
+/// sorted with the same comparator), extended from "only lefts that are
+/// someone's nearest" to all lefts so novel queries can land anywhere, and
+/// cut to the entries the slot's largest ball can count: `d` is kept when
+/// `(d as f64) < ball_cutoff(reach)`.  Every query radius is ≤ the reach and
+/// [`ball_count_sorted`] counts a sorted prefix, so the cut rows count
+/// exactly what the full rows count.  The group walk passes its reach as
+/// the kernel bound: by the bound contract every kept distance is exact,
+/// and a bounded stand-in above the bound is never kept.
+fn fill_ball_rows(
+    column: &PreparedColumn,
+    functions: &[JoinFunction],
+    configs: &[ServeConfig],
+    ll_candidates: &[Vec<usize>],
+    num_left: usize,
+    rows: &mut [Vec<Vec<f32>>],
+    refresh: impl Fn(&JoinFunction) -> bool,
+) {
+    let reaches = slot_reaches(functions.len(), configs);
+    for group in plan_kernel_groups(functions) {
+        if !group.members.iter().any(|&m| refresh(&functions[m])) {
+            continue;
+        }
+        let cutoffs: Vec<f64> = group
+            .members
+            .iter()
+            .map(|&m| ball_cutoff(reaches[m]))
+            .collect();
+        let reach = group
+            .members
+            .iter()
+            .map(|&m| reaches[m])
+            .fold(f64::NEG_INFINITY, f64::max);
+        // Floored at ε (twice the zero-radius cutoff ε/2) so a kept entry's
+        // exact distance is always within the bound: `f32` narrowing moves a
+        // unit-range distance by far less than the ε margin of the cutoff.
+        let bound = reach.max(2.0 * ball_cutoff(0.0));
+        let mut per_left: Vec<Vec<Vec<f32>>> = (0..num_left)
+            .into_par_iter()
+            .with_min_len(16)
+            .map(|l| {
+                let mut member_rows = vec![Vec::new(); group.members.len()];
+                let mut out = vec![0.0; group.members.len()];
+                let cands = ll_candidates.get(l).map_or(&[][..], Vec::as_slice);
+                with_scratch(|scratch| {
+                    for &l2 in cands {
+                        group.eval_records_into(
+                            column,
+                            scratch,
+                            column.record(l),
+                            column.record(l2),
+                            Some(bound),
+                            &mut out,
+                        );
+                        for (i, &d) in out.iter().enumerate() {
+                            let d = d as f32;
+                            if d.is_finite() && (d as f64) < cutoffs[i] {
+                                member_rows[i].push(d);
+                            }
+                        }
+                    }
+                });
+                for row in &mut member_rows {
+                    row.sort_unstable_by(|a, b| {
                         a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal)
                     });
-                    v
-                })
-                .collect()
-        })
-        .collect()
+                }
+                member_rows
+            })
+            .collect();
+        for (i, &m) in group.members.iter().enumerate() {
+            rows[m] = per_left
+                .iter_mut()
+                .map(|member_rows| std::mem::take(&mut member_rows[i]))
+                .collect();
+        }
+    }
 }
 
 impl ServingState {
@@ -240,7 +337,7 @@ impl ServingState {
                 .map(|c| (space.functions()[c.function], c.threshold)),
         );
         let ll_candidates = blocking.left_candidates_of_left;
-        let ll_rows = derive_ball_rows(&column, &functions, &ll_candidates, num_left);
+        let ll_rows = ball_rows(&column, &functions, &configs, &ll_candidates, num_left);
         let index = Self::build_index(&column, num_left);
         Self {
             column,
@@ -261,9 +358,10 @@ impl ServingState {
 
     /// Build the state from scratch for an already-learned `program`: prepare
     /// the column, run the pipeline's candidate stage (blocking and
-    /// negative-rule learning) on it, and derive the ball rows.  This is the reference construction the append-equivalence
-    /// tests compare against — appending records to a live state must be
-    /// indistinguishable from rebuilding on the concatenated table.
+    /// negative-rule learning) on it, and derive the ball rows.  This is the
+    /// reference construction the append-equivalence tests compare against —
+    /// appending records to a live state must be indistinguishable from
+    /// rebuilding on the concatenated table.
     pub fn from_program(
         left: &[String],
         right: &[String],
@@ -289,7 +387,7 @@ impl ServingState {
                 .map(|c| (c.function, c.threshold as f32)),
         );
         let ll_candidates = blocking.left_candidates_of_left;
-        let ll_rows = derive_ball_rows(&column, &functions, &ll_candidates, num_left);
+        let ll_rows = ball_rows(&column, &functions, &configs, &ll_candidates, num_left);
         let index = Self::build_index(&column, num_left);
         Self {
             column,
@@ -382,21 +480,27 @@ impl ServingState {
     /// Append query records to the stored right table.  The reference-side
     /// structure — index, rules, candidate lists, `k` — is untouched: appends
     /// only grow the column (token ids are assigned exactly as a from-scratch
-    /// build over the concatenated table would assign them).  The ball
-    /// distance rows are re-derived, though: IDF token weights span the union
-    /// of both tables, so the new records shift weighted L–L distances just
-    /// as a rebuild on the concatenated table would.
+    /// build over the concatenated table would assign them).  The ball rows
+    /// of IDF-weighted functions are re-derived, though: IDF token weights
+    /// span the union of both tables, so the new records shift those L–L
+    /// distances just as a rebuild on the concatenated table would.  Char,
+    /// embedding and equal-weight rows depend on two reference records only
+    /// and carry over unchanged, so the cost scales with the IDF slots, not
+    /// with every selected function.
     pub fn append_right<S: AsRef<str> + Sync>(&mut self, records: &[S]) {
         if records.is_empty() {
             return;
         }
         self.column.append_records(records);
         self.num_right += records.len();
-        self.ll_rows = derive_ball_rows(
+        fill_ball_rows(
             &self.column,
             &self.functions,
+            &self.configs,
             &self.ll_candidates,
             self.num_left,
+            &mut self.ll_rows,
+            reads_idf,
         );
     }
 
@@ -783,7 +887,15 @@ impl ServingState {
             for _ in 0..slots {
                 let mut per_left = Vec::with_capacity(lefts.min(1 << 20));
                 for _ in 0..lefts {
-                    per_left.push(cur.read_f32_vec()?);
+                    let row = cur.read_f32_vec()?;
+                    // `ball_count_sorted` binary-searches the row: an
+                    // unsorted or non-finite row would miscount silently.
+                    if !row.iter().all(|d| d.is_finite()) || !row.windows(2).all(|w| w[0] <= w[1]) {
+                        return Err(StoreError::Corrupt(
+                            "ball row unsorted or non-finite".to_string(),
+                        ));
+                    }
+                    per_left.push(row);
                 }
                 rows.push(per_left);
             }
@@ -838,8 +950,152 @@ impl ServingState {
 mod tests {
     use super::*;
     use crate::format::{Fnv64, HEADER_LEN, SECTION_ENTRY_LEN};
+    use proptest::prelude::*;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// The specification of a ball row: the per-function, unbounded and
+    /// uncut derivation (`FunctionStats::build`'s per-left computation over
+    /// every left).  The served rows must equal its prefix below the ball
+    /// cutoff of the slot's reach.
+    fn spec_ball_rows(state: &ServingState) -> Vec<Vec<Vec<f32>>> {
+        state
+            .functions
+            .iter()
+            .map(|f| {
+                (0..state.num_left)
+                    .map(|l| {
+                        let mut v: Vec<f32> = state
+                            .ll_candidates
+                            .get(l)
+                            .map(|cands| {
+                                cands
+                                    .iter()
+                                    .map(|&l2| f.distance(&state.column, l, l2) as f32)
+                                    .filter(|d| d.is_finite())
+                                    .collect()
+                            })
+                            .unwrap_or_default();
+                        v.sort_unstable_by(|a, b| {
+                            a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal)
+                        });
+                        v
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The rows as bit patterns, for exact comparison.
+    fn row_bits(rows: &[Vec<f32>]) -> Vec<Vec<u32>> {
+        rows.iter()
+            .map(|row| row.iter().map(|d| d.to_bits()).collect())
+            .collect()
+    }
+
+    /// Check `state`'s ball rows against the spec: every row is the spec
+    /// row's prefix below `ball_cutoff(reach)`, and ball counts agree at
+    /// every radius a configuration can ask — `2θ`, and `2d` for `d ≤ θ`
+    /// (probed at 0, θ, and around every half spec distance, where a count
+    /// can change).
+    fn check_rows_against_spec(state: &ServingState) -> Result<(), TestCaseError> {
+        let spec = spec_ball_rows(state);
+        let reaches = slot_reaches(state.functions.len(), &state.configs);
+        for (slot, (rows, full_rows)) in state.ll_rows.iter().zip(&spec).enumerate() {
+            let cutoff = ball_cutoff(reaches[slot]);
+            for (l, (row, full)) in rows.iter().zip(full_rows).enumerate() {
+                let prefix = &full[..full.partition_point(|&d| (d as f64) < cutoff)];
+                prop_assert!(
+                    row.as_slice() == prefix,
+                    "slot {slot} left {l}: {row:?} is not the prefix of {full:?}"
+                );
+            }
+        }
+        for cfg in &state.configs {
+            let rows = state.ll_rows[cfg.slot].iter().zip(&spec[cfg.slot]);
+            for (l, (row, full)) in rows.enumerate() {
+                let theta = cfg.threshold;
+                let mut ds = vec![0.0f32, theta];
+                for &e in full {
+                    let h = e / 2.0;
+                    ds.extend([
+                        h,
+                        f32::from_bits(h.to_bits().saturating_sub(1)),
+                        h.next_up(),
+                    ]);
+                }
+                let radii = ds
+                    .into_iter()
+                    .filter(|d| (0.0..=theta).contains(d))
+                    .map(|d| 2.0 * d as f64)
+                    .chain([2.0 * theta as f64]);
+                for radius in radii {
+                    let (got, want) = (
+                        ball_count_sorted(row, radius),
+                        ball_count_sorted(full, radius),
+                    );
+                    prop_assert!(
+                        got == want,
+                        "slot {} left {l} radius {radius}: {got} != {want}",
+                        cfg.slot
+                    );
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Strategy: team-season strings from a small vocabulary, so reference
+    /// records have neighbours at many distances.
+    fn team_strategy() -> impl Strategy<Value = String> {
+        proptest::string::string_regex(concat!(
+            "20(0[4-9]|1[01]) (LSU|Oregon|Alabama|Wisconsin) (Tigers|Ducks|Badgers|Tide)",
+            "( football| baseball| footbal)?( team| \\(NCAA\\))?",
+        ))
+        .unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// Learned programs in both ball modes, plus a random program over
+        /// the whole space: the cut rows count exactly like the spec rows.
+        #[test]
+        fn cut_ball_rows_count_like_the_full_rows(
+            left in proptest::collection::vec(team_strategy(), 1..24),
+            right in proptest::collection::vec(team_strategy(), 1..12),
+            thresholds in proptest::collection::vec(0.0f32..0.8, 24..25),
+        ) {
+            let space = JoinFunctionSpace::reduced24();
+            for ball_mode in [BallMode::ConfigTheta, BallMode::PairDistance] {
+                let options = AutoFjOptions {
+                    ball_mode,
+                    ..AutoFjOptions::default()
+                };
+                let (state, _) = ServingState::learn(&left, &right, &space, &options);
+                check_rows_against_spec(&state)?;
+            }
+            let program = JoinProgram {
+                configs: space
+                    .functions()
+                    .iter()
+                    .zip(&thresholds)
+                    .map(|(&f, &t)| Config::new(f, t as f64))
+                    .collect(),
+                columns: vec!["value".to_string()],
+                column_weights: vec![1.0],
+            };
+            let state = ServingState::from_program(
+                &left,
+                &right,
+                &program,
+                &AutoFjOptions::default(),
+                0.0,
+                0.0,
+            );
+            check_rows_against_spec(&state)?;
+        }
+    }
 
     fn temp_path(label: &str) -> PathBuf {
         static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -1060,6 +1316,29 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    fn le_u64(bytes: &[u8], at: usize) -> u64 {
+        u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+    }
+
+    /// The byte range of section `tag` in a snapshot file.
+    fn section_range(bytes: &[u8], tag: crate::format::SectionTag) -> std::ops::Range<usize> {
+        let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+        let entry = (0..count)
+            .map(|i| HEADER_LEN as usize + i * SECTION_ENTRY_LEN as usize)
+            .find(|&at| bytes[at..at + 8] == tag)
+            .expect("section present");
+        let start = le_u64(bytes, entry + 8) as usize;
+        start..start + le_u64(bytes, entry + 16) as usize
+    }
+
+    /// Re-seal the payload checksum after an edit, so only the decoder's
+    /// own validation can catch it.
+    fn reseal(bytes: &mut [u8]) {
+        let mut hasher = Fnv64::new();
+        hasher.update(&bytes[HEADER_LEN as usize..]);
+        bytes[24..32].copy_from_slice(&hasher.finish().to_le_bytes());
+    }
+
     #[test]
     fn non_positive_idf_is_a_typed_error() {
         // The blocking probe relies on strictly positive idf weights; a
@@ -1069,23 +1348,154 @@ mod tests {
         let path = temp_path("zero_idf");
         state.save(&path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
-        let le_u64 = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
-        let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
-        let entry = (0..count)
-            .map(|i| HEADER_LEN as usize + i * SECTION_ENTRY_LEN as usize)
-            .find(|&at| bytes[at..at + 8] == SEC_GRIDX)
-            .expect("index section");
         // The idf slice ends the section: zero its last weight.
-        let end = (le_u64(entry + 8) + le_u64(entry + 16)) as usize;
+        let end = section_range(&bytes, SEC_GRIDX).end;
         bytes[end - 8..end].copy_from_slice(&0.0f64.to_le_bytes());
-        let mut hasher = Fnv64::new();
-        hasher.update(&bytes[HEADER_LEN as usize..]);
-        bytes[24..32].copy_from_slice(&hasher.finish().to_le_bytes());
+        reseal(&mut bytes);
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
             ServingState::load(&path),
             Err(StoreError::Corrupt(_))
         ));
         std::fs::remove_file(&path).ok();
+    }
+
+    /// The learned test state with full (uncut) ball rows — the shape older
+    /// snapshots were written with.
+    fn with_full_rows(state: &ServingState) -> ServingState {
+        let mut full = state.clone();
+        full.ll_rows = spec_ball_rows(state);
+        full
+    }
+
+    #[test]
+    fn unsorted_or_non_finite_ball_row_is_a_typed_error() {
+        // `ball_count_sorted` binary-searches a row, so a row that is not
+        // sorted or holds NaN/∞ would miscount silently; the loader must
+        // refuse it even when the checksum holds.
+        let (state, _) = learned();
+        let state = with_full_rows(&state);
+        let path = temp_path("bad_ball_row");
+        state.save(&path).unwrap();
+        let clean = std::fs::read(&path).unwrap();
+        // The first row with two entries: section starts with the slot and
+        // left counts, then every row as a length-prefixed f32 slice.
+        let range = section_range(&clean, SEC_LLDIST);
+        let mut at = range.start + 16;
+        while le_u64(&clean, at) < 2 {
+            at += 8 + 4 * le_u64(&clean, at) as usize;
+            assert!(at < range.end, "no ball row with two entries");
+        }
+        let (first, second) = (at + 8, at + 12);
+        let bigger = f32::from_le_bytes(clean[second..second + 4].try_into().unwrap()) + 1.0;
+        for bad in [bigger, f32::NAN, f32::INFINITY] {
+            let mut bytes = clean.clone();
+            bytes[first..first + 4].copy_from_slice(&bad.to_le_bytes());
+            reseal(&mut bytes);
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(
+                matches!(ServingState::load(&path), Err(StoreError::Corrupt(_))),
+                "row starting with {bad} was accepted"
+            );
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn snapshot_with_full_ball_rows_loads_and_answers_identically() {
+        // Snapshots written before rows were cut to the serving reach hold
+        // every L–L distance; they must load and serve the same answers.
+        let (state, result) = learned();
+        let full = with_full_rows(&state);
+        assert!(
+            full.ll_rows.iter().flatten().map(Vec::len).sum::<usize>()
+                > state.ll_rows.iter().flatten().map(Vec::len).sum::<usize>(),
+            "the test task must have distances beyond the reach"
+        );
+        let path = temp_path("full_rows");
+        full.save(&path).unwrap();
+        let loaded = ServingState::load(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(matches_tuples(&loaded.join_all()), result_tuples(&result));
+        let queries: Vec<String> = left_table()
+            .into_iter()
+            .chain(["2009 LSU Tigers footbal".to_string()])
+            .collect();
+        assert_eq!(loaded.query_batch(&queries), state.query_batch(&queries));
+    }
+
+    #[test]
+    fn pair_distance_program_serves_like_batch() {
+        let space = JoinFunctionSpace::reduced24();
+        let options = AutoFjOptions {
+            ball_mode: BallMode::PairDistance,
+            ..AutoFjOptions::default()
+        };
+        let right = right_table();
+        // Fresh.
+        let (state, result) = ServingState::learn(&left_table(), &right, &space, &options);
+        assert!(!result.pairs.is_empty(), "test task must join something");
+        assert_eq!(matches_tuples(&state.join_all()), result_tuples(&result));
+        // After a snapshot round trip.
+        let path = temp_path("pair_distance");
+        state.save(&path).unwrap();
+        let loaded = ServingState::load(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(matches_tuples(&loaded.join_all()), result_tuples(&result));
+        // After appends, against a rebuild on the concatenated table.
+        let (mut appended, head) =
+            ServingState::learn(&left_table(), &right[..2], &space, &options);
+        appended.append_right(&right[2..]);
+        let rebuilt = ServingState::from_program(
+            &left_table(),
+            &right,
+            &head.program,
+            &options,
+            head.estimated_precision,
+            head.estimated_recall,
+        );
+        assert_eq!(
+            matches_tuples(&appended.join_all()),
+            matches_tuples(&rebuilt.join_all())
+        );
+    }
+
+    #[test]
+    fn append_keeps_non_idf_rows_and_rederives_idf_rows() {
+        // A program over the whole space, so char, embedding, equal-weight
+        // and IDF-weighted slots are all present.
+        let space = JoinFunctionSpace::reduced24();
+        let options = AutoFjOptions::default();
+        let program = JoinProgram {
+            configs: space
+                .functions()
+                .iter()
+                .map(|&f| Config::new(f, 0.5))
+                .collect(),
+            columns: vec!["value".to_string()],
+            column_weights: vec![1.0],
+        };
+        let right = right_table();
+        let build = |right: &[String]| {
+            ServingState::from_program(&left_table(), right, &program, &options, 0.0, 0.0)
+        };
+        let mut appended = build(&right[..1]);
+        let before = appended.ll_rows.clone();
+        appended.append_right(&right[1..]);
+        let rebuilt = build(&right);
+        assert_eq!(appended.ll_candidates, rebuilt.ll_candidates);
+        let (mut idf_slots, mut idf_moved) = (0, false);
+        for (slot, f) in appended.functions.iter().enumerate() {
+            let rows = row_bits(&appended.ll_rows[slot]);
+            if reads_idf(f) {
+                idf_slots += 1;
+                idf_moved |= rows != row_bits(&before[slot]);
+                assert_eq!(rows, row_bits(&rebuilt.ll_rows[slot]), "{}", f.code());
+            } else {
+                assert_eq!(rows, row_bits(&before[slot]), "{}", f.code());
+            }
+        }
+        assert!(idf_slots > 0 && idf_slots < appended.functions.len());
+        assert!(idf_moved, "the appended records must shift some IDF row");
     }
 }
