@@ -317,7 +317,7 @@ pub fn run_full_comparison(
         });
     }
 
-    let ubr = upper_bound_recall(&task.left, &task.right, space, &task.ground_truth);
+    let ubr = upper_bound_recall(&task.left, &task.right, space, options, &task.ground_truth);
     let _ = &result;
     TaskOutcome {
         task: task.name.clone(),

@@ -62,6 +62,21 @@ pub fn ball_count_sorted(sorted_distances: &[f32], radius: f64) -> usize {
     sorted_distances.partition_point(|&x| (x as f64) < cutoff)
 }
 
+/// The per-pair precision estimate of Eq. 8/9 for a pair whose reference
+/// record has the sorted L–L distances `sorted_distances`: the inverse of one
+/// plus the number of reference neighbours inside the ball of `radius`
+/// ([`ball_count_sorted`]).  [`FunctionStats::precision_at_rank`] and the
+/// snapshot store's query path both estimate through here.
+pub fn ball_precision(sorted_distances: &[f32], radius: f64) -> f64 {
+    inverse_ball_count(ball_count_sorted(sorted_distances, radius))
+}
+
+/// `1 / (1 + n)` for `n` reference neighbours inside the ball.
+#[inline]
+fn inverse_ball_count(neighbours: usize) -> f64 {
+    1.0 / (1.0 + neighbours as f64)
+}
+
 /// Pre-computed statistics for one join function.
 #[derive(Debug, Clone)]
 pub struct FunctionStats {
@@ -90,80 +105,6 @@ pub struct FunctionStats {
 }
 
 impl FunctionStats {
-    /// Build the statistics for function `f_idx`.
-    ///
-    /// The per-right nearest-neighbour probes and the per-left neighbourhood
-    /// scans are independent, so both run as parallel maps over records;
-    /// results are collected in input order, which keeps the output
-    /// bit-identical at every thread count (no floating-point accumulation
-    /// crosses a chunk boundary).
-    pub fn build<O: DistanceOracle>(
-        f_idx: usize,
-        oracle: &O,
-        lr_candidates: &[Vec<usize>],
-        ll_candidates: &[Vec<usize>],
-        num_thresholds: usize,
-    ) -> Self {
-        let num_right = oracle.num_right();
-        let nearest: Vec<Option<(u32, f32)>> = (0..num_right.min(lr_candidates.len()))
-            .into_par_iter()
-            .with_min_len(64)
-            .map(|r| {
-                let mut best: Option<(u32, f32)> = None;
-                for &l in &lr_candidates[r] {
-                    let d = oracle.lr(f_idx, l, r) as f32;
-                    if !d.is_finite() {
-                        continue;
-                    }
-                    match best {
-                        Some((_, bd)) if d >= bd => {}
-                        _ => best = Some((l as u32, d)),
-                    }
-                }
-                best
-            })
-            .collect();
-
-        let sorted_rights = Self::sort_rights(&nearest);
-
-        // L–L neighbourhood distances, only for the left records that matter
-        // (those appearing as someone's nearest neighbour).
-        let num_left = oracle.num_left();
-        let mut needed = vec![false; num_left];
-        for n in nearest.iter().flatten() {
-            needed[n.0 as usize] = true;
-        }
-        let keys: Vec<u32> = (0..num_left as u32)
-            .filter(|&l| needed[l as usize])
-            .collect();
-        let neighbourhoods: Vec<Vec<f32>> = keys
-            .par_iter()
-            .with_min_len(16)
-            .map(|&l| {
-                let l = l as usize;
-                let mut v: Vec<f32> = ll_candidates
-                    .get(l)
-                    .map(|cands| {
-                        cands
-                            .iter()
-                            .map(|&l2| oracle.ll(f_idx, l, l2) as f32)
-                            .filter(|d| d.is_finite())
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                v.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-                v
-            })
-            .collect();
-        let mut ll_sorted: Vec<Vec<f32>> = vec![Vec::new(); num_left];
-        for (l, v) in keys.into_iter().zip(neighbourhoods) {
-            ll_sorted[l as usize] = v;
-        }
-
-        let thresholds = pick_thresholds(&sorted_rights, num_thresholds);
-        Self::from_raw(nearest, sorted_rights, ll_sorted, thresholds)
-    }
-
     /// Sort the joined right records of a `nearest` table by ascending
     /// distance (ties broken by right index for determinism).
     fn sort_rights(nearest: &[Option<(u32, f32)>]) -> Vec<(u32, f32)> {
@@ -181,7 +122,7 @@ impl FunctionStats {
     }
 
     /// Assemble statistics from their raw parts, computing the derived
-    /// `lefts` and `ball_counts` tables.  Used by [`Self::build`] and by
+    /// `lefts` and `ball_counts` tables.  Used by the group build and by
     /// tests that hand-craft degenerate inputs.
     pub fn from_raw(
         nearest: Vec<Option<(u32, f32)>>,
@@ -248,8 +189,7 @@ impl FunctionStats {
             BallMode::ConfigTheta => 2.0 * theta as f64,
             BallMode::PairDistance => 2.0 * d as f64,
         };
-        let neighbours_in_ball = ball_count_sorted(&self.ll_sorted[l as usize], radius);
-        1.0 / (1.0 + neighbours_in_ball as f64)
+        ball_precision(&self.ll_sorted[l as usize], radius)
     }
 
     /// O(1) per-pair precision for the right record at `rank` under the
@@ -260,7 +200,7 @@ impl FunctionStats {
     #[inline]
     pub fn precision_at_threshold_idx(&self, rank: usize, threshold_idx: usize) -> f64 {
         let l = self.lefts[rank];
-        1.0 / (1.0 + self.ball_counts[threshold_idx][l as usize] as f64)
+        inverse_ball_count(self.ball_counts[threshold_idx][l as usize] as usize)
     }
 
     /// The nearest left record and distance of right record `r`, if any.
@@ -273,11 +213,12 @@ impl FunctionStats {
 /// sharing the per-pair evaluation work (one merge walk serves all set
 /// distances of a scheme).
 ///
-/// Structure and collection order mirror [`FunctionStats::build`] exactly —
-/// parallel map over right records (nearest scan) and over the union of
-/// needed left records (neighbourhood scan), results collected in input
-/// order — so every member's output is byte-identical to a solo build at any
-/// thread count.
+/// The nearest scan is the oracle's [`DistanceOracle::group_nearest`] fold,
+/// run as a parallel map over right records; the neighbourhood scan is a
+/// parallel map over the union of needed left records.  Results are
+/// collected in input order, and no floating-point accumulation crosses a
+/// chunk boundary, so every member's output is the same at any thread
+/// count.
 fn build_group_stats<O: DistanceOracle>(
     group: &EvalGroup,
     oracle: &O,
@@ -324,10 +265,6 @@ fn build_group_stats<O: DistanceOracle>(
             let mut out: Vec<Vec<f32>> = vec![Vec::new(); k];
             if let Some(cands) = ll_candidates.get(l) {
                 oracle.group_ll_distances(group, l, cands, &wanted[l], &mut out);
-            }
-            for v in &mut out {
-                v.retain(|d| d.is_finite());
-                v.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
             }
             out
         })
@@ -524,7 +461,7 @@ mod tests {
         let fns = jaccard_space();
         let oracle = SingleColumnOracle::build(&fns, &left, &right);
         let (lr, ll) = all_candidates(left.len(), right.len());
-        let stats = FunctionStats::build(0, &oracle, &lr, &ll, 10);
+        let stats = Precompute::build(&oracle, &lr, &ll, 10).functions.remove(0);
         let (l, d) = stats.nearest_of(0).unwrap();
         assert_eq!(left[l as usize], "2007 lsu tigers football team");
         assert!(d > 0.0 && d < 0.3);
@@ -543,7 +480,7 @@ mod tests {
         let fns = jaccard_space();
         let oracle = SingleColumnOracle::build(&fns, &left, &right);
         let (lr, ll) = all_candidates(left.len(), right.len());
-        let stats = FunctionStats::build(0, &oracle, &lr, &ll, 25);
+        let stats = Precompute::build(&oracle, &lr, &ll, 25).functions.remove(0);
         // Locate each right record's rank.
         let rank_of = |r: u32| {
             stats
@@ -568,7 +505,7 @@ mod tests {
         let fns = jaccard_space();
         let oracle = SingleColumnOracle::build(&fns, &left, &right);
         let (lr, ll) = all_candidates(left.len(), right.len());
-        let stats = FunctionStats::build(0, &oracle, &lr, &ll, 25);
+        let stats = Precompute::build(&oracle, &lr, &ll, 25).functions.remove(0);
         let theta = *stats.thresholds.last().unwrap();
         let p_theta = stats.precision_at_rank(0, theta, BallMode::ConfigTheta);
         let p_pair = stats.precision_at_rank(0, theta, BallMode::PairDistance);
@@ -584,7 +521,7 @@ mod tests {
         let fns = jaccard_space();
         let oracle = SingleColumnOracle::build(&fns, &left, &right);
         let (lr, ll) = all_candidates(left.len(), right.len());
-        let stats = FunctionStats::build(0, &oracle, &lr, &ll, 10);
+        let stats = Precompute::build(&oracle, &lr, &ll, 10).functions.remove(0);
         let mut prev = 0;
         for &t in &stats.thresholds {
             let c = stats.joined_count(t);
@@ -601,7 +538,7 @@ mod tests {
         let fns = jaccard_space();
         let oracle = SingleColumnOracle::build(&fns, &left, &right);
         let (lr, ll) = all_candidates(left.len(), right.len());
-        let stats = FunctionStats::build(0, &oracle, &lr, &ll, 7);
+        let stats = Precompute::build(&oracle, &lr, &ll, 7).functions.remove(0);
         assert!(stats.thresholds.len() <= 7);
         assert!(stats.thresholds.windows(2).all(|w| w[0] < w[1]));
     }
@@ -638,7 +575,7 @@ mod tests {
         let fns = jaccard_space();
         let oracle = SingleColumnOracle::build(&fns, &left, &right);
         let (lr, ll) = all_candidates(left.len(), right.len());
-        let stats = FunctionStats::build(0, &oracle, &lr, &ll, 10);
+        let stats = Precompute::build(&oracle, &lr, &ll, 10).functions.remove(0);
         let p = stats.precision_at_rank(0, stats.sorted_rights[0].1, BallMode::ConfigTheta);
         assert!(p <= 0.5, "duplicated categorical value got precision {p}");
     }
@@ -651,7 +588,7 @@ mod tests {
         let oracle = SingleColumnOracle::build(&fns, &left, &right);
         let lr = vec![vec![]]; // blocking (or negative rules) removed everything
         let ll = vec![vec![]; left.len()];
-        let stats = FunctionStats::build(0, &oracle, &lr, &ll, 10);
+        let stats = Precompute::build(&oracle, &lr, &ll, 10).functions.remove(0);
         assert!(stats.nearest_of(0).is_none());
         assert!(stats.sorted_rights.is_empty());
     }

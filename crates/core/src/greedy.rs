@@ -94,12 +94,60 @@ impl GreedyOutcome {
     }
 }
 
+/// What offering a join to one right record changes under the §3.1
+/// conflict rule; see [`offer`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Offer {
+    /// The record keeps its assignment: it already joins the offered left
+    /// record, or its current join is at least as confident.
+    Keep,
+    /// The record had no join and takes the offered one.
+    Join,
+    /// The offered join replaces a less confident join of another left
+    /// record, whose precision is given.
+    Replace(f64),
+}
+
+/// The §3.1 conflict rule: offer the join to left record `left` with
+/// per-pair precision `precision` to a right record currently holding
+/// `current`.  A conflicting offer wins only when it is strictly more
+/// confident, so on equal precision the earlier configuration keeps the
+/// record.  The greedy search's scoring and apply steps and the snapshot
+/// store's query fold all decide here.
+#[inline]
+pub fn offer(current: Option<&Assigned>, left: u32, precision: f64) -> Offer {
+    match current {
+        None => Offer::Join,
+        Some(a) if a.left != left && precision > a.precision => Offer::Replace(a.precision),
+        Some(_) => Offer::Keep,
+    }
+}
+
 /// The change a candidate would make to the current solution.
 #[derive(Debug, Clone, Copy, Default)]
 struct Delta {
     tp: f64,
     fp: f64,
     new_joins: usize,
+}
+
+impl Delta {
+    /// Account for one offer of a pair with precision `p`.
+    #[inline]
+    fn add(&mut self, offer: Offer, p: f64) {
+        match offer {
+            Offer::Keep => {}
+            Offer::Join => {
+                self.tp += p;
+                self.fp += 1.0 - p;
+                self.new_joins += 1;
+            }
+            Offer::Replace(old) => {
+                self.tp += p - old;
+                self.fp += old - p;
+            }
+        }
+    }
 }
 
 /// Per-pair precision of the right record at `rank` under `cand`: the O(1)
@@ -133,24 +181,7 @@ fn evaluate_candidate(
         let (r, _) = stats.sorted_rights[rank];
         let l = stats.lefts[rank];
         let p = pair_precision(stats, rank, cand, ball_mode);
-        match &assignment[r as usize] {
-            None => {
-                delta.tp += p;
-                delta.fp += 1.0 - p;
-                delta.new_joins += 1;
-            }
-            Some(a) if a.left == l => {
-                // Same join already produced by an earlier configuration —
-                // the union does not change.
-            }
-            Some(a) => {
-                // Conflict: keep the more confident assignment (§3.1).
-                if p > a.precision {
-                    delta.tp += p - a.precision;
-                    delta.fp += a.precision - p;
-                }
-            }
-        }
+        delta.add(offer(assignment[r as usize].as_ref(), l, p), p);
     }
     delta
 }
@@ -192,38 +223,18 @@ fn apply_candidate(
                 let (r, d) = stats.sorted_rights[rank];
                 let l = stats.lefts[rank];
                 let p = pair_precision(stats, rank, cand, ball_mode);
-                match &snapshot[r as usize] {
-                    None => {
-                        delta.tp += p;
-                        delta.fp += 1.0 - p;
-                        delta.new_joins += 1;
-                        updates.push((
-                            r,
-                            Assigned {
-                                left: l,
-                                distance: d,
-                                precision: p,
-                                config_ordinal,
-                            },
-                        ));
-                    }
-                    Some(a) if a.left == l => {}
-                    Some(a) => {
-                        // Conflict: keep the more confident assignment (§3.1).
-                        if p > a.precision {
-                            delta.tp += p - a.precision;
-                            delta.fp += a.precision - p;
-                            updates.push((
-                                r,
-                                Assigned {
-                                    left: l,
-                                    distance: d,
-                                    precision: p,
-                                    config_ordinal,
-                                },
-                            ));
-                        }
-                    }
+                let o = offer(snapshot[r as usize].as_ref(), l, p);
+                delta.add(o, p);
+                if o != Offer::Keep {
+                    updates.push((
+                        r,
+                        Assigned {
+                            left: l,
+                            distance: d,
+                            precision: p,
+                            config_ordinal,
+                        },
+                    ));
                 }
             }
             (delta, updates)

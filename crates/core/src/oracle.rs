@@ -13,7 +13,7 @@
 //!   ([`MultiColumnDistanceCache`]) is built once and reused across the many
 //!   weight vectors Algorithm 3 tries.
 
-use autofj_text::kernel::{plan_kernel_groups, with_scratch, KernelFamily, KernelGroup};
+use autofj_text::kernel::{offer_nearest, plan_kernel_groups, KernelFamily, KernelGroup};
 use autofj_text::{JoinFunction, PreparedColumn};
 use rayon::prelude::*;
 use std::collections::HashMap;
@@ -64,10 +64,9 @@ pub trait DistanceOracle: Sync {
     }
 
     /// For every member of `group`, the nearest left candidate of right
-    /// record `r` among `candidates` and its `f32` distance — first
-    /// strictly-smaller candidate wins ties, non-finite distances are
-    /// skipped (exactly the estimator's historical scan).  `out` has one
-    /// slot per member, aligned with `group.members`.
+    /// record `r` among `candidates` and its `f32` distance, folded through
+    /// [`offer_nearest`] in candidate order.  `out` has one slot per member,
+    /// aligned with `group.members`.
     fn group_nearest(
         &self,
         group: &EvalGroup,
@@ -76,25 +75,18 @@ pub trait DistanceOracle: Sync {
         out: &mut [Option<(u32, f32)>],
     ) {
         for (slot, &f) in out.iter_mut().zip(&group.members) {
-            let mut best: Option<(u32, f32)> = None;
+            *slot = None;
             for &l in candidates {
-                let d = self.lr(f, l, r) as f32;
-                if !d.is_finite() {
-                    continue;
-                }
-                match best {
-                    Some((_, bd)) if d >= bd => {}
-                    _ => best = Some((l as u32, d)),
-                }
+                offer_nearest(slot, l as u32, self.lr(f, l, r));
             }
-            *slot = best;
         }
     }
 
-    /// For each member of `group` flagged in `wanted`, push the raw `f32`
-    /// distances from left record `l` to every candidate (candidate order,
-    /// non-finite values included — callers filter) into the member's `out`
-    /// vector.  Unwanted members' vectors are left untouched.
+    /// For each member of `group` flagged in `wanted`, the ball
+    /// neighbourhood of left record `l`: its finite `f32` distances to the
+    /// `candidates`, pushed in candidate order into the member's `out`
+    /// vector and then sorted ascending.  Nothing is pushed for unwanted
+    /// members.
     fn group_ll_distances(
         &self,
         group: &EvalGroup,
@@ -104,10 +96,15 @@ pub trait DistanceOracle: Sync {
         out: &mut [Vec<f32>],
     ) {
         for ((slot, &f), &w) in out.iter_mut().zip(&group.members).zip(wanted) {
-            if !w {
-                continue;
+            if w {
+                slot.extend(
+                    candidates
+                        .iter()
+                        .map(|&l2| self.ll(f, l, l2) as f32)
+                        .filter(|d| d.is_finite()),
+                );
+                slot.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
             }
-            slot.extend(candidates.iter().map(|&l2| self.ll(f, l, l2) as f32));
         }
     }
 }
@@ -180,12 +177,7 @@ impl DistanceOracle for SingleColumnOracle {
             .collect()
     }
 
-    /// Kernel-backed nearest scan.  Single-member char groups pass the
-    /// running best distance down as the kernel bound: the kernel returns
-    /// the exact distance whenever it could beat (or tie) the incumbent and
-    /// otherwise some value that still loses the `d >= best` comparison, so
-    /// the selected neighbour and its distance are byte-identical to the
-    /// unbounded scan.  Multi-member groups share one merge walk per pair.
+    /// The kernel group's shared fold, [`KernelGroup::nearest_into`].
     fn group_nearest(
         &self,
         group: &EvalGroup,
@@ -193,35 +185,12 @@ impl DistanceOracle for SingleColumnOracle {
         candidates: &[usize],
         out: &mut [Option<(u32, f32)>],
     ) {
-        let g = &self.groups[group.plan_idx];
-        let k = g.members.len();
-        debug_assert_eq!(out.len(), k);
-        let col = &self.column;
-        let rr = col.record(self.num_left + r);
-        with_scratch(|scratch| {
-            // One small buffer per right record (not per pair).
-            let mut buf = vec![0.0f64; k];
-            let buf = buf.as_mut_slice();
-            for &l in candidates {
-                let bound = match (k, &out[0]) {
-                    (1, Some((_, bd))) => Some(*bd as f64),
-                    _ => None,
-                };
-                g.eval_records_into(col, scratch, col.record(l), rr, bound, buf);
-                for (slot, &d64) in out.iter_mut().zip(buf.iter()) {
-                    let d = d64 as f32;
-                    if !d.is_finite() {
-                        continue;
-                    }
-                    match slot {
-                        Some((_, bd)) if d >= *bd => {}
-                        _ => *slot = Some((l as u32, d)),
-                    }
-                }
-            }
-        });
+        let rr = self.column.record(self.num_left + r);
+        self.groups[group.plan_idx].nearest_into(&self.column, candidates, rr, out);
     }
 
+    /// The kernel group's shared neighbourhood walk,
+    /// [`KernelGroup::neighbourhood_into`], unbounded and uncut.
     fn group_ll_distances(
         &self,
         group: &EvalGroup,
@@ -230,28 +199,12 @@ impl DistanceOracle for SingleColumnOracle {
         wanted: &[bool],
         out: &mut [Vec<f32>],
     ) {
-        let g = &self.groups[group.plan_idx];
-        let k = g.members.len();
-        debug_assert_eq!(out.len(), k);
-        if !wanted.iter().any(|&w| w) {
-            return;
-        }
-        let col = &self.column;
-        let lrec = col.record(l);
-        with_scratch(|scratch| {
-            let mut buf = vec![0.0f64; k];
-            let buf = buf.as_mut_slice();
-            for &l2 in candidates {
-                // Ball rows must stay exact (they are serialized by the
-                // snapshot store), so no bound here.
-                g.eval_records_into(col, scratch, lrec, col.record(l2), None, buf);
-                for ((slot, &w), &d) in out.iter_mut().zip(wanted).zip(buf.iter()) {
-                    if w {
-                        slot.push(d as f32);
-                    }
-                }
-            }
-        });
+        let cutoffs: Vec<f64> = wanted
+            .iter()
+            .map(|&w| if w { f64::INFINITY } else { f64::NEG_INFINITY })
+            .collect();
+        let (col, lrec) = (&self.column, self.column.record(l));
+        self.groups[group.plan_idx].neighbourhood_into(col, lrec, candidates, None, &cutoffs, out);
     }
 }
 

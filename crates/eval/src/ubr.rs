@@ -6,23 +6,33 @@
 //! pairs `(l, r)` for which *some* configuration makes `l` the nearest
 //! reference record of `r` — i.e. the best recall any fuzzy-join program over
 //! that space could possibly achieve.
+//!
+//! "Nearest" is the pipeline's own: candidates come from the run's blocker,
+//! and each kernel group of the space folds them through the shared nearest
+//! fold the estimator and the query path use
+//! ([`autofj_text::KernelGroup::nearest_into`]), so `f32` ties break exactly
+//! as they do in a join.
 
-use autofj_block::Blocker;
 use autofj_core::oracle::{DistanceOracle, SingleColumnOracle};
+use autofj_core::AutoFjOptions;
 use autofj_text::JoinFunctionSpace;
 use rayon::prelude::*;
-use std::collections::HashSet;
 
 /// Compute the upper bound of (relative) recall for a single-column task.
 ///
-/// For every join function in `space`, every right record's nearest blocked
-/// left candidate is computed; a ground-truth pair is *feasible* if it is the
-/// nearest pair under at least one function.  The returned value is
-/// `feasible / total-ground-truth` (0 when there is no ground truth).
+/// Candidates come from the run's blocking (`options.blocker()`, so the
+/// blocking factor β is the run's).  For every join function in `space`,
+/// every right record's nearest blocked left candidate is the pipeline's
+/// own: the oracle's kernel-group fold ([`DistanceOracle::group_nearest`]),
+/// with `f32` distances and first-wins ties.  A ground-truth pair is
+/// *feasible* if it is the nearest pair under at least one function.  The
+/// returned value is `feasible / total-ground-truth` (0 when there is no
+/// ground truth).
 pub fn upper_bound_recall(
     left: &[String],
     right: &[String],
     space: &JoinFunctionSpace,
+    options: &AutoFjOptions,
     ground_truth: &[Option<usize>],
 ) -> f64 {
     let total = ground_truth.iter().flatten().count();
@@ -30,36 +40,27 @@ pub fn upper_bound_recall(
         return 0.0;
     }
     let oracle = SingleColumnOracle::build(space.functions(), left, right);
-    let blocking = Blocker::new().block_prepared(oracle.column(), left.len());
-    let feasible: HashSet<usize> = (0..space.len())
+    let blocking = options
+        .blocker()
+        .block_prepared(oracle.column(), left.len());
+    let groups = oracle.eval_groups();
+    let feasible = (0..right.len())
         .into_par_iter()
-        .map(|f| {
-            let mut local = HashSet::new();
-            for (r, cands) in blocking.left_candidates_of_right.iter().enumerate() {
-                let Some(truth) = ground_truth[r] else {
-                    continue;
-                };
-                let mut best: Option<(usize, f64)> = None;
-                for &l in cands {
-                    let d = oracle.lr(f, l, r);
-                    match best {
-                        Some((_, bd)) if d >= bd => {}
-                        _ => best = Some((l, d)),
-                    }
-                }
-                if let Some((l, _)) = best {
-                    if l == truth {
-                        local.insert(r);
-                    }
-                }
-            }
-            local
+        .filter(|&r| {
+            let Some(truth) = ground_truth[r] else {
+                return false;
+            };
+            let candidates = &blocking.left_candidates_of_right[r];
+            groups.iter().any(|g| {
+                let mut nearest = vec![None; g.members.len()];
+                oracle.group_nearest(g, r, candidates, &mut nearest);
+                nearest
+                    .iter()
+                    .any(|n| n.is_some_and(|(l, _)| l as usize == truth))
+            })
         })
-        .reduce(HashSet::new, |mut a, b| {
-            a.extend(b);
-            a
-        });
-    feasible.len() as f64 / total as f64
+        .count();
+    feasible as f64 / total as f64
 }
 
 #[cfg(test)]
@@ -78,7 +79,13 @@ mod tests {
             "GLYX-13".into(),                  // synonym, not reachable syntactically
         ];
         let gt = vec![Some(0), Some(2)];
-        let ubr = upper_bound_recall(&left, &right, &JoinFunctionSpace::reduced24(), &gt);
+        let ubr = upper_bound_recall(
+            &left,
+            &right,
+            &JoinFunctionSpace::reduced24(),
+            &AutoFjOptions::default(),
+            &gt,
+        );
         assert!((ubr - 0.5).abs() < 1e-9, "ubr = {ubr}");
     }
 
@@ -87,7 +94,13 @@ mod tests {
         let left: Vec<String> = vec!["a".into()];
         let right: Vec<String> = vec!["a".into()];
         assert_eq!(
-            upper_bound_recall(&left, &right, &JoinFunctionSpace::reduced24(), &[None]),
+            upper_bound_recall(
+                &left,
+                &right,
+                &JoinFunctionSpace::reduced24(),
+                &AutoFjOptions::default(),
+                &[None]
+            ),
             0.0
         );
     }
@@ -99,7 +112,13 @@ mod tests {
             .collect();
         let right = left.clone();
         let gt: Vec<Option<usize>> = (0..20).map(Some).collect();
-        let ubr = upper_bound_recall(&left, &right, &JoinFunctionSpace::reduced24(), &gt);
+        let ubr = upper_bound_recall(
+            &left,
+            &right,
+            &JoinFunctionSpace::reduced24(),
+            &AutoFjOptions::default(),
+            &gt,
+        );
         assert_eq!(ubr, 1.0);
     }
 }

@@ -37,4 +37,4 @@ pub mod server;
 
 pub use client::Client;
 pub use protocol::{Request, Response, ServerStats};
-pub use server::Server;
+pub use server::{Server, MAX_REQUEST_LINE};

@@ -23,13 +23,16 @@
 //!   lock, so the count only falls).  Neither the state write lock nor a
 //!   reader dropping the last view of an old epoch ever pays for freeing a
 //!   whole state.
+//! * **Bounded request lines.**  A connection reads at most
+//!   [`MAX_REQUEST_LINE`] bytes per line; a longer line gets an `Error` and
+//!   the connection is closed.
 //! * **Shutdown.**  A `Shutdown` request flips an atomic flag and pokes
 //!   every acceptor with a throwaway connection so blocked `accept()` calls
 //!   return and the scope joins.
 
 use crate::protocol::{Request, Response, ServerStats};
 use autofj_store::{QueryScratch, ServingState};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -159,35 +162,63 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
     }
 }
 
+/// The longest request line the server reads, in bytes, newline excluded.
+/// A `JoinBatch` of the whole 10 500-record medium smoke right table
+/// (`TeamSeasonMedium`) is 411 847 bytes, so the cap leaves a 40× margin.
+/// A longer line is answered with [`Response::Error`] and its connection
+/// closed, so a client that never sends a newline cannot grow the server's
+/// read buffer without bound.
+pub const MAX_REQUEST_LINE: usize = 16 << 20;
+
 /// Serve one connection: read request lines, answer each in order.
 fn serve_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
     let mut writer = stream.try_clone()?;
-    let reader = BufReader::new(stream);
+    let mut reader = BufReader::new(stream);
     // The scratch shape (reference count, function slots) is frozen at learn
     // time, so one scratch serves every epoch this connection sees.
     let mut scratch = QueryScratch::for_state(&shared.view());
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        // Reading one byte past the cap tells an over-long line from one
+        // that fits exactly.
+        let read = (&mut reader)
+            .take(MAX_REQUEST_LINE as u64 + 1)
+            .read_until(b'\n', &mut line)?;
+        if read == 0 {
+            return Ok(());
         }
-        let response = match serde_json::from_str::<Request>(&line) {
-            Ok(request) => handle_request(request, shared, &mut scratch),
-            Err(e) => Response::Error {
-                message: format!("unparseable request: {e}"),
-            },
+        let over_cap = line.len() > MAX_REQUEST_LINE && line.last() != Some(&b'\n');
+        let response = if over_cap {
+            Response::Error {
+                message: format!("request line exceeds {MAX_REQUEST_LINE} bytes"),
+            }
+        } else {
+            let text = std::str::from_utf8(&line)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+            if text.trim().is_empty() {
+                continue;
+            }
+            match serde_json::from_str::<Request>(text) {
+                Ok(request) => handle_request(request, shared, &mut scratch),
+                Err(e) => Response::Error {
+                    message: format!("unparseable request: {e}"),
+                },
+            }
         };
         let mut out = serde_json::to_string(&response)
             .unwrap_or_else(|e| format!("{{\"Error\":{{\"message\":\"encode: {e}\"}}}}"));
         out.push('\n');
         writer.write_all(out.as_bytes())?;
         writer.flush()?;
+        if over_cap {
+            return Ok(());
+        }
         if matches!(response, Response::Shutdown { .. }) {
             shared.shutdown.store(true, Ordering::SeqCst);
             return Ok(());
         }
     }
-    Ok(())
 }
 
 fn handle_request(request: Request, shared: &Shared, scratch: &mut QueryScratch) -> Response {

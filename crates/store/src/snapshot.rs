@@ -27,14 +27,19 @@
 //! re-derives the rows of IDF-weighted functions: every other L–L distance
 //! is a pure function of two reference records, which appends never touch.
 //!
-//! A query replays the exact batch pipeline for one record: blocking top-k →
-//! negative-rule filter → per-function nearest neighbour (first-wins strict
-//! minimum, in candidate order) → threshold check → conflict fold over
-//! configuration ordinals keeping the higher per-pair precision.  Every
+//! A query replays the exact batch pipeline for one record, through the
+//! same per-record rules the batch code calls: blocking top-k → the
+//! negative-rule filter, once per candidate → per kernel group of the
+//! selected functions, the shared nearest fold
+//! ([`autofj_text::KernelGroup::nearest_into`]: first-wins strict minimum in
+//! candidate order) → threshold check → the pair precision
+//! ([`autofj_core::estimate::ball_precision`]) → the §3.1 conflict rule
+//! ([`autofj_core::greedy::offer`]) over configuration ordinals.  Every
 //! floating-point comparison and fold happens in the same order and width
 //! (`f32` distances, `f64` precisions) as the batch code, so serving a right
 //! record returns the same bytes [`autofj_core::join_single_column`] put in
-//! its [`JoinResult`].
+//! its [`JoinResult`].  The kernel-group plan is derived from the selected
+//! functions once per state and is not persisted.
 
 use crate::format::{
     put_f32, put_f64, put_str, put_u32, put_u32_slice, put_u64, SnapshotWriter, StoreError,
@@ -42,13 +47,14 @@ use crate::format::{
     SEC_VOCABS,
 };
 use crate::pager::SnapshotFile;
-use autofj_block::{GramIndex, ProbeScratch};
-use autofj_core::estimate::{ball_count_sorted, ball_cutoff};
+use autofj_block::{BlockingOutput, GramIndex, ProbeScratch};
+use autofj_core::estimate::{ball_cutoff, ball_precision};
+use autofj_core::greedy::{offer, Assigned, Offer};
 use autofj_core::{
     candidate_stage, join_single_column_with_artifacts, AutoFjOptions, BallMode, Candidates,
     Config, InternedRuleSet, JoinProgram, JoinResult, PipelineArtifacts,
 };
-use autofj_text::kernel::{plan_kernel_groups, with_scratch};
+use autofj_text::kernel::{plan_kernel_groups, KernelGroup};
 use autofj_text::prepared::{scheme_index, NUM_SCHEMES};
 use autofj_text::vocab::Vocab;
 use autofj_text::{
@@ -95,19 +101,22 @@ struct SnapshotMeta {
     functions: Vec<JoinFunction>,
 }
 
-/// Per-query scratch: the blocking probe accumulator plus the per-slot
-/// nearest-neighbour buffer.  One instance serves any number of queries
-/// against the state it was sized for.
+/// Per-query scratch: the blocking probe accumulator plus the per-group and
+/// per-slot nearest-neighbour buffers.  One instance serves any number of queries against the state it
+/// was sized for.
 pub struct QueryScratch {
     probe: ProbeScratch,
+    group_nearest: Vec<Option<(u32, f32)>>,
     slot_nearest: Vec<Option<(u32, f32)>>,
 }
 
 impl QueryScratch {
     /// Scratch sized for `state`.
     pub fn for_state(state: &ServingState) -> Self {
+        let widest = state.groups.iter().map(|g| g.members.len()).max();
         Self {
             probe: ProbeScratch::new(state.index.num_left()),
+            group_nearest: vec![None; widest.unwrap_or(0)],
             slot_nearest: vec![None; state.functions.len()],
         }
     }
@@ -129,6 +138,8 @@ pub struct ServingState {
     /// The distinct join functions of the selected union, in first-appearance
     /// order over the selected configurations.
     functions: Vec<JoinFunction>,
+    /// [`plan_kernel_groups`] over `functions`: derived, never persisted.
+    groups: Vec<KernelGroup>,
     configs: Vec<ServeConfig>,
     /// `ll_candidates[l]`: the blocked reference neighbours of reference
     /// record `l`, frozen at learn time (blocking only ever probes the
@@ -184,52 +195,30 @@ fn reads_idf(f: &JoinFunction) -> bool {
     f.weight == Some(TokenWeighting::Idf)
 }
 
-/// Build the sorted L–L ball rows of every slot, cut to the slot's reach.
-fn ball_rows(
-    column: &PreparedColumn,
-    functions: &[JoinFunction],
-    configs: &[ServeConfig],
-    ll_candidates: &[Vec<usize>],
-    num_left: usize,
-) -> Vec<Vec<Vec<f32>>> {
-    let mut rows = vec![Vec::new(); functions.len()];
-    fill_ball_rows(
-        column,
-        functions,
-        configs,
-        ll_candidates,
-        num_left,
-        &mut rows,
-        |_| true,
-    );
-    rows
-}
-
-/// (Re-)derive `rows[slot]` for every slot whose function passes `refresh`,
-/// with one walk per [`plan_kernel_groups`] group.
+/// (Re-)derive `rows[slot]` for every slot that passes `refresh`, with one
+/// walk per kernel group of the state's plan.
 ///
-/// Each row is the per-left computation of `FunctionStats::build`
-/// (distances narrowed to `f32` in candidate order, non-finite dropped,
-/// sorted with the same comparator), extended from "only lefts that are
-/// someone's nearest" to all lefts so novel queries can land anywhere, and
-/// cut to the entries the slot's largest ball can count: `d` is kept when
-/// `(d as f64) < ball_cutoff(reach)`.  Every query radius is ≤ the reach and
-/// [`ball_count_sorted`] counts a sorted prefix, so the cut rows count
-/// exactly what the full rows count.  The group walk passes its reach as
+/// Each row is the estimator's per-left neighbourhood, walked by the same
+/// [`KernelGroup::neighbourhood_into`] the estimator's oracle runs, extended
+/// from "only lefts that are someone's nearest" to all lefts so novel
+/// queries can land anywhere, and cut to the entries the slot's largest ball
+/// can count: `d` is kept when `(d as f64) < ball_cutoff(reach)`.  Every
+/// query radius is ≤ the reach and the ball count is a sorted prefix, so the
+/// cut rows count exactly what the full rows count.  The group walk passes its reach as
 /// the kernel bound: by the bound contract every kept distance is exact,
 /// and a bounded stand-in above the bound is never kept.
 fn fill_ball_rows(
     column: &PreparedColumn,
-    functions: &[JoinFunction],
+    groups: &[KernelGroup],
     configs: &[ServeConfig],
     ll_candidates: &[Vec<usize>],
     num_left: usize,
     rows: &mut [Vec<Vec<f32>>],
-    refresh: impl Fn(&JoinFunction) -> bool,
+    refresh: impl Fn(usize) -> bool,
 ) {
-    let reaches = slot_reaches(functions.len(), configs);
-    for group in plan_kernel_groups(functions) {
-        if !group.members.iter().any(|&m| refresh(&functions[m])) {
+    let reaches = slot_reaches(rows.len(), configs);
+    for group in groups {
+        if !group.members.iter().any(|&m| refresh(m)) {
             continue;
         }
         let cutoffs: Vec<f64> = group
@@ -251,31 +240,15 @@ fn fill_ball_rows(
             .with_min_len(16)
             .map(|l| {
                 let mut member_rows = vec![Vec::new(); group.members.len()];
-                let mut out = vec![0.0; group.members.len()];
                 let cands = ll_candidates.get(l).map_or(&[][..], Vec::as_slice);
-                with_scratch(|scratch| {
-                    for &l2 in cands {
-                        group.eval_records_into(
-                            column,
-                            scratch,
-                            column.record(l),
-                            column.record(l2),
-                            Some(bound),
-                            &mut out,
-                        );
-                        for (i, &d) in out.iter().enumerate() {
-                            let d = d as f32;
-                            if d.is_finite() && (d as f64) < cutoffs[i] {
-                                member_rows[i].push(d);
-                            }
-                        }
-                    }
-                });
-                for row in &mut member_rows {
-                    row.sort_unstable_by(|a, b| {
-                        a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal)
-                    });
-                }
+                group.neighbourhood_into(
+                    column,
+                    column.record(l),
+                    cands,
+                    Some(bound),
+                    &cutoffs,
+                    &mut member_rows,
+                );
                 member_rows
             })
             .collect();
@@ -328,32 +301,15 @@ impl ServingState {
             outcome,
         } = artifacts;
         let column = oracle.into_column();
-        let num_right = result.assignment.len();
-        let num_left = column.len() - num_right;
-        let (functions, configs) = dedup_functions(
-            outcome
-                .selected
-                .iter()
-                .map(|c| (space.functions()[c.function], c.threshold)),
-        );
-        let ll_candidates = blocking.left_candidates_of_left;
-        let ll_rows = ball_rows(&column, &functions, &configs, &ll_candidates, num_left);
-        let index = Self::build_index(&column, num_left);
-        Self {
-            column,
-            num_left,
-            num_right,
-            k: blocking.candidates_per_record,
-            index,
-            rules,
-            ball_pair_distance: options.ball_mode == BallMode::PairDistance,
-            functions,
-            configs,
-            ll_candidates,
-            ll_rows,
-            estimated_precision: result.estimated_precision,
-            estimated_recall: result.estimated_recall,
-        }
+        let num_left = column.len() - result.assignment.len();
+        let selected = outcome
+            .selected
+            .iter()
+            .map(|c| (space.functions()[c.function], c.threshold));
+        let estimates = (result.estimated_precision, result.estimated_recall);
+        Self::freeze(
+            column, num_left, blocking, rules, options, selected, estimates,
+        )
     }
 
     /// Build the state from scratch for an already-learned `program`: prepare
@@ -380,24 +336,51 @@ impl ServingState {
         let Candidates {
             blocking, rules, ..
         } = candidate_stage(&column, num_left, options);
-        let (functions, configs) = dedup_functions(
-            program
-                .configs
-                .iter()
-                .map(|c| (c.function, c.threshold as f32)),
-        );
+        let selected = program
+            .configs
+            .iter()
+            .map(|c| (c.function, c.threshold as f32));
+        let estimates = (estimated_precision, estimated_recall);
+        Self::freeze(
+            column, num_left, blocking, rules, options, selected, estimates,
+        )
+    }
+
+    /// Freeze a prepared column, its candidate stage and the selected
+    /// `(function, θ)` configurations into a state: plan the kernel groups,
+    /// derive the ball rows and index the reference records.
+    fn freeze(
+        column: PreparedColumn,
+        num_left: usize,
+        blocking: BlockingOutput,
+        rules: Option<InternedRuleSet>,
+        options: &AutoFjOptions,
+        selected: impl Iterator<Item = (JoinFunction, f32)>,
+        (estimated_precision, estimated_recall): (f64, f64),
+    ) -> Self {
+        let (functions, configs) = dedup_functions(selected);
+        let groups = plan_kernel_groups(&functions);
         let ll_candidates = blocking.left_candidates_of_left;
-        let ll_rows = ball_rows(&column, &functions, &configs, &ll_candidates, num_left);
-        let index = Self::build_index(&column, num_left);
+        let mut ll_rows = vec![Vec::new(); functions.len()];
+        fill_ball_rows(
+            &column,
+            &groups,
+            &configs,
+            &ll_candidates,
+            num_left,
+            &mut ll_rows,
+            |_| true,
+        );
         Self {
+            index: Self::build_index(&column, num_left),
+            num_right: column.len() - num_left,
             column,
             num_left,
-            num_right: right.len(),
             k: blocking.candidates_per_record,
-            index,
             rules,
             ball_pair_distance: options.ball_mode == BallMode::PairDistance,
             functions,
+            groups,
             configs,
             ll_candidates,
             ll_rows,
@@ -495,12 +478,12 @@ impl ServingState {
         self.num_right += records.len();
         fill_ball_rows(
             &self.column,
-            &self.functions,
+            &self.groups,
             &self.configs,
             &self.ll_candidates,
             self.num_left,
             &mut self.ll_rows,
-            reads_idf,
+            |slot| reads_idf(&self.functions[slot]),
         );
     }
 
@@ -520,75 +503,63 @@ impl ServingState {
     ) -> Option<ServeMatch> {
         // Blocking: same index, same k, same candidate order as batch.
         let si_gram = scheme_index(Preprocessing::Lower, Tokenization::Gram3);
-        let candidates =
+        let mut candidates =
             self.index
                 .top_k(&qrec.token_sets[si_gram], self.k, None, &mut scratch.probe);
 
-        // Negative rules: drop forbidden candidates, preserving order.
-        let si_rules = scheme_index(Preprocessing::LowerStemRemovePunct, Tokenization::Space);
-        let passes = |l: usize| match &self.rules {
-            Some(rules) => !rules.forbids(
-                &self.column.record(l).token_sets[si_rules],
-                &qrec.token_sets[si_rules],
-            ),
-            None => true,
-        };
-
-        // Per-function nearest neighbour over the surviving candidates, in
-        // candidate order with the batch first-wins strict-minimum fold.
-        for (slot, f) in self.functions.iter().enumerate() {
-            let mut best: Option<(u32, f32)> = None;
-            for &l in &candidates {
-                if !passes(l) {
-                    continue;
-                }
-                let d = f.distance_between(&self.column, self.column.record(l), qrec) as f32;
-                if !d.is_finite() {
-                    continue;
-                }
-                match best {
-                    Some((_, bd)) if d >= bd => {}
-                    _ => best = Some((l as u32, d)),
-                }
-            }
-            scratch.slot_nearest[slot] = best;
+        // Negative rules: keep the allowed candidates, preserving order.
+        if let Some(rules) = &self.rules {
+            let si_rules = scheme_index(Preprocessing::LowerStemRemovePunct, Tokenization::Space);
+            candidates.retain(|&l| {
+                !rules.forbids(
+                    &self.column.record(l).token_sets[si_rules],
+                    &qrec.token_sets[si_rules],
+                )
+            });
         }
 
-        // Conflict fold over configuration ordinals — the per-record
-        // projection of `greedy::apply_candidate` applied in selection order.
-        let mut assigned: Option<(u32, f32, f64, usize)> = None;
-        for (ordinal, cfg) in self.configs.iter().enumerate() {
-            let Some((l, d)) = scratch.slot_nearest[cfg.slot] else {
+        // Per-slot nearest neighbour: one shared fold per kernel group.
+        for group in &self.groups {
+            let nearest = &mut scratch.group_nearest[..group.members.len()];
+            group.nearest_into(&self.column, &candidates, qrec, nearest);
+            for (&slot, &n) in group.members.iter().zip(nearest.iter()) {
+                scratch.slot_nearest[slot] = n;
+            }
+        }
+
+        // The per-record projection of `greedy::apply_candidate`: offer each
+        // configuration's pair in selection order under the §3.1 rule.
+        let mut assigned: Option<Assigned> = None;
+        for (config_ordinal, cfg) in self.configs.iter().enumerate() {
+            let Some((left, distance)) = scratch.slot_nearest[cfg.slot] else {
                 continue;
             };
             // Batch inclusion test is `d <= θ`; `d` is finite here (the
             // nearest fold dropped non-finite distances), so the negation is
             // safe to write with `>`.
-            if d > cfg.threshold {
+            if distance > cfg.threshold {
                 continue;
             }
             let radius = if self.ball_pair_distance {
-                2.0 * d as f64
+                2.0 * distance as f64
             } else {
                 2.0 * cfg.threshold as f64
             };
-            let neighbours = ball_count_sorted(&self.ll_rows[cfg.slot][l as usize], radius);
-            let p = 1.0 / (1.0 + neighbours as f64);
-            match &assigned {
-                None => assigned = Some((l, d, p, ordinal)),
-                Some((al, _, _, _)) if *al == l => {}
-                Some((_, _, ap, _)) => {
-                    if p > *ap {
-                        assigned = Some((l, d, p, ordinal));
-                    }
-                }
+            let precision = ball_precision(&self.ll_rows[cfg.slot][left as usize], radius);
+            if offer(assigned.as_ref(), left, precision) != Offer::Keep {
+                assigned = Some(Assigned {
+                    left,
+                    distance,
+                    precision,
+                    config_ordinal,
+                });
             }
         }
-        assigned.map(|(l, d, p, ordinal)| ServeMatch {
-            left: l as usize,
-            distance: d as f64,
-            precision: p,
-            config_index: ordinal,
+        assigned.map(|a| ServeMatch {
+            left: a.left as usize,
+            distance: a.distance as f64,
+            precision: a.precision,
+            config_index: a.config_ordinal,
         })
     }
 
@@ -936,6 +907,7 @@ impl ServingState {
             index,
             rules,
             ball_pair_distance: meta.ball_pair_distance,
+            groups: plan_kernel_groups(&meta.functions),
             functions: meta.functions,
             configs,
             ll_candidates,
@@ -950,14 +922,15 @@ impl ServingState {
 mod tests {
     use super::*;
     use crate::format::{Fnv64, HEADER_LEN, SECTION_ENTRY_LEN};
+    use autofj_core::estimate::ball_count_sorted;
     use proptest::prelude::*;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// The specification of a ball row: the per-function, unbounded and
-    /// uncut derivation (`FunctionStats::build`'s per-left computation over
-    /// every left).  The served rows must equal its prefix below the ball
-    /// cutoff of the slot's reach.
+    /// uncut derivation (every finite `f32` distance to the left's blocked
+    /// neighbours, sorted, for every left).  The served rows must equal its
+    /// prefix below the ball cutoff of the slot's reach.
     fn spec_ball_rows(state: &ServingState) -> Vec<Vec<Vec<f32>>> {
         state
             .functions
@@ -984,6 +957,79 @@ mod tests {
                     .collect()
             })
             .collect()
+    }
+
+    /// The specification of a query: every selected function on its own
+    /// through `distance_between`, the negative rules checked per function
+    /// and candidate, and the nearest, precision and conflict folds written
+    /// out in place.  [`ServingState::query`] must equal it bit for bit.
+    fn spec_query(state: &ServingState, raw: &str) -> Option<ServeMatch> {
+        let qrec = state.column.prepare_query(raw);
+        let si_gram = scheme_index(Preprocessing::Lower, Tokenization::Gram3);
+        let mut probe = ProbeScratch::new(state.index.num_left());
+        let candidates = state
+            .index
+            .top_k(&qrec.token_sets[si_gram], state.k, None, &mut probe);
+        let si_rules = scheme_index(Preprocessing::LowerStemRemovePunct, Tokenization::Space);
+        let passes = |l: usize| match &state.rules {
+            Some(rules) => !rules.forbids(
+                &state.column.record(l).token_sets[si_rules],
+                &qrec.token_sets[si_rules],
+            ),
+            None => true,
+        };
+        let slot_nearest: Vec<Option<(u32, f32)>> = state
+            .functions
+            .iter()
+            .map(|f| {
+                let mut best: Option<(u32, f32)> = None;
+                for &l in &candidates {
+                    if !passes(l) {
+                        continue;
+                    }
+                    let d = f.distance_between(&state.column, state.column.record(l), &qrec) as f32;
+                    if !d.is_finite() {
+                        continue;
+                    }
+                    match best {
+                        Some((_, bd)) if d >= bd => {}
+                        _ => best = Some((l as u32, d)),
+                    }
+                }
+                best
+            })
+            .collect();
+        let mut assigned: Option<(u32, f32, f64, usize)> = None;
+        for (ordinal, cfg) in state.configs.iter().enumerate() {
+            let Some((l, d)) = slot_nearest[cfg.slot] else {
+                continue;
+            };
+            if d > cfg.threshold {
+                continue;
+            }
+            let radius = if state.ball_pair_distance {
+                2.0 * d as f64
+            } else {
+                2.0 * cfg.threshold as f64
+            };
+            let neighbours = ball_count_sorted(&state.ll_rows[cfg.slot][l as usize], radius);
+            let p = 1.0 / (1.0 + neighbours as f64);
+            match &assigned {
+                None => assigned = Some((l, d, p, ordinal)),
+                Some((al, _, _, _)) if *al == l => {}
+                Some((_, _, ap, _)) => {
+                    if p > *ap {
+                        assigned = Some((l, d, p, ordinal));
+                    }
+                }
+            }
+        }
+        assigned.map(|(l, d, p, ordinal)| ServeMatch {
+            left: l as usize,
+            distance: d as f64,
+            precision: p,
+            config_index: ordinal,
+        })
     }
 
     /// The rows as bit patterns, for exact comparison.
@@ -1045,6 +1091,21 @@ mod tests {
         Ok(())
     }
 
+    /// A program with one configuration per function of `space`, at
+    /// `thresholds` in function order.
+    fn whole_space_program(space: &JoinFunctionSpace, thresholds: &[f32]) -> JoinProgram {
+        JoinProgram {
+            configs: space
+                .functions()
+                .iter()
+                .zip(thresholds)
+                .map(|(&f, &t)| Config::new(f, t as f64))
+                .collect(),
+            columns: vec!["value".to_string()],
+            column_weights: vec![1.0],
+        }
+    }
+
     /// Strategy: team-season strings from a small vocabulary, so reference
     /// records have neighbours at many distances.
     fn team_strategy() -> impl Strategy<Value = String> {
@@ -1075,16 +1136,7 @@ mod tests {
                 let (state, _) = ServingState::learn(&left, &right, &space, &options);
                 check_rows_against_spec(&state)?;
             }
-            let program = JoinProgram {
-                configs: space
-                    .functions()
-                    .iter()
-                    .zip(&thresholds)
-                    .map(|(&f, &t)| Config::new(f, t as f64))
-                    .collect(),
-                columns: vec!["value".to_string()],
-                column_weights: vec![1.0],
-            };
+            let program = whole_space_program(&space, &thresholds);
             let state = ServingState::from_program(
                 &left,
                 &right,
@@ -1094,6 +1146,65 @@ mod tests {
                 0.0,
             );
             check_rows_against_spec(&state)?;
+        }
+    }
+
+    /// Strategy: team-season strings over so few words that many reference
+    /// records differ by one word, so the tables learn negative rules.
+    fn dense_team_strategy() -> impl Strategy<Value = String> {
+        proptest::string::string_regex("200[4-7] (LSU|Oregon) (Tigers|Ducks)( football| baseball)?")
+            .unwrap()
+    }
+
+    /// Strategy: query strings over the dense team words plus words the
+    /// tables never hold (later years, other schools and sports), so some
+    /// queries hit the learned rules and others carry token ids from
+    /// `prepare_query` past the vocabulary.
+    fn novel_query_strategy() -> impl Strategy<Value = String> {
+        proptest::string::string_regex(concat!(
+            "20(0[4-7]|1[2-9]) (LSU|Oregon|Auburn) (Tigers|Ducks|Owls)",
+            "( football| baseball| hockey)?( team)?",
+        ))
+        .unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// The kernel-group query path equals the per-function spec, field
+        /// for field and bit for bit: learned programs and a program over
+        /// the whole space, in both ball modes, with rules on and off.
+        #[test]
+        fn query_equals_the_per_function_spec(
+            left in proptest::collection::vec(dense_team_strategy(), 1..24),
+            right in proptest::collection::vec(dense_team_strategy(), 1..12),
+            queries in proptest::collection::vec(novel_query_strategy(), 1..12),
+            thresholds in proptest::collection::vec(0.0f32..0.8, 24..25),
+        ) {
+            let space = JoinFunctionSpace::reduced24();
+            let program = whole_space_program(&space, &thresholds);
+            for ball_mode in [BallMode::ConfigTheta, BallMode::PairDistance] {
+                for use_negative_rules in [true, false] {
+                    let options = AutoFjOptions {
+                        ball_mode,
+                        use_negative_rules,
+                        ..AutoFjOptions::default()
+                    };
+                    let (learned, _) = ServingState::learn(&left, &right, &space, &options);
+                    let whole_space =
+                        ServingState::from_program(&left, &right, &program, &options, 0.0, 0.0);
+                    for state in [&learned, &whole_space] {
+                        let mut scratch = QueryScratch::for_state(state);
+                        for q in right.iter().chain(&queries) {
+                            let (got, want) = (
+                                matches_tuples(&[state.query(q, &mut scratch)]),
+                                matches_tuples(&[spec_query(state, q)]),
+                            );
+                            prop_assert!(got == want, "query {q:?}: {got:?} != {want:?}");
+                        }
+                    }
+                }
+            }
         }
     }
 

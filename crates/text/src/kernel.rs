@@ -285,6 +285,92 @@ impl KernelGroup {
             }
         }
     }
+
+    /// Fold `candidates` (left records of `col`, in order) into the nearest
+    /// one to `rr` per member, through [`offer_nearest`]; `out` gets one
+    /// slot per member, aligned with `self.members`.  `rr` is passed
+    /// explicitly, so an in-column record and a
+    /// [`PreparedColumn::prepare_query`] record take the same code.
+    ///
+    /// A single-member group passes the incumbent distance as the kernel
+    /// bound: the kernel is exact whenever it could beat or tie the
+    /// incumbent and otherwise returns a value that still loses the
+    /// `d >= best` comparison, so the fold is byte-identical to an unbounded
+    /// one.  Multi-member groups share one merge walk per pair.
+    #[inline]
+    pub fn nearest_into(
+        &self,
+        col: &PreparedColumn,
+        candidates: &[usize],
+        rr: &PreparedRecord,
+        out: &mut [Option<(u32, f32)>],
+    ) {
+        let k = self.members.len();
+        debug_assert_eq!(out.len(), k);
+        out.fill(None);
+        let mut dists = vec![0.0; k];
+        with_scratch(|scratch| {
+            for &l in candidates {
+                let bound = match (k, out[0]) {
+                    (1, Some((_, bd))) => Some(bd as f64),
+                    _ => None,
+                };
+                self.eval_records_into(col, scratch, col.record(l), rr, bound, &mut dists);
+                for (slot, &d) in out.iter_mut().zip(&dists) {
+                    offer_nearest(slot, l as u32, d);
+                }
+            }
+        });
+    }
+
+    /// The sorted L–L ball neighbourhood of reference record `lr` (Eq. 8/9)
+    /// per member: the `f32` distances to `candidates` that are finite and
+    /// below the member's entry of `cutoffs`, pushed in candidate order and
+    /// then sorted ascending.  `bound` follows the bound contract, so it
+    /// must leave every distance a cutoff keeps exact.
+    pub fn neighbourhood_into(
+        &self,
+        col: &PreparedColumn,
+        lr: &PreparedRecord,
+        candidates: &[usize],
+        bound: Option<f64>,
+        cutoffs: &[f64],
+        out: &mut [Vec<f32>],
+    ) {
+        let k = self.members.len();
+        debug_assert_eq!(out.len(), k);
+        let mut dists = vec![0.0; k];
+        with_scratch(|scratch| {
+            for &l2 in candidates {
+                self.eval_records_into(col, scratch, lr, col.record(l2), bound, &mut dists);
+                for ((row, &cutoff), &d) in out.iter_mut().zip(cutoffs).zip(&dists) {
+                    let d = d as f32;
+                    if d.is_finite() && (d as f64) < cutoff {
+                        row.push(d);
+                    }
+                }
+            }
+        });
+        for row in out {
+            row.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        }
+    }
+}
+
+/// Offer left record `l` at distance `d` to a running nearest-neighbour
+/// slot (Eq. 1): `d` is narrowed to `f32`, a non-finite value is skipped,
+/// and only a strictly smaller distance replaces the incumbent, so the
+/// first of equally near candidates wins.
+#[inline]
+pub fn offer_nearest(slot: &mut Option<(u32, f32)>, l: u32, d: f64) {
+    let d = d as f32;
+    if !d.is_finite() {
+        return;
+    }
+    match slot {
+        Some((_, bd)) if d >= *bd => {}
+        _ => *slot = Some((l, d)),
+    }
 }
 
 /// A [`KernelGroup`] bound to its column — the group-level
@@ -422,26 +508,42 @@ mod tests {
             "Mississippi State Bulldogs",
             "",
         ]);
+        // Query records hold words the column never saw, so `prepare_query`
+        // gives them token ids at or past each vocabulary's end.
+        let queries: Vec<PreparedRecord> = ["2008 LSU Tigers hockey club", "Auburn Tigers"]
+            .iter()
+            .map(|q| col.prepare_query(q))
+            .collect();
+        let si = scheme_index(crate::Preprocessing::Lower, crate::Tokenization::Space);
+        let vocab_len = col.vocab_by_scheme(si).len() as u32;
+        assert!(queries
+            .iter()
+            .all(|q| q.token_sets[si].iter().any(|&id| id >= vocab_len)));
+        let rights: Vec<&PreparedRecord> = (0..col.len())
+            .map(|r| col.record(r))
+            .chain(&queries)
+            .collect();
+        let lefts: Vec<usize> = (0..col.len()).collect();
         for space in [JoinFunctionSpace::reduced24(), JoinFunctionSpace::full()] {
             let groups = plan_kernel_groups(space.functions());
             let mut scratch = KernelScratch::default();
             for g in &groups {
                 let mut out = vec![0.0; g.members.len()];
-                for l in 0..col.len() {
-                    for r in 0..col.len() {
-                        g.eval_records_into(
-                            &col,
-                            &mut scratch,
-                            col.record(l),
-                            col.record(r),
-                            None,
-                            &mut out,
-                        );
-                        for (&fi, &d) in g.members.iter().zip(&out) {
-                            let expect = space.functions()[fi].distance(&col, l, r);
-                            assert_eq!(d, expect, "{} diverged", space.functions()[fi].code());
+                let mut nearest = vec![None; g.members.len()];
+                for &rr in &rights {
+                    let mut expect_nearest = vec![None; g.members.len()];
+                    for l in 0..col.len() {
+                        g.eval_records_into(&col, &mut scratch, col.record(l), rr, None, &mut out);
+                        for ((&fi, &d), best) in g.members.iter().zip(&out).zip(&mut expect_nearest)
+                        {
+                            let f = space.functions()[fi];
+                            let expect = f.distance_between(&col, col.record(l), rr);
+                            assert_eq!(d, expect, "{} diverged", f.code());
+                            offer_nearest(best, l as u32, expect);
                         }
                     }
+                    g.nearest_into(&col, &lefts, rr, &mut nearest);
+                    assert_eq!(nearest, expect_nearest);
                 }
             }
         }

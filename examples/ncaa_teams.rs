@@ -26,9 +26,10 @@ fn main() {
     );
 
     let space = JoinFunctionSpace::reduced24();
+    let options = AutoFjOptions::default();
     let joiner = AutoFuzzyJoin::builder()
         .space(space.clone())
-        .options(AutoFjOptions::default())
+        .options(options.clone())
         .build();
     let result = joiner.join_values(&task.left, &task.right);
     let quality = evaluate_assignment(&result.assignment, &task.ground_truth);
@@ -47,7 +48,13 @@ fn main() {
         excel.precision, excel.recall_relative
     );
 
-    let ubr = upper_bound_recall(&task.left, &task.right, &space, &task.ground_truth);
+    let ubr = upper_bound_recall(
+        &task.left,
+        &task.right,
+        &space,
+        &options,
+        &task.ground_truth,
+    );
     println!("Upper bound of recall over this configuration space = {ubr:.3}");
 
     // Show a few example joins.

@@ -14,7 +14,7 @@
 
 use autofj::core::AutoFjOptions;
 use autofj::datagen::{benchmark_specs, BenchmarkScale};
-use autofj::serve::{Client, Server};
+use autofj::serve::{Client, Server, MAX_REQUEST_LINE};
 use autofj::store::{ServeMatch, ServingState};
 use autofj::text::JoinFunctionSpace;
 use std::net::SocketAddr;
@@ -299,6 +299,52 @@ fn deeply_nested_request_gets_an_error_not_a_crash() {
         }
         // One acceptor: the raw connection above is closed, so this one is served.
         let mut client = Client::connect(addr).expect("connect");
+        assert_eq!(client.join(&right[0]).expect("join"), expected);
+    });
+}
+
+/// A client that sends an over-long line without a newline gets an `Error`
+/// and loses its connection once the line passes the cap; a concurrent
+/// client is served correctly before, during and after.
+#[test]
+fn over_long_request_line_is_refused_while_another_client_is_served() {
+    use std::io::{BufRead, BufReader, Write};
+    let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let left: Vec<String> = vec![
+        "2007 LSU Tigers football team".into(),
+        "2008 Wisconsin Badgers football team".into(),
+    ];
+    let right: Vec<String> = vec!["2007 LSU Tigers football".into()];
+    let (state, _) = ServingState::learn(
+        &left,
+        &right,
+        &JoinFunctionSpace::reduced24(),
+        &AutoFjOptions::default(),
+    );
+    let expected = state.query_batch(&right)[0];
+
+    with_server(state, 2, |addr| {
+        let mut hostile = std::net::TcpStream::connect(addr).expect("connect raw");
+        // A server without the cap never answers: fail instead of hanging.
+        hostile
+            .set_read_timeout(Some(std::time::Duration::from_secs(60)))
+            .expect("read timeout");
+        let mut client = Client::connect(addr).expect("connect");
+        assert_eq!(client.join(&right[0]).expect("join"), expected);
+        // Half the line, unterminated: the server is still reading it.
+        let half = vec![b'x'; MAX_REQUEST_LINE / 2];
+        hostile.write_all(&half).expect("write first half");
+        assert_eq!(client.join(&right[0]).expect("join"), expected);
+        // One byte past the cap: refused, then the connection is closed.
+        hostile.write_all(&half).expect("write second half");
+        hostile.write_all(b"x").expect("write past the cap");
+        let mut reader = BufReader::new(hostile);
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read refusal");
+        assert!(line.contains("Error"), "got: {line}");
+        assert!(line.contains("exceeds"), "got: {line}");
+        line.clear();
+        assert_eq!(reader.read_line(&mut line).expect("read close"), 0);
         assert_eq!(client.join(&right[0]).expect("join"), expected);
     });
 }

@@ -47,7 +47,13 @@ fn autofj_recall_is_a_reasonable_fraction_of_the_upper_bound() {
     let space = JoinFunctionSpace::reduced24();
     let result = joiner().join_values(&task.left, &task.right);
     let q = evaluate_assignment(&result.assignment, &task.ground_truth);
-    let ubr = upper_bound_recall(&task.left, &task.right, &space, &task.ground_truth);
+    let ubr = upper_bound_recall(
+        &task.left,
+        &task.right,
+        &space,
+        &AutoFjOptions::default(),
+        &task.ground_truth,
+    );
     assert!(ubr > 0.5, "upper bound suspiciously low: {ubr}");
     assert!(
         q.recall_relative >= 0.25 * ubr,
