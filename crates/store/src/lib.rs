@@ -3,14 +3,17 @@
 //! Persistent snapshots of learned Auto-FuzzyJoin programs, and the frozen
 //! [`ServingState`] an online service answers queries from.
 //!
-//! A snapshot is a single versioned, checksummed binary file (see
-//! [`mod@format`]) holding the prepared column (raw strings, interned token
-//! sets, vocabularies), the blocking index, the learned negative rules, the
+//! A snapshot is a single versioned, checksummed binary file (magic
+//! [`MAGIC`], version [`FORMAT_VERSION`], a section table, then the section
+//! bodies) holding the prepared column (raw strings, interned token sets,
+//! vocabularies), the blocking index, the learned negative rules, the
 //! per-function ball-distance rows behind the precision estimate, and the
-//! selected configurations.  Loading (see [`pager`]) validates the header
-//! and the whole-payload FNV-1a checksum before decoding, reconstructs the
-//! column **without re-tokenizing**, and yields a state whose answers are
-//! byte-identical to the batch pipeline that learned the program.
+//! selected configurations.  [`ServingState::load`] reads the file once,
+//! validates the header, the section table and the whole-payload FNV-1a
+//! checksum before decoding, reconstructs the column **without
+//! re-tokenizing**, and yields a state whose answers are byte-identical to
+//! the batch pipeline that learned the program.  A damaged or hostile file
+//! is a [`StoreError`], never a panic.
 //!
 //! ```
 //! use autofj_core::{AutoFjOptions, join_single_column};
@@ -31,10 +34,8 @@
 //! assert_eq!(served.map(|m| m.left), result.assignment[0]);
 //! ```
 
-pub mod format;
-pub mod pager;
+mod format;
 pub mod snapshot;
 
-pub use format::{SnapshotWriter, StoreError, FORMAT_VERSION, MAGIC};
-pub use pager::{PagedFile, SectionCursor, SnapshotFile, PAGE_SIZE};
+pub use format::{StoreError, FORMAT_VERSION, MAGIC};
 pub use snapshot::{QueryScratch, ServeConfig, ServeMatch, ServingState};

@@ -42,11 +42,10 @@
 //! functions once per state and is not persisted.
 
 use crate::format::{
-    put_f32, put_f64, put_str, put_u32, put_u32_slice, put_u64, SnapshotWriter, StoreError,
-    SEC_CONF, SEC_GRIDX, SEC_LLCAND, SEC_LLDIST, SEC_META, SEC_RAWS, SEC_RULES, SEC_TOKSETS,
-    SEC_VOCABS,
+    put_f32, put_f32_slice, put_f64, put_f64_slice, put_str, put_u32, put_u32_slice, put_u64,
+    Cursor, Snapshot, SnapshotWriter, StoreError, SEC_CONF, SEC_GRIDX, SEC_LLCAND, SEC_LLDIST,
+    SEC_META, SEC_RAWS, SEC_RULES, SEC_TOKSETS, SEC_VOCABS,
 };
-use crate::pager::SnapshotFile;
 use autofj_block::{BlockingOutput, GramIndex, ProbeScratch};
 use autofj_core::estimate::{ball_cutoff, ball_precision};
 use autofj_core::greedy::{offer, Assigned, Offer};
@@ -652,7 +651,7 @@ impl ServingState {
         put_u64(&mut gridx, self.index.num_left() as u64);
         put_u32_slice(&mut gridx, self.index.offsets());
         put_u32_slice(&mut gridx, self.index.postings());
-        crate::format::put_f64_slice(&mut gridx, self.index.idf());
+        put_f64_slice(&mut gridx, self.index.idf());
         writer.add_section(SEC_GRIDX, gridx);
 
         let mut rules = Vec::new();
@@ -675,7 +674,7 @@ impl ServingState {
         put_u64(&mut lldist, self.num_left as u64);
         for rows in &self.ll_rows {
             for row in rows {
-                crate::format::put_f32_slice(&mut lldist, row);
+                put_f32_slice(&mut lldist, row);
             }
         }
         writer.add_section(SEC_LLDIST, lldist);
@@ -684,7 +683,7 @@ impl ServingState {
         put_u64(&mut llcand, self.ll_candidates.len() as u64);
         for cands in &self.ll_candidates {
             let ids: Vec<u32> = cands.iter().map(|&l| l as u32).collect();
-            crate::format::put_u32_slice(&mut llcand, &ids);
+            put_u32_slice(&mut llcand, &ids);
         }
         writer.add_section(SEC_LLCAND, llcand);
 
@@ -692,52 +691,47 @@ impl ServingState {
         Ok(())
     }
 
-    /// Load a state from a snapshot file.  The header, version and payload
-    /// checksum are validated before any section is decoded; the column is
-    /// reconstructed from its persisted raw strings, token sets and
-    /// vocabularies without re-tokenizing anything.
+    /// Load a state from a snapshot file.  The file is read once, and its
+    /// header, section table and payload checksum are validated before any
+    /// section is decoded; the column is reconstructed from its persisted
+    /// raw strings, token sets and vocabularies without re-tokenizing
+    /// anything.  A damaged or hostile file is a [`StoreError`], never a
+    /// panic.
     pub fn load(path: &Path) -> Result<Self, StoreError> {
-        let mut snap = SnapshotFile::open(path)?;
+        let snap = Snapshot::read(path)?;
 
-        let meta: SnapshotMeta = {
-            let mut cur = snap.section(SEC_META)?;
-            let json = cur.read_rest_str()?;
-            serde_json::from_str(&json)
-                .map_err(|e| StoreError::Corrupt(format!("bad manifest: {e}")))?
-        };
+        let meta: SnapshotMeta = serde_json::from_str(&snap.section(SEC_META)?.read_rest_str()?)
+            .map_err(|e| StoreError::Corrupt(format!("bad manifest: {e}")))?;
 
-        let (estimated_precision, estimated_recall, configs) = {
-            let mut cur = snap.section(SEC_CONF)?;
+        let (estimated_precision, estimated_recall, configs) = snap.decode(SEC_CONF, |cur| {
             let p = cur.read_f64()?;
             let r = cur.read_f64()?;
-            let n = cur.read_u64()? as usize;
-            let mut configs = Vec::with_capacity(n);
-            for _ in 0..n {
-                let slot = cur.read_u64()? as usize;
-                if slot >= meta.functions.len() {
-                    return Err(StoreError::Corrupt(format!(
-                        "configuration references function slot {slot} of {}",
-                        meta.functions.len()
-                    )));
-                }
-                let threshold = cur.read_f32()?;
-                configs.push(ServeConfig { slot, threshold });
-            }
-            cur.expect_end()?;
-            (p, r, configs)
-        };
+            let n = cur.read_len(12)?;
+            let configs = (0..n)
+                .map(|_| {
+                    let slot = cur.read_u64()? as usize;
+                    let threshold = cur.read_f32()?;
+                    // `d > NaN` is false, so a NaN θ would join every
+                    // nearest left, which the batch pipeline never does.
+                    if slot >= meta.functions.len() || !threshold.is_finite() {
+                        return Err(StoreError::Corrupt(format!(
+                            "configuration (slot {slot}, threshold {threshold}) over {} functions",
+                            meta.functions.len()
+                        )));
+                    }
+                    Ok(ServeConfig { slot, threshold })
+                })
+                .collect::<Result<Vec<_>, _>>()?;
+            Ok((p, r, configs))
+        })?;
 
-        let raws = {
-            let mut cur = snap.section(SEC_RAWS)?;
-            let n = cur.read_u64()? as usize;
-            let mut raws = Vec::with_capacity(n.min(1 << 20));
-            for _ in 0..n {
-                raws.push(cur.read_str()?);
-            }
-            cur.expect_end()?;
-            raws
-        };
-        if raws.len() != meta.num_left + meta.num_right {
+        let raws = snap.decode(SEC_RAWS, |cur| {
+            let n = cur.read_len(8)?;
+            (0..n)
+                .map(|_| cur.read_str())
+                .collect::<Result<Vec<_>, _>>()
+        })?;
+        if meta.num_left.checked_add(meta.num_right) != Some(raws.len()) {
             return Err(StoreError::Corrupt(format!(
                 "{} raw records for {} left + {} right",
                 raws.len(),
@@ -746,44 +740,42 @@ impl ServingState {
             )));
         }
 
-        let vocabs: [Vocab; NUM_SCHEMES] = {
-            let mut cur = snap.section(SEC_VOCABS)?;
-            let mut out: Vec<Vocab> = Vec::with_capacity(NUM_SCHEMES);
+        let vocabs = snap.decode(SEC_VOCABS, |cur| {
+            let mut vocabs = Vec::with_capacity(NUM_SCHEMES);
             for _ in 0..NUM_SCHEMES {
                 let num_docs = cur.read_u32()?;
-                let n = cur.read_u64()? as usize;
-                let mut tokens = Vec::with_capacity(n.min(1 << 20));
-                let mut freqs = Vec::with_capacity(n.min(1 << 20));
+                let n = cur.read_len(12)?;
+                let (mut tokens, mut freqs) = (Vec::with_capacity(n), Vec::with_capacity(n));
                 for _ in 0..n {
                     tokens.push(cur.read_str()?);
                     freqs.push(cur.read_u32()?);
                 }
-                out.push(Vocab::from_parts(tokens, freqs, num_docs));
+                let vocab = Vocab::from_parts(tokens, freqs, num_docs)
+                    .map_err(|e| StoreError::Corrupt(format!("bad vocabulary: {e}")))?;
+                vocabs.push(vocab);
             }
-            cur.expect_end()?;
-            out.try_into().expect("exactly NUM_SCHEMES vocabularies")
-        };
+            Ok(<[Vocab; NUM_SCHEMES]>::try_from(vocabs).expect("NUM_SCHEMES vocabularies"))
+        })?;
 
-        let token_sets = {
-            let mut cur = snap.section(SEC_TOKSETS)?;
-            let n = cur.read_u64()? as usize;
-            if n != raws.len() {
-                return Err(StoreError::Corrupt(format!(
-                    "{n} token-set records for {} raw records",
-                    raws.len()
-                )));
-            }
-            let mut sets: Vec<[Vec<u32>; NUM_SCHEMES]> = Vec::with_capacity(n);
-            for _ in 0..n {
-                let mut rec: [Vec<u32>; NUM_SCHEMES] = Default::default();
-                for slot in rec.iter_mut() {
-                    *slot = cur.read_u32_vec()?;
-                }
-                sets.push(rec);
-            }
-            cur.expect_end()?;
-            sets
-        };
+        let token_sets = snap.decode(SEC_TOKSETS, |cur| {
+            let n = cur.read_len(8 * NUM_SCHEMES)?;
+            (0..n)
+                .map(|_| {
+                    let mut rec: [Vec<u32>; NUM_SCHEMES] = Default::default();
+                    for set in &mut rec {
+                        *set = cur.read_vec(u32::from_le_bytes)?;
+                    }
+                    Ok(rec)
+                })
+                .collect::<Result<Vec<_>, _>>()
+        })?;
+        if token_sets.len() != raws.len() {
+            return Err(StoreError::Corrupt(format!(
+                "{} token-set records for {} raw records",
+                token_sets.len(),
+                raws.len()
+            )));
+        }
 
         // Validate every persisted token id against its scheme's vocabulary
         // before handing the parts to the (panicking) column constructor.
@@ -797,106 +789,94 @@ impl ServingState {
             }
         }
 
-        let index = {
-            let mut cur = snap.section(SEC_GRIDX)?;
-            let num_left_idx = cur.read_u64()? as usize;
-            let offsets = cur.read_u32_vec()?;
-            let postings = cur.read_u32_vec()?;
-            let idf = cur.read_f64_vec()?;
-            cur.expect_end()?;
-            if num_left_idx != meta.num_left
-                || offsets.len() != idf.len() + 1
-                || offsets.first() != Some(&0)
-                || !offsets.windows(2).all(|w| w[0] <= w[1])
-                || *offsets.last().unwrap() as usize != postings.len()
-                || postings.iter().any(|&l| l as usize >= num_left_idx.max(1))
-                || !idf.iter().all(|w| w.is_finite() && *w > 0.0)
-            {
-                return Err(StoreError::Corrupt(
-                    "inconsistent blocking index arrays".to_string(),
-                ));
-            }
-            GramIndex::from_parts(offsets, postings, idf, num_left_idx)
-        };
+        let (num_left_idx, offsets, postings, idf) = snap.decode(SEC_GRIDX, |cur| {
+            let num_left = cur.read_u64()? as usize;
+            let offsets = cur.read_vec(u32::from_le_bytes)?;
+            let postings = cur.read_vec(u32::from_le_bytes)?;
+            let idf = cur.read_vec(f64::from_le_bytes)?;
+            Ok((num_left, offsets, postings, idf))
+        })?;
+        // With no reference records every posting list must be empty: the
+        // index rebuild sizes its per-record gram lists by `num_left`.
+        if num_left_idx != meta.num_left
+            || offsets.len() != idf.len() + 1
+            || offsets.first() != Some(&0)
+            || !offsets.is_sorted()
+            || *offsets.last().unwrap() as usize != postings.len()
+            || postings.iter().any(|&l| l as usize >= num_left_idx)
+            || !idf.iter().all(|w| w.is_finite() && *w > 0.0)
+        {
+            return Err(StoreError::Corrupt(
+                "inconsistent blocking index arrays".to_string(),
+            ));
+        }
+        let index = GramIndex::from_parts(offsets, postings, idf, num_left_idx);
 
-        let rules = {
-            let mut cur = snap.section(SEC_RULES)?;
-            let present = cur.read_u32()?;
-            let rules = if present == 1 {
-                let n = cur.read_u64()? as usize;
-                let mut pairs = Vec::with_capacity(n.min(1 << 20));
-                for _ in 0..n {
-                    let a = cur.read_u32()?;
-                    let b = cur.read_u32()?;
-                    pairs.push((a, b));
-                }
-                Some(InternedRuleSet::from_pairs(pairs))
-            } else {
-                None
-            };
-            cur.expect_end()?;
-            rules
-        };
+        let rules = snap.decode(SEC_RULES, |cur| {
+            if cur.read_u32()? != 1 {
+                return Ok(None);
+            }
+            let n = cur.read_len(8)?;
+            let pairs = (0..n)
+                .map(|_| Ok((cur.read_u32()?, cur.read_u32()?)))
+                .collect::<Result<Vec<_>, StoreError>>()?;
+            Ok(Some(InternedRuleSet::from_pairs(pairs)))
+        })?;
         if rules.is_some() != meta.use_negative_rules {
             return Err(StoreError::Corrupt(
                 "rule section disagrees with the manifest".to_string(),
             ));
         }
 
-        let ll_rows = {
-            let mut cur = snap.section(SEC_LLDIST)?;
-            let slots = cur.read_u64()? as usize;
-            let lefts = cur.read_u64()? as usize;
-            if slots != meta.functions.len() || lefts != meta.num_left {
+        let ll_rows = snap.decode(SEC_LLDIST, |cur| {
+            let shape = (cur.read_u64()?, cur.read_u64()?);
+            let expected = (meta.functions.len() as u64, meta.num_left as u64);
+            if shape != expected {
                 return Err(StoreError::Corrupt(format!(
-                    "ball table shaped {slots}×{lefts}, expected {}×{}",
-                    meta.functions.len(),
-                    meta.num_left
+                    "ball table shaped {shape:?}, expected {expected:?}"
                 )));
             }
-            let mut rows = Vec::with_capacity(slots);
-            for _ in 0..slots {
-                let mut per_left = Vec::with_capacity(lefts.min(1 << 20));
-                for _ in 0..lefts {
-                    let row = cur.read_f32_vec()?;
-                    // `ball_count_sorted` binary-searches the row: an
-                    // unsorted or non-finite row would miscount silently.
-                    if !row.iter().all(|d| d.is_finite()) || !row.windows(2).all(|w| w[0] <= w[1]) {
-                        return Err(StoreError::Corrupt(
-                            "ball row unsorted or non-finite".to_string(),
-                        ));
-                    }
-                    per_left.push(row);
+            let row = |cur: &mut Cursor<'_>| {
+                let row = cur.read_vec(f32::from_le_bytes)?;
+                // `ball_count_sorted` binary-searches the row: an unsorted
+                // or non-finite row would miscount silently.
+                if row.iter().all(|d| d.is_finite()) && row.is_sorted() {
+                    Ok(row)
+                } else {
+                    Err(StoreError::Corrupt(
+                        "ball row unsorted or non-finite".to_string(),
+                    ))
                 }
-                rows.push(per_left);
-            }
-            cur.expect_end()?;
-            rows
-        };
+            };
+            (0..meta.functions.len())
+                .map(|_| (0..meta.num_left).map(|_| row(cur)).collect())
+                .collect::<Result<Vec<_>, _>>()
+        })?;
 
-        let ll_candidates = {
-            let mut cur = snap.section(SEC_LLCAND)?;
-            let lefts = cur.read_u64()? as usize;
+        let ll_candidates = snap.decode(SEC_LLCAND, |cur| {
+            let lefts = cur.read_len(8)?;
             if lefts != meta.num_left {
                 return Err(StoreError::Corrupt(format!(
                     "{lefts} candidate lists for {} reference records",
                     meta.num_left
                 )));
             }
-            let mut out = Vec::with_capacity(lefts.min(1 << 20));
-            for _ in 0..lefts {
-                let ids = cur.read_u32_vec()?;
-                if let Some(&bad) = ids.iter().find(|&&l| l as usize >= meta.num_left) {
-                    return Err(StoreError::Corrupt(format!(
-                        "candidate {bad} out of range for {} reference records",
-                        meta.num_left
-                    )));
-                }
-                out.push(ids.into_iter().map(|l| l as usize).collect());
-            }
-            cur.expect_end()?;
-            out
-        };
+            (0..lefts)
+                .map(|_| {
+                    let ids = cur.read_vec(u32::from_le_bytes)?;
+                    match ids.iter().find(|&&l| l as usize >= meta.num_left) {
+                        Some(bad) => Err(StoreError::Corrupt(format!(
+                            "candidate {bad} out of range for {} reference records",
+                            meta.num_left
+                        ))),
+                        None => Ok(ids.into_iter().map(|l| l as usize).collect()),
+                    }
+                })
+                .collect::<Result<Vec<_>, _>>()
+        })?;
+        // Every part is decoded into owned data: free the file bytes before
+        // the column is prepared.
+        drop(snap);
 
         let column = PreparedColumn::from_raw_parts(raws, token_sets, vocabs);
         Ok(Self {
@@ -1435,7 +1415,7 @@ mod tests {
     fn section_range(bytes: &[u8], tag: crate::format::SectionTag) -> std::ops::Range<usize> {
         let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
         let entry = (0..count)
-            .map(|i| HEADER_LEN as usize + i * SECTION_ENTRY_LEN as usize)
+            .map(|i| HEADER_LEN + i * SECTION_ENTRY_LEN)
             .find(|&at| bytes[at..at + 8] == tag)
             .expect("section present");
         let start = le_u64(bytes, entry + 8) as usize;
@@ -1446,7 +1426,7 @@ mod tests {
     /// own validation can catch it.
     fn reseal(bytes: &mut [u8]) {
         let mut hasher = Fnv64::new();
-        hasher.update(&bytes[HEADER_LEN as usize..]);
+        hasher.update(&bytes[HEADER_LEN..]);
         bytes[24..32].copy_from_slice(&hasher.finish().to_le_bytes());
     }
 
@@ -1464,6 +1444,58 @@ mod tests {
         bytes[end - 8..end].copy_from_slice(&0.0f64.to_le_bytes());
         reseal(&mut bytes);
         std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            ServingState::load(&path),
+            Err(StoreError::Corrupt(_))
+        ));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn posting_into_an_empty_reference_table_is_a_typed_error() {
+        let space = JoinFunctionSpace::reduced24();
+        let right = ["2007 LSU Tigers football".to_string()];
+        let (state, _) = ServingState::learn(&[], &right, &space, &AutoFjOptions::default());
+        let path = temp_path("empty_left_posting");
+        state.save(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        // Rewrite the index section with one posting (to reference record
+        // 0, of none) in its first gram, and every other section unchanged.
+        let idf = Snapshot::read(&path)
+            .unwrap()
+            .decode(SEC_GRIDX, |cur| {
+                cur.read_u64()?;
+                cur.read_vec(u32::from_le_bytes)?;
+                cur.read_vec(u32::from_le_bytes)?;
+                cur.read_vec(f64::from_le_bytes)
+            })
+            .unwrap();
+        assert!(!idf.is_empty(), "the query side must hold grams");
+        let mut gridx = Vec::new();
+        put_u64(&mut gridx, 0);
+        let offsets: Vec<u32> = (0..=idf.len()).map(|g| u32::from(g > 0)).collect();
+        put_u32_slice(&mut gridx, &offsets);
+        put_u32_slice(&mut gridx, &[0]);
+        put_f64_slice(&mut gridx, &idf);
+        let mut writer = SnapshotWriter::new();
+        for tag in [
+            SEC_META,
+            SEC_CONF,
+            SEC_RAWS,
+            SEC_VOCABS,
+            SEC_TOKSETS,
+            SEC_GRIDX,
+            SEC_RULES,
+            SEC_LLDIST,
+            SEC_LLCAND,
+        ] {
+            let body = match tag {
+                SEC_GRIDX => gridx.clone(),
+                _ => bytes[section_range(&bytes, tag)].to_vec(),
+            };
+            writer.add_section(tag, body);
+        }
+        writer.write_to(&path).unwrap();
         assert!(matches!(
             ServingState::load(&path),
             Err(StoreError::Corrupt(_))
@@ -1510,6 +1542,68 @@ mod tests {
             );
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Save the learned test state, apply `edit` to the file bytes, re-seal
+    /// the checksum and load the result.
+    fn load_edited(label: &str, edit: impl Fn(&mut Vec<u8>)) -> Result<ServingState, StoreError> {
+        let (state, _) = learned();
+        let path = temp_path(label);
+        state.save(&path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        edit(&mut bytes);
+        reseal(&mut bytes);
+        std::fs::write(&path, &bytes).unwrap();
+        let loaded = ServingState::load(&path);
+        std::fs::remove_file(&path).ok();
+        loaded
+    }
+
+    #[test]
+    fn hostile_config_count_is_a_typed_error() {
+        // `CONF` holds the two quality numbers, then the configuration
+        // count: a count no section could hold must not size an allocation.
+        let loaded = load_edited("conf_count", |bytes| {
+            let at = section_range(bytes, SEC_CONF).start + 16;
+            bytes[at..at + 8].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
+        });
+        assert!(matches!(loaded, Err(StoreError::Corrupt(_))));
+    }
+
+    #[test]
+    fn duplicate_vocabulary_token_is_a_typed_error() {
+        // The first vocabulary: document count, token count, then each
+        // token as a length-prefixed string and its document frequency.
+        // Overwrite the first later token of the same length as the first
+        // token with the first token.
+        let loaded = load_edited("duplicate_token", |bytes| {
+            let first = section_range(bytes, SEC_VOCABS).start + 12;
+            let len = le_u64(bytes, first) as usize;
+            let mut at = first + 8 + len + 4;
+            while le_u64(bytes, at) as usize != len {
+                at += 8 + le_u64(bytes, at) as usize + 4;
+            }
+            bytes.copy_within(first + 8..first + 8 + len, at + 8);
+        });
+        assert!(matches!(loaded, Err(StoreError::Corrupt(_))));
+    }
+
+    #[test]
+    fn non_finite_threshold_is_a_typed_error() {
+        // A NaN θ makes `d > θ` false, so the configuration would join
+        // every nearest left; the loader must refuse it.  The first
+        // configuration's threshold follows the two quality numbers, the
+        // count and its slot.
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let loaded = load_edited("threshold", |bytes| {
+                let at = section_range(bytes, SEC_CONF).start + 32;
+                bytes[at..at + 4].copy_from_slice(&bad.to_le_bytes());
+            });
+            assert!(
+                matches!(loaded, Err(StoreError::Corrupt(_))),
+                "threshold {bad} was accepted"
+            );
+        }
     }
 
     #[test]

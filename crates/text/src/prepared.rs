@@ -461,6 +461,7 @@ mod tests {
                 (0..v.len() as u32).map(|id| v.doc_freq(id)).collect(),
                 v.num_docs(),
             )
+            .unwrap()
         });
         let rebuilt = PreparedColumn::from_raw_parts(raws, sets, vocabs);
         assert!(columns_equal(&col, &rebuilt));
