@@ -23,16 +23,11 @@
 //! unset — runs both, which is how the committed `BENCH_pr*.json` baseline
 //! at the repository root is produced.
 //!
-//! The run doubles as the **bench gate**: the baseline is
-//! `AUTOFJ_BENCH_BASELINE` when set (`none` disables the gate), otherwise
-//! the newest committed `BENCH_pr<N>.json` in the working directory — so a
-//! PR that commits a new trajectory entry is gated against it without
-//! touching the workflow.  Every freshly measured task is matched against
-//! the baseline by name and its quality fields (`joined`,
-//! `estimated_precision`, `actual_precision`, `actual_recall`,
-//! `identical_results`) must be identical — timings stay informational so
-//! wall-clock noise can never fail CI, but a PR that silently changes
-//! *what* the pipeline computes does.
+//! The run doubles as the **bench gate**: [`autofj_bench::smoke::smoke`]
+//! diffs the `tasks` section against the committed baseline, matching each
+//! fresh task by name ([`autofj_bench::smoke::GATE_POLICY`] says which
+//! fields stay informational) — timings never fail CI, but a change that
+//! silently alters *what* the pipeline computes does.
 //!
 //! ```bash
 //! cargo run --release -p autofj-bench --bin bench_smoke
@@ -43,14 +38,13 @@
 //! `parallel_effective` falls below
 //! [`autofj_bench::smoke::MIN_PARALLEL_EFFECTIVE`].
 
-use autofj_bench::runner::{autofj_options, run_autofj};
+use autofj_bench::runner::{autofj_options, run_autofj, run_autofj_with_stats};
 use autofj_bench::smoke::{
-    diff_against_baseline, effective_speedup, resolve_baseline, wall_ratio, BenchRun,
-    BenchSmokeReport, TaskBench, MIN_PARALLEL_EFFECTIVE,
+    effective_speedup, smoke, wall_ratio, BenchRun, BenchSmokeReport, TaskBench,
 };
-use autofj_bench::{peak_rss_bytes, write_json, Reporter};
+use autofj_bench::Reporter;
 use autofj_core::timing;
-use autofj_core::{AutoFjOptions, JoinResult};
+use autofj_core::AutoFjOptions;
 use autofj_datagen::{
     benchmark_specs, large_spec, medium_smoke_spec, BenchmarkScale, SingleColumnTask,
 };
@@ -76,7 +70,7 @@ fn bench_task(
 
     let mut runs = Vec::new();
     let mut serialized: Vec<String> = Vec::new();
-    let mut candidates: Vec<Option<timing::CandidateStats>> = Vec::new();
+    let mut candidates = Vec::new();
     for threads in [1usize, multi_threads] {
         rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
@@ -85,12 +79,11 @@ fn bench_task(
         timing::reset();
         rayon::reset_engine_stats();
         let cpu_before = rayon::process_cpu_nanos();
-        let (result, quality, _pepcc, seconds): (JoinResult, _, _, _) =
-            run_autofj(task, space, options);
+        let (result, quality, stats, seconds) = run_autofj_with_stats(task, space, options);
         let cpu_seconds = rayon::process_cpu_nanos().saturating_sub(cpu_before) as f64 * 1e-9;
         let engine = rayon::engine_stats();
         serialized.push(serde_json::to_string(&result).expect("JoinResult serializes"));
-        candidates.push(timing::blocking_stats());
+        candidates.push(stats);
         runs.push(BenchRun {
             threads,
             seconds,
@@ -131,8 +124,8 @@ fn bench_task(
         speedup,
         parallel_effective,
         identical_results: serialized.windows(2).all(|w| w[0] == w[1]) && candidates_identical,
-        candidates: candidates.into_iter().next().flatten(),
-        profile: Some(profile),
+        candidates: candidates[0].into(),
+        profile,
     }
 }
 
@@ -200,13 +193,8 @@ fn main() {
     }
 
     let report = BenchSmokeReport {
-        host_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        peak_rss_bytes: peak_rss_bytes(),
-        identical_results: tasks.iter().all(|t| t.identical_results),
         tasks,
-        serve: None,
-        scenarios: None,
-        fig6d: None,
+        ..Default::default()
     };
 
     let mut table = Reporter::new(
@@ -246,102 +234,19 @@ fn main() {
                 }
             }
         }
-        if let Some(c) = &t.candidates {
-            println!(
-                "  candidates: {} L-R + {} L-L pairs (max {}/probe), scored {}, \
-                 postings {}/{} scanned (reduction {:.1}%)",
-                c.lr_pairs,
-                c.ll_pairs,
-                c.per_probe_max,
-                c.scored_records,
-                c.postings_scanned,
-                c.postings_total,
-                c.reduction_ratio * 100.0
-            );
-        }
-    }
-    if let Some(rss) = report.peak_rss_bytes {
-        println!("peak RSS: {:.1} MiB", rss as f64 / (1024.0 * 1024.0));
+        let c = &t.candidates;
+        println!(
+            "  candidates: {} L-R + {} L-L pairs (max {}/probe), scored {}, \
+             postings {}/{} scanned (reduction {:.1}%)",
+            c.lr_pairs,
+            c.ll_pairs,
+            c.per_probe_max,
+            c.scored_records,
+            c.postings_scanned,
+            c.postings_total,
+            c.reduction_ratio * 100.0
+        );
     }
 
-    let path = write_json("BENCH", &report);
-    println!("wrote {}", path.display());
-    if let Ok(extra) = std::env::var("AUTOFJ_BENCH_OUT") {
-        if let Err(e) = std::fs::copy(&path, &extra) {
-            eprintln!("could not copy report to {extra}: {e}");
-        } else {
-            println!("wrote {extra}");
-        }
-    }
-
-    let mut failed = false;
-    if !report.identical_results {
-        eprintln!("ERROR: results differ across thread counts");
-        failed = true;
-    }
-
-    // Parallelism gate: the medium task must show a modeled multi-thread
-    // speedup of at least MIN_PARALLEL_EFFECTIVE.  The small task stays
-    // informational — at ~40 ms of work, fork overhead legitimately eats
-    // most of the parallel win.
-    for t in &report.tasks {
-        if t.scale == "medium" && t.parallel_effective < MIN_PARALLEL_EFFECTIVE {
-            eprintln!(
-                "ERROR: {}: parallel_effective {:.2}x < required {MIN_PARALLEL_EFFECTIVE}x",
-                t.task, t.parallel_effective
-            );
-            failed = true;
-        }
-    }
-
-    // Bench gate: quality fields must match the committed baseline exactly.
-    if let Some(baseline_path) = resolve_baseline() {
-        let baseline_path = baseline_path.display().to_string();
-        let baseline: BenchSmokeReport = match std::fs::read_to_string(&baseline_path) {
-            Ok(text) => match serde_json::from_str(&text) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("ERROR: could not parse baseline {baseline_path}: {e}");
-                    std::process::exit(1);
-                }
-            },
-            Err(e) => {
-                eprintln!("ERROR: could not read baseline {baseline_path}: {e}");
-                std::process::exit(1);
-            }
-        };
-        let mut errors = Vec::new();
-        for fresh in &report.tasks {
-            match baseline.tasks.iter().find(|b| b.task == fresh.task) {
-                Some(base) => diff_against_baseline(fresh, base, &mut errors),
-                None => errors.push(format!(
-                    "{}: not present in baseline {baseline_path}",
-                    fresh.task
-                )),
-            }
-        }
-        if errors.is_empty() {
-            println!(
-                "bench-gate: quality fields match {baseline_path} for {} task(s)",
-                report.tasks.len()
-            );
-        } else {
-            eprintln!("ERROR: bench-gate found quality drift vs {baseline_path}:");
-            for e in &errors {
-                eprintln!("  - {e}");
-            }
-            eprintln!(
-                "If the change is intentional, regenerate the baseline with \
-                 `AUTOFJ_BENCH_OUT={baseline_path} cargo run --release -p autofj-bench \
-                 --bin bench_smoke` and commit it."
-            );
-            failed = true;
-        }
-    } else {
-        println!("bench-gate: no baseline (AUTOFJ_BENCH_BASELINE=none or no BENCH_pr*.json)");
-    }
-
-    if failed {
-        std::process::exit(1);
-    }
+    smoke("BENCH", report, "tasks");
 }

@@ -28,10 +28,8 @@
 //! any quality-or-profile field drifts from the committed baseline.
 
 use autofj_bench::runner::{autofj_options, run_autofj};
-use autofj_bench::smoke::{
-    diff_scenarios_against_baseline, resolve_baseline, BenchSmokeReport, ScenarioBench, ScenarioRun,
-};
-use autofj_bench::{peak_rss_bytes, write_json, Reporter};
+use autofj_bench::smoke::{smoke, BenchSmokeReport, ScenarioBench, ScenarioRun};
+use autofj_bench::Reporter;
 use autofj_core::multi_column::join_multi_column;
 use autofj_core::JoinResult;
 use autofj_datagen::{scenario_registry, ScenarioData, ScenarioSpec};
@@ -129,7 +127,6 @@ fn main() {
         );
         scenarios.push(bench_scenario(spec, &space, multi_threads));
     }
-    let all_identical = scenarios.iter().all(|s| s.identical_results);
 
     let mut table = Reporter::new(
         "robustness-matrix: the paper's stress suite, gated",
@@ -154,92 +151,9 @@ fn main() {
     }
     table.print();
 
-    // Either merge the scenarios section into an existing report (baseline
-    // regeneration) or write a standalone scenario report (the CI leg).
-    if let Ok(merge_into) = std::env::var("AUTOFJ_BENCH_MERGE_INTO") {
-        let text = std::fs::read_to_string(&merge_into)
-            .unwrap_or_else(|e| panic!("cannot read {merge_into}: {e}"));
-        let mut report: BenchSmokeReport = serde_json::from_str(&text)
-            .unwrap_or_else(|e| panic!("cannot parse {merge_into}: {e}"));
-        report.scenarios = Some(scenarios.clone());
-        report.identical_results = report.identical_results && all_identical;
-        let json = serde_json::to_string_pretty(&report).expect("report serializes");
-        std::fs::write(&merge_into, json)
-            .unwrap_or_else(|e| panic!("cannot write {merge_into}: {e}"));
-        println!("merged scenarios section into {merge_into}");
-    } else {
-        let report = BenchSmokeReport {
-            host_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            peak_rss_bytes: peak_rss_bytes(),
-            tasks: Vec::new(),
-            serve: None,
-            scenarios: Some(scenarios.clone()),
-            fig6d: None,
-            identical_results: all_identical,
-        };
-        let path = write_json("BENCH_scenarios", &report);
-        println!("wrote {}", path.display());
-        if let Ok(extra) = std::env::var("AUTOFJ_BENCH_OUT") {
-            if let Err(e) = std::fs::copy(&path, &extra) {
-                eprintln!("could not copy report to {extra}: {e}");
-            } else {
-                println!("wrote {extra}");
-            }
-        }
-    }
-
-    let mut failed = false;
-    if !all_identical {
-        eprintln!("ERROR: scenario results differ across thread counts");
-        failed = true;
-    }
-
-    // Scenario gate: quality fields and data profiles must match the
-    // committed baseline's scenarios section.
-    if let Some(baseline_path) = resolve_baseline() {
-        let baseline_path = baseline_path.display().to_string();
-        match std::fs::read_to_string(&baseline_path)
-            .map_err(|e| e.to_string())
-            .and_then(|text| {
-                serde_json::from_str::<BenchSmokeReport>(&text).map_err(|e| e.to_string())
-            }) {
-            Ok(baseline) => match &baseline.scenarios {
-                Some(base) => {
-                    let mut errors = Vec::new();
-                    diff_scenarios_against_baseline(&scenarios, base, &mut errors);
-                    if errors.is_empty() {
-                        println!(
-                            "scenario-gate: quality + profiles match {baseline_path} \
-                             for {} scenario(s)",
-                            scenarios.len()
-                        );
-                    } else {
-                        eprintln!("ERROR: scenario-gate found drift vs {baseline_path}:");
-                        for e in &errors {
-                            eprintln!("  - {e}");
-                        }
-                        eprintln!(
-                            "If the change is intentional, regenerate the section with \
-                             `AUTOFJ_BENCH_MERGE_INTO={baseline_path} cargo run --release \
-                             -p autofj-bench --bin robustness_matrix` and commit it."
-                        );
-                        failed = true;
-                    }
-                }
-                None => {
-                    println!("scenario-gate: baseline {baseline_path} has no scenarios section")
-                }
-            },
-            Err(e) => {
-                eprintln!("ERROR: could not load baseline {baseline_path}: {e}");
-                failed = true;
-            }
-        }
-    } else {
-        println!("scenario-gate: no baseline (AUTOFJ_BENCH_BASELINE=none or no BENCH_pr*.json)");
-    }
-
-    if failed {
-        std::process::exit(1);
-    }
+    let report = BenchSmokeReport {
+        scenarios: Some(scenarios),
+        ..Default::default()
+    };
+    smoke("BENCH_scenarios", report, "scenarios");
 }

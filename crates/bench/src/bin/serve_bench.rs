@@ -19,14 +19,12 @@
 //! `AUTOFJ_BENCH_OUT`).  `AUTOFJ_BENCH_MERGE_INTO=<path>` instead merges the
 //! `serve` section into an existing report — that is how the committed
 //! `BENCH_pr*.json` trajectory entry gains its serve numbers.  The quality
-//! gate reads the resolved baseline's `serve` section like `bench_smoke`
-//! reads its `tasks`.
+//! gate diffs the resolved baseline's `serve` section like `bench_smoke`
+//! diffs its `tasks`.
 
 use autofj_bench::runner::autofj_options;
-use autofj_bench::smoke::{
-    diff_serve_against_baseline, resolve_baseline, BenchSmokeReport, ServeBench, ServeRun,
-};
-use autofj_bench::{peak_rss_bytes, write_json, Reporter};
+use autofj_bench::smoke::{smoke, BenchSmokeReport, ServeBench, ServeRun};
+use autofj_bench::Reporter;
 use autofj_core::JoinResult;
 use autofj_datagen::{benchmark_specs, BenchmarkScale};
 use autofj_serve::{Client, Server};
@@ -239,83 +237,9 @@ fn main() {
         serve.identical_results
     );
 
-    // Either merge the serve section into an existing report (baseline
-    // regeneration) or write a standalone serve report (the CI leg).
-    let report = if let Ok(merge_into) = std::env::var("AUTOFJ_BENCH_MERGE_INTO") {
-        let text = std::fs::read_to_string(&merge_into)
-            .unwrap_or_else(|e| panic!("cannot read {merge_into}: {e}"));
-        let mut report: BenchSmokeReport = serde_json::from_str(&text)
-            .unwrap_or_else(|e| panic!("cannot parse {merge_into}: {e}"));
-        report.serve = Some(serve.clone());
-        report.identical_results = report.identical_results && serve.identical_results;
-        let json = serde_json::to_string_pretty(&report).expect("report serializes");
-        std::fs::write(&merge_into, json)
-            .unwrap_or_else(|e| panic!("cannot write {merge_into}: {e}"));
-        println!("merged serve section into {merge_into}");
-        report
-    } else {
-        let report = BenchSmokeReport {
-            host_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            peak_rss_bytes: peak_rss_bytes(),
-            tasks: Vec::new(),
-            identical_results: serve.identical_results,
-            serve: Some(serve.clone()),
-            scenarios: None,
-            fig6d: None,
-        };
-        let path = write_json("BENCH_serve", &report);
-        println!("wrote {}", path.display());
-        if let Ok(extra) = std::env::var("AUTOFJ_BENCH_OUT") {
-            if let Err(e) = std::fs::copy(&path, &extra) {
-                eprintln!("could not copy report to {extra}: {e}");
-            } else {
-                println!("wrote {extra}");
-            }
-        }
-        report
+    let report = BenchSmokeReport {
+        serve: Some(serve),
+        ..Default::default()
     };
-    let _ = report;
-
-    let mut failed = false;
-    if !serve.identical_results {
-        eprintln!("ERROR: served answers differ from the batch pipeline");
-        failed = true;
-    }
-
-    // Serve gate: answers must match the committed baseline's serve section.
-    if let Some(baseline_path) = resolve_baseline() {
-        let baseline_path = baseline_path.display().to_string();
-        match std::fs::read_to_string(&baseline_path)
-            .map_err(|e| e.to_string())
-            .and_then(|text| {
-                serde_json::from_str::<BenchSmokeReport>(&text).map_err(|e| e.to_string())
-            }) {
-            Ok(baseline) => match &baseline.serve {
-                Some(base) => {
-                    let mut errors = Vec::new();
-                    diff_serve_against_baseline(&serve, base, &mut errors);
-                    if errors.is_empty() {
-                        println!("serve-gate: quality fields match {baseline_path}");
-                    } else {
-                        eprintln!("ERROR: serve-gate found quality drift vs {baseline_path}:");
-                        for e in &errors {
-                            eprintln!("  - {e}");
-                        }
-                        failed = true;
-                    }
-                }
-                None => println!("serve-gate: baseline {baseline_path} has no serve section"),
-            },
-            Err(e) => {
-                eprintln!("ERROR: could not load baseline {baseline_path}: {e}");
-                failed = true;
-            }
-        }
-    } else {
-        println!("serve-gate: no baseline (AUTOFJ_BENCH_BASELINE=none or no BENCH_pr*.json)");
-    }
-
-    if failed {
-        std::process::exit(1);
-    }
+    smoke("BENCH_serve", report, "serve");
 }

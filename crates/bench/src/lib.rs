@@ -22,13 +22,14 @@
 //! * `RAYON_NUM_THREADS` — worker threads of the execution engine; every
 //!   score row records the count it was measured with (`threads` field).
 //!
-//! The `bench_smoke` binary is the CI perf + quality gate: it times the
-//! pipeline on a small (~143×80) and a medium (≥ 10k×10k) datagen task at 1
-//! and `AUTOFJ_BENCH_THREADS` (default 4) threads, checks per task that the
-//! results are byte-identical, writes the multi-task `BENCH_pr5.json`
-//! trajectory report (per-task `speedup` + `parallel_effective` flags), and
-//! — when `AUTOFJ_BENCH_BASELINE` is set — fails on any quality-field drift
-//! against the committed baseline (timings stay informational).
+//! Four binaries are the CI perf + quality gates: `bench_smoke` times the
+//! pipeline on small, medium and large datagen tasks at 1 and
+//! `AUTOFJ_BENCH_THREADS` (default 4) threads, `serve_bench` the snapshot
+//! round trip and online server, `robustness_matrix` the scenario stress
+//! suite and `fig6d_blocking` the blocking-factor sweep.  Each fills one
+//! section of the `BENCH_*.json` trajectory report and ends in
+//! [`smoke::smoke`], which fails on drift from the newest committed baseline
+//! (timings stay informational; [`smoke::GATE_POLICY`] says which fields).
 
 pub mod report;
 pub mod runner;

@@ -6,7 +6,8 @@ use autofj_baselines::{
     ActiveLearning, DeepMatcherSub, Ecm, ExcelLike, FuzzyWuzzy, MagellanRf, PpJoin,
     SupervisedMatcher, UnsupervisedMatcher, ZeroEr,
 };
-use autofj_core::{AutoFjOptions, JoinResult};
+use autofj_block::BlockingStats;
+use autofj_core::{join_single_column_with_artifacts, AutoFjOptions, JoinResult};
 use autofj_datagen::{DomainSpec, ScenarioData, ScenarioSpec, SingleColumnTask};
 use autofj_eval::{
     adjusted_recall, evaluate_assignment, pr_auc, upper_bound_recall, QualityReport,
@@ -180,16 +181,29 @@ pub fn pearson(a: &[f64], b: &[f64]) -> f64 {
     cov / (va.sqrt() * vb.sqrt())
 }
 
+/// Run AutoFJ on a task: its result, quality, blocking candidate-set
+/// statistics (zero when nothing was blocked) and wall-clock seconds.
+pub fn run_autofj_with_stats(
+    task: &SingleColumnTask,
+    space: &JoinFunctionSpace,
+    options: &AutoFjOptions,
+) -> (JoinResult, QualityReport, BlockingStats, f64) {
+    let start = Instant::now();
+    let (result, artifacts) =
+        join_single_column_with_artifacts(&task.left, &task.right, space, options);
+    let stats = artifacts.map(|a| a.blocking.stats).unwrap_or_default();
+    let seconds = start.elapsed().as_secs_f64();
+    let quality = evaluate_assignment(&result.assignment, &task.ground_truth);
+    (result, quality, stats, seconds)
+}
+
 /// Run AutoFJ on a task and compute its quality plus the PEPCC statistic.
 pub fn run_autofj(
     task: &SingleColumnTask,
     space: &JoinFunctionSpace,
     options: &AutoFjOptions,
 ) -> (JoinResult, QualityReport, f64, f64) {
-    let start = Instant::now();
-    let result = autofj_core::single::join_single_column(&task.left, &task.right, space, options);
-    let seconds = start.elapsed().as_secs_f64();
-    let quality = evaluate_assignment(&result.assignment, &task.ground_truth);
+    let (result, quality, _, seconds) = run_autofj_with_stats(task, space, options);
     // PEPCC: correlation between the estimated precision trace and the actual
     // precision of the partial solution after each iteration.
     let mut actual_trace = Vec::with_capacity(result.precision_trace.len());

@@ -1,18 +1,26 @@
-//! Shared report schema and gate logic of the CI smoke benchmarks.
+//! Shared report schema and gate of the CI smoke benchmarks.
 //!
-//! Both smoke binaries — `bench_smoke` (the batch pipeline at 1 and N
-//! threads) and `serve_bench` (snapshot save/load plus the online query
-//! server) — emit one [`BenchSmokeReport`].  The committed `BENCH_pr*.json`
-//! baseline at the repository root is the merged document; CI re-measures,
-//! then [`diff_against_baseline`] / [`diff_serve_against_baseline`] compare
-//! the *quality* fields (joined counts, precision/recall, determinism flags)
-//! and fail on any drift.  Timings and throughput stay informational so
-//! wall-clock noise can never fail CI.
+//! Four binaries each measure one section of a [`BenchSmokeReport`]:
+//! `bench_smoke` the batch pipeline (`tasks`, at 1 and N threads),
+//! `serve_bench` the snapshot round trip and online server (`serve`),
+//! `robustness_matrix` the stress suite (`scenarios`) and `fig6d_blocking`
+//! the blocking-factor sweep (`fig6d`).  The committed `BENCH_pr*.json`
+//! baseline at the repository root is the merged document.  Every binary
+//! ends in [`smoke`], which writes the report, runs the checks that need no
+//! baseline and diffs the measured section against the baseline.
+//!
+//! The diff ([`gate`]) walks the two reports' `serde::Value` trees, and
+//! [`GATE_POLICY`] holds all of its policy.  Keys listed there as
+//! informational (timings, throughput, sizes on disk) are recorded but never
+//! gated, so wall-clock noise can never fail CI; keyed lists pair their
+//! entries by a field instead of by position.  Every other leaf gates:
+//! integers, bools and strings exactly, floats within [`GATE_REL_EPS`].
 
-use autofj_core::timing::CandidateStats;
+use crate::{peak_rss_bytes, write_json};
+use autofj_block::BlockingStats;
 use autofj_eval::DataProfile;
-use serde::{Deserialize, Serialize};
-use std::path::PathBuf;
+use serde::{Deserialize, Serialize, Value};
+use std::path::{Path, PathBuf};
 
 /// Minimum modeled parallel speedup ([`effective_speedup`]) the medium task
 /// must reach at the default 4 worker threads.  This is the PR 6 bench gate;
@@ -75,13 +83,45 @@ pub struct TaskBench {
     pub identical_results: bool,
     /// Blocking candidate-set statistics of the task (identical across
     /// thread legs — the counters are deterministic integer totals; the
-    /// binary verifies that before writing one value here).  `None` in
-    /// pre-PR10 baselines.
-    pub candidates: Option<CandidateStats>,
+    /// binary verifies that before writing one value here).
+    pub candidates: CandidateStats,
     /// The committed shape summary of the generated tables, pinned like the
-    /// scenario profiles so generator drift is attributable.  `None` in
-    /// pre-PR10 baselines.
-    pub profile: Option<DataProfile>,
+    /// scenario profiles so generator drift is attributable.
+    pub profile: DataProfile,
+}
+
+/// Blocking candidate-set statistics as the report carries them: the
+/// counters of [`BlockingStats`] plus its derived reduction ratio.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct CandidateStats {
+    /// L–R candidate pairs kept by blocking.
+    pub lr_pairs: u64,
+    /// L–L candidate pairs kept by blocking (self excluded).
+    pub ll_pairs: u64,
+    /// Largest candidate list kept for any single probe record.
+    pub per_probe_max: u64,
+    /// Records exactly verified across all probes.
+    pub scored_records: u64,
+    /// Posting entries the probes walked.
+    pub postings_scanned: u64,
+    /// Posting entries the dense walk would have read.
+    pub postings_total: u64,
+    /// [`BlockingStats::reduction_ratio`].
+    pub reduction_ratio: f64,
+}
+
+impl From<BlockingStats> for CandidateStats {
+    fn from(stats: BlockingStats) -> Self {
+        CandidateStats {
+            lr_pairs: stats.lr_pairs,
+            ll_pairs: stats.ll_pairs,
+            per_probe_max: stats.per_probe_max,
+            scored_records: stats.scored_records,
+            postings_scanned: stats.postings_scanned,
+            postings_total: stats.postings_total,
+            reduction_ratio: stats.reduction_ratio(),
+        }
+    }
 }
 
 /// One point of the Figure 6(d) blocking-factor sweep: quality and
@@ -179,7 +219,7 @@ pub struct ScenarioBench {
 }
 
 /// The persisted smoke report — one entry of the benchmark trajectory.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct BenchSmokeReport {
     /// `available_parallelism` of the measuring host.
     pub host_parallelism: usize,
@@ -188,17 +228,27 @@ pub struct BenchSmokeReport {
     pub peak_rss_bytes: Option<u64>,
     /// Batch-pipeline measurements, one entry per smoke task.
     pub tasks: Vec<TaskBench>,
-    /// Snapshot + online-serving measurements (absent in pre-serve reports
-    /// and in legs that only ran the batch smoke).
+    /// Snapshot + online-serving measurements (absent in the reports of
+    /// the other binaries).
     pub serve: Option<ServeBench>,
-    /// Scenario-robustness matrix measurements (absent in pre-matrix reports
-    /// and in legs that only ran the batch smoke).
+    /// Scenario-robustness matrix measurements (absent in the reports of
+    /// the other binaries).
     pub scenarios: Option<Vec<ScenarioBench>>,
-    /// Figure 6(d) blocking-factor sweep points (absent in pre-PR10 reports
-    /// and in legs that only ran the batch smoke).
+    /// Figure 6(d) blocking-factor sweep points (absent in the reports of
+    /// the other binaries).
     pub fig6d: Option<Vec<Fig6dPoint>>,
-    /// Conjunction of the per-task determinism checks.
+    /// Conjunction of every section's `identical_results`.
     pub identical_results: bool,
+}
+
+impl BenchSmokeReport {
+    /// Whether every task, the serve leg and every scenario reproduced
+    /// its results.
+    fn all_identical(&self) -> bool {
+        self.tasks.iter().all(|t| t.identical_results)
+            && self.serve.iter().all(|s| s.identical_results)
+            && self.scenarios.iter().flatten().all(|s| s.identical_results)
+    }
 }
 
 /// Wall-clock ratio `base / test`, robust to near-zero timings: two ~0 s
@@ -242,385 +292,292 @@ pub fn effective_speedup(total: f64, work: f64, span: f64) -> f64 {
 pub const GATE_REL_EPS: f64 = 1e-9;
 
 /// Whether two quality floats match within [`GATE_REL_EPS`].
-pub fn float_quality_matches(got: f64, want: f64) -> bool {
+fn float_quality_matches(got: f64, want: f64) -> bool {
     (got - want).abs() <= GATE_REL_EPS * got.abs().max(want.abs()).max(1.0)
 }
 
-/// Compare the quality fields of a fresh task measurement against the
-/// committed baseline entry, collecting human-readable mismatch lines.
-pub fn diff_against_baseline(fresh: &TaskBench, baseline: &TaskBench, errors: &mut Vec<String>) {
-    let t = &fresh.task;
-    if fresh.identical_results != baseline.identical_results {
-        errors.push(format!(
-            "{t}: identical_results {} != baseline {}",
-            fresh.identical_results, baseline.identical_results
-        ));
-    }
-    for run in &fresh.runs {
-        let Some(base) = baseline.runs.iter().find(|b| b.threads == run.threads) else {
-            errors.push(format!("{t}: baseline has no {}-thread run", run.threads));
-            continue;
-        };
-        if run.joined != base.joined {
-            errors.push(format!(
-                "{t} ({} threads): joined {} != baseline {}",
-                run.threads, run.joined, base.joined
-            ));
-        }
-        let fields = [
-            (
-                "estimated_precision",
-                run.estimated_precision,
-                base.estimated_precision,
-            ),
-            (
-                "actual_precision",
-                run.actual_precision,
-                base.actual_precision,
-            ),
-            ("actual_recall", run.actual_recall, base.actual_recall),
-        ];
-        for (name, got, want) in fields {
-            if !float_quality_matches(got, want) {
-                errors.push(format!(
-                    "{t} ({} threads): {name} {got} != baseline {want}",
-                    run.threads
-                ));
+/// How [`gate`] treats the value under one object key.
+#[derive(Debug, Clone, Copy)]
+pub enum Rule {
+    /// Recorded for the trajectory, never gated.
+    Informational,
+    /// A list whose entries pair up by the first of these fields they carry.
+    Keyed(&'static [&'static str], Coverage),
+}
+
+/// Which entries of a keyed list the fresh report must measure.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Coverage {
+    /// Any subset of the baseline's entries (one scale of `tasks`, the
+    /// thread legs that were run); an entry the baseline lacks is drift.
+    Subset,
+    /// Exactly the baseline's entries: a dropped or an added one is drift.
+    TwoWay,
+}
+
+/// All of the gate's policy, by object key at any depth.  A key not listed
+/// here gates: objects and unkeyed lists recurse, and leaves must match.
+pub const GATE_POLICY: &[(&str, Rule)] = &[
+    ("seconds", Rule::Informational),
+    ("cpu_seconds", Rule::Informational),
+    ("parallel_work_seconds", Rule::Informational),
+    ("parallel_span_seconds", Rule::Informational),
+    ("phases", Rule::Informational),
+    ("speedup", Rule::Informational),
+    ("parallel_effective", Rule::Informational),
+    ("save_seconds", Rule::Informational),
+    ("load_seconds", Rule::Informational),
+    ("snapshot_bytes", Rule::Informational),
+    ("requests", Rule::Informational),
+    ("throughput_rps", Rule::Informational),
+    ("p50_ms", Rule::Informational),
+    ("p99_ms", Rule::Informational),
+    ("tasks", Rule::Keyed(&["task"], Coverage::Subset)),
+    (
+        "runs",
+        Rule::Keyed(&["threads", "client_threads"], Coverage::Subset),
+    ),
+    ("scenarios", Rule::Keyed(&["scenario"], Coverage::TwoWay)),
+    ("fig6d", Rule::Keyed(&["beta"], Coverage::TwoWay)),
+];
+
+/// Stands in for a key one side of the diff lacks.
+static ABSENT: Value = Value::Null;
+
+fn rule(key: &str) -> Option<Rule> {
+    GATE_POLICY
+        .iter()
+        .find(|(k, _)| *k == key)
+        .map(|&(_, rule)| rule)
+}
+
+/// The value under `key` in an object; [`ABSENT`] when there is none.
+fn field<'v>(value: &'v Value, key: &str) -> &'v Value {
+    value
+        .as_object()
+        .and_then(|fields| fields.iter().find(|(k, _)| k == key))
+        .map_or(&ABSENT, |(_, v)| v)
+}
+
+/// Diff `section` of a fresh report against the baseline's, both as the
+/// value trees of `Serialize::serialize_value`.  Each returned line names
+/// the path of one drifted value, e.g.
+/// `tasks[task=ShoppingMall].runs[threads=4].joined: 69 != baseline 70`.
+pub fn gate(fresh: &Value, baseline: &Value, section: &str) -> Vec<String> {
+    let mut errors = Vec::new();
+    diff(
+        section,
+        section,
+        field(fresh, section),
+        field(baseline, section),
+        &mut errors,
+    );
+    errors
+}
+
+/// Diff `fresh` against `base` at `path`; `key` is the object key both sit
+/// under, which selects their [`Rule`].
+fn diff(path: &str, key: &str, fresh: &Value, base: &Value, errors: &mut Vec<String>) {
+    match (rule(key), fresh, base) {
+        (Some(Rule::Informational), _, _) => {}
+        (Some(Rule::Keyed(by, coverage)), Value::Array(fresh), Value::Array(base)) => {
+            let pairs = |a: &Value, b: &Value| leaf_matches(entry_key(by, a).1, entry_key(by, b).1);
+            for f in fresh {
+                let entry = entry_path(path, by, f);
+                match base.iter().find(|b| pairs(f, b)) {
+                    Some(b) => diff(&entry, "", f, b, errors),
+                    None => errors.push(format!("{entry}: not in the baseline")),
+                }
             }
-        }
-    }
-    match (&fresh.candidates, &baseline.candidates) {
-        (Some(got), Some(want)) => diff_candidates(t, got, want, errors),
-        (None, Some(_)) => errors.push(format!(
-            "{t}: baseline records candidate stats but the fresh run has none"
-        )),
-        // Pre-PR10 baselines carry no candidate stats; a fresh run adding
-        // them is the expected upgrade, not drift.
-        (_, None) => {}
-    }
-    match (&fresh.profile, &baseline.profile) {
-        (Some(got), Some(want)) => diff_profile(t, got, want, errors),
-        (None, Some(_)) => errors.push(format!(
-            "{t}: baseline records a data profile but the fresh run has none"
-        )),
-        (_, None) => {}
-    }
-}
-
-/// Compare blocking candidate-set statistics: every counter is a
-/// deterministic integer total and must match exactly; the derived
-/// reduction ratio matches within [`GATE_REL_EPS`].
-pub fn diff_candidates(
-    name: &str,
-    fresh: &CandidateStats,
-    baseline: &CandidateStats,
-    errors: &mut Vec<String>,
-) {
-    let ints = [
-        ("lr_pairs", fresh.lr_pairs, baseline.lr_pairs),
-        ("ll_pairs", fresh.ll_pairs, baseline.ll_pairs),
-        ("per_probe_max", fresh.per_probe_max, baseline.per_probe_max),
-        (
-            "scored_records",
-            fresh.scored_records,
-            baseline.scored_records,
-        ),
-        (
-            "postings_scanned",
-            fresh.postings_scanned,
-            baseline.postings_scanned,
-        ),
-        (
-            "postings_total",
-            fresh.postings_total,
-            baseline.postings_total,
-        ),
-    ];
-    for (field, got, want) in ints {
-        if got != want {
-            errors.push(format!(
-                "{name}: candidates.{field} {got} != baseline {want}"
-            ));
-        }
-    }
-    if !float_quality_matches(fresh.reduction_ratio, baseline.reduction_ratio) {
-        errors.push(format!(
-            "{name}: candidates.reduction_ratio {} != baseline {}",
-            fresh.reduction_ratio, baseline.reduction_ratio
-        ));
-    }
-}
-
-/// Compare a fresh Figure 6(d) sweep against the committed baseline's
-/// `fig6d` section with two-way coverage (a dropped *or* added β is drift,
-/// like the scenario gate): per matching β, quality matches within
-/// [`GATE_REL_EPS`] and the candidate counters match exactly.  Timings stay
-/// informational.
-pub fn diff_fig6d_against_baseline(
-    fresh: &[Fig6dPoint],
-    baseline: &[Fig6dPoint],
-    errors: &mut Vec<String>,
-) {
-    let same_beta = |a: f64, b: f64| (a - b).abs() < 1e-12;
-    for base in baseline {
-        if !fresh.iter().any(|f| same_beta(f.beta, base.beta)) {
-            errors.push(format!(
-                "fig6d beta={}: present in baseline but not measured",
-                base.beta
-            ));
-        }
-    }
-    for f in fresh {
-        let name = format!("fig6d beta={}", f.beta);
-        let Some(base) = baseline.iter().find(|b| same_beta(b.beta, f.beta)) else {
-            errors.push(format!("{name}: not present in baseline"));
-            continue;
-        };
-        for (field, got, want) in [
-            ("precision", f.precision, base.precision),
-            ("recall", f.recall, base.recall),
-        ] {
-            if !float_quality_matches(got, want) {
-                errors.push(format!("{name}: {field} {got} != baseline {want}"));
-            }
-        }
-        diff_candidates(&name, &f.candidates, &base.candidates, errors);
-    }
-}
-
-/// Compare the quality fields of a fresh serve measurement against the
-/// committed baseline's `serve` section.  Throughput and latency stay
-/// informational; what the server *answers* must not drift.
-pub fn diff_serve_against_baseline(
-    fresh: &ServeBench,
-    baseline: &ServeBench,
-    errors: &mut Vec<String>,
-) {
-    let t = &fresh.task;
-    if fresh.joined != baseline.joined {
-        errors.push(format!(
-            "serve {t}: joined {} != baseline {}",
-            fresh.joined, baseline.joined
-        ));
-    }
-    if fresh.identical_results != baseline.identical_results {
-        errors.push(format!(
-            "serve {t}: identical_results {} != baseline {}",
-            fresh.identical_results, baseline.identical_results
-        ));
-    }
-    for run in &fresh.runs {
-        if !baseline
-            .runs
-            .iter()
-            .any(|b| b.client_threads == run.client_threads)
-        {
-            errors.push(format!(
-                "serve {t}: baseline has no {}-client leg",
-                run.client_threads
-            ));
-        }
-    }
-}
-
-/// Compare two data profiles field by field: integer shape fields must be
-/// identical, floating-point statistics match within [`GATE_REL_EPS`].
-pub fn diff_profile(
-    name: &str,
-    fresh: &DataProfile,
-    baseline: &DataProfile,
-    errors: &mut Vec<String>,
-) {
-    let ints = [
-        ("left_rows", fresh.left_rows, baseline.left_rows),
-        ("right_rows", fresh.right_rows, baseline.right_rows),
-        ("columns", fresh.columns, baseline.columns),
-        (
-            "distinct_tokens",
-            fresh.distinct_tokens,
-            baseline.distinct_tokens,
-        ),
-        ("total_tokens", fresh.total_tokens, baseline.total_tokens),
-        (
-            "left_length.min",
-            fresh.left_length.min,
-            baseline.left_length.min,
-        ),
-        (
-            "left_length.p50",
-            fresh.left_length.p50,
-            baseline.left_length.p50,
-        ),
-        (
-            "left_length.p90",
-            fresh.left_length.p90,
-            baseline.left_length.p90,
-        ),
-        (
-            "left_length.max",
-            fresh.left_length.max,
-            baseline.left_length.max,
-        ),
-        (
-            "right_length.min",
-            fresh.right_length.min,
-            baseline.right_length.min,
-        ),
-        (
-            "right_length.p50",
-            fresh.right_length.p50,
-            baseline.right_length.p50,
-        ),
-        (
-            "right_length.p90",
-            fresh.right_length.p90,
-            baseline.right_length.p90,
-        ),
-        (
-            "right_length.max",
-            fresh.right_length.max,
-            baseline.right_length.max,
-        ),
-    ];
-    for (field, got, want) in ints {
-        if got != want {
-            errors.push(format!("{name}: profile.{field} {got} != baseline {want}"));
-        }
-    }
-    let floats = [
-        ("match_density", fresh.match_density, baseline.match_density),
-        ("null_rate", fresh.null_rate, baseline.null_rate),
-        (
-            "token_skew_gini",
-            fresh.token_skew_gini,
-            baseline.token_skew_gini,
-        ),
-        (
-            "top_token_share",
-            fresh.top_token_share,
-            baseline.top_token_share,
-        ),
-        (
-            "left_length.mean",
-            fresh.left_length.mean,
-            baseline.left_length.mean,
-        ),
-        (
-            "right_length.mean",
-            fresh.right_length.mean,
-            baseline.right_length.mean,
-        ),
-    ];
-    for (field, got, want) in floats {
-        if !float_quality_matches(got, want) {
-            errors.push(format!("{name}: profile.{field} {got} != baseline {want}"));
-        }
-    }
-}
-
-/// Compare a fresh scenario-matrix measurement against the committed
-/// baseline's `scenarios` section.  Every baseline scenario must still be
-/// measured, its data profile must be unchanged (generator drift), and its
-/// quality fields must match per thread leg (pipeline drift).  Timings stay
-/// informational.
-pub fn diff_scenarios_against_baseline(
-    fresh: &[ScenarioBench],
-    baseline: &[ScenarioBench],
-    errors: &mut Vec<String>,
-) {
-    for base in baseline {
-        if !fresh.iter().any(|f| f.scenario == base.scenario) {
-            errors.push(format!(
-                "{}: present in baseline but not measured",
-                base.scenario
-            ));
-        }
-    }
-    for f in fresh {
-        let s = &f.scenario;
-        let Some(base) = baseline.iter().find(|b| b.scenario == *s) else {
-            errors.push(format!("{s}: not present in baseline"));
-            continue;
-        };
-        if f.kind != base.kind {
-            errors.push(format!("{s}: kind {} != baseline {}", f.kind, base.kind));
-        }
-        if f.size != base.size {
-            errors.push(format!(
-                "{s}: size {:?} != baseline {:?}",
-                f.size, base.size
-            ));
-        }
-        if f.identical_results != base.identical_results {
-            errors.push(format!(
-                "{s}: identical_results {} != baseline {}",
-                f.identical_results, base.identical_results
-            ));
-        }
-        diff_profile(s, &f.profile, &base.profile, errors);
-        for run in &f.runs {
-            let Some(b) = base.runs.iter().find(|b| b.threads == run.threads) else {
-                errors.push(format!("{s}: baseline has no {}-thread run", run.threads));
-                continue;
-            };
-            if run.joined != b.joined {
-                errors.push(format!(
-                    "{s} ({} threads): joined {} != baseline {}",
-                    run.threads, run.joined, b.joined
-                ));
-            }
-            let fields = [
-                (
-                    "estimated_precision",
-                    run.estimated_precision,
-                    b.estimated_precision,
-                ),
-                ("actual_precision", run.actual_precision, b.actual_precision),
-                ("actual_recall", run.actual_recall, b.actual_recall),
-            ];
-            for (field, got, want) in fields {
-                if !float_quality_matches(got, want) {
-                    errors.push(format!(
-                        "{s} ({} threads): {field} {got} != baseline {want}",
-                        run.threads
-                    ));
+            if coverage == Coverage::TwoWay {
+                for b in base.iter().filter(|b| !fresh.iter().any(|f| pairs(f, b))) {
+                    let entry = entry_path(path, by, b);
+                    errors.push(format!("{entry}: in the baseline but not measured"));
                 }
             }
         }
+        (_, Value::Object(fields), Value::Object(base_fields)) => {
+            for (k, v) in fields {
+                diff(&format!("{path}.{k}"), k, v, field(base, k), errors);
+            }
+            for (k, v) in base_fields {
+                if fields.iter().all(|(f, _)| f != k) {
+                    diff(&format!("{path}.{k}"), k, &ABSENT, v, errors);
+                }
+            }
+        }
+        (_, Value::Array(items), Value::Array(base_items)) if items.len() == base_items.len() => {
+            for (i, (f, b)) in items.iter().zip(base_items).enumerate() {
+                diff(&format!("{path}[{i}]"), "", f, b, errors);
+            }
+        }
+        _ if leaf_matches(fresh, base) => {}
+        _ => errors.push(format!(
+            "{path}: {} != baseline {}",
+            render(fresh),
+            render(base)
+        )),
     }
 }
 
-/// Resolve the bench-gate baseline path.
+/// The field a keyed-list entry pairs on: the first of `by` it carries.
+fn entry_key<'v>(by: &[&'static str], entry: &'v Value) -> (&'static str, &'v Value) {
+    by.iter()
+        .map(|&k| (k, field(entry, k)))
+        .find(|(_, v)| **v != ABSENT)
+        .unwrap_or((by[0], &ABSENT))
+}
+
+/// The gate path of a keyed-list entry, e.g. `fig6d[beta=1.5]`.
+fn entry_path(path: &str, by: &[&'static str], entry: &Value) -> String {
+    let (name, key) = entry_key(by, entry);
+    format!("{path}[{name}={}]", render(key))
+}
+
+fn leaf_matches(fresh: &Value, base: &Value) -> bool {
+    match (fresh, base) {
+        (Value::F64(f), Value::F64(b)) => float_quality_matches(*f, *b),
+        _ => fresh == base,
+    }
+}
+
+fn render(value: &Value) -> String {
+    match value {
+        Value::Null => "absent".to_string(),
+        Value::Bool(b) => b.to_string(),
+        Value::I64(n) => n.to_string(),
+        Value::U64(n) => n.to_string(),
+        Value::F64(x) => x.to_string(),
+        Value::Str(s) => s.clone(),
+        Value::Array(items) => format!("a list of {}", items.len()),
+        Value::Object(_) => "an object".to_string(),
+    }
+}
+
+/// The tail every gated binary ends in; exits 1 on any failure, else 0.
 ///
-/// `AUTOFJ_BENCH_BASELINE` wins when set (empty or `none` disables the gate
-/// explicitly).  Otherwise the newest committed `BENCH_pr<N>.json` in the
-/// current directory is used, so the gate follows the trajectory
-/// automatically when a PR commits a new baseline — the CI workflow no
-/// longer pins (and silently outdates) a specific file name.
-pub fn resolve_baseline() -> Option<PathBuf> {
-    if let Ok(explicit) = std::env::var("AUTOFJ_BENCH_BASELINE") {
-        if explicit.is_empty() || explicit == "none" {
-            return None;
-        }
-        return Some(PathBuf::from(explicit));
+/// It fills the report's host fields and its `identical_results`
+/// conjunction, then writes it to `target/experiments/<stem>.json` (copied
+/// to `AUTOFJ_BENCH_OUT` when set) — or, with
+/// `AUTOFJ_BENCH_MERGE_INTO=<path>`, replaces `section` of the report at
+/// `<path>` instead, which is how a baseline gains the sections the other
+/// binaries measure.  Then it checks what needs no baseline (every
+/// `identical_results`; the medium task's `parallel_effective` against
+/// [`MIN_PARALLEL_EFFECTIVE`]) and diffs `section` against the baseline:
+/// `AUTOFJ_BENCH_BASELINE` when set (empty or `none`: no diff), else the
+/// newest `BENCH_pr<N>.json` in the working directory.
+pub fn smoke(stem: &str, mut report: BenchSmokeReport, section: &str) -> ! {
+    report.host_parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
+    report.peak_rss_bytes = peak_rss_bytes();
+    report.identical_results = report.all_identical();
+    if let Some(rss) = report.peak_rss_bytes {
+        println!("peak RSS: {:.1} MiB", rss as f64 / (1024.0 * 1024.0));
     }
-    let mut best: Option<(u64, PathBuf)> = None;
-    let entries = std::fs::read_dir(".").ok()?;
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(pr) = name
-            .strip_prefix("BENCH_pr")
-            .and_then(|rest| rest.strip_suffix(".json"))
-            .and_then(|n| n.parse::<u64>().ok())
-        else {
-            continue;
-        };
-        if best.as_ref().is_none_or(|(b, _)| pr > *b) {
-            best = Some((pr, entry.path()));
+    let fresh = report.serialize_value();
+    assert!(
+        *field(&fresh, section) != ABSENT,
+        "the report has no `{section}` section"
+    );
+    if let Ok(into) = std::env::var("AUTOFJ_BENCH_MERGE_INTO") {
+        merge_section(Path::new(&into), &report, section);
+    } else {
+        let path = write_json(stem, &report);
+        println!("wrote {}", path.display());
+        if let Ok(out) = std::env::var("AUTOFJ_BENCH_OUT") {
+            match std::fs::copy(&path, &out) {
+                Ok(_) => println!("wrote {out}"),
+                Err(e) => eprintln!("could not copy report to {out}: {e}"),
+            }
         }
     }
-    best.map(|(_, path)| path)
+
+    let mut errors = Vec::new();
+    if !report.identical_results {
+        errors.push(format!(
+            "{section}: identical_results is false (the thread legs, or the served \
+             and batch answers, differ)"
+        ));
+    }
+    // Only the medium task must parallelize: at ~40 ms of work, fork
+    // overhead legitimately eats most of the small task's parallel win.
+    for t in &report.tasks {
+        if t.scale == "medium" && t.parallel_effective < MIN_PARALLEL_EFFECTIVE {
+            errors.push(format!(
+                "tasks[task={}].parallel_effective: {:.2} < required {MIN_PARALLEL_EFFECTIVE}",
+                t.task, t.parallel_effective
+            ));
+        }
+    }
+    let explicit = std::env::var("AUTOFJ_BENCH_BASELINE").ok();
+    let against = match resolve_baseline_in(explicit, Path::new(".")) {
+        Some(path) => {
+            match read_report(&path) {
+                Ok(baseline) => errors.extend(gate(&fresh, &baseline.serialize_value(), section)),
+                Err(e) => errors.push(e),
+            }
+            path.display().to_string()
+        }
+        None => "no baseline (AUTOFJ_BENCH_BASELINE=none or no BENCH_pr*.json)".to_string(),
+    };
+    if errors.is_empty() {
+        println!("bench-gate: `{section}` passes against {against}");
+        std::process::exit(0);
+    }
+    eprintln!("ERROR: bench-gate: `{section}` fails against {against}:");
+    for e in &errors {
+        eprintln!("  - {e}");
+    }
+    eprintln!(
+        "If the change is intentional, regenerate the baseline (README, \"Bench gate\") \
+         and commit it."
+    );
+    std::process::exit(1)
+}
+
+/// Replace `section` of the report at `into` with `report`'s.
+fn merge_section(into: &Path, report: &BenchSmokeReport, section: &str) {
+    let mut merged = read_report(into).unwrap_or_else(|e| panic!("{e}"));
+    match section {
+        "tasks" => merged.tasks = report.tasks.clone(),
+        "serve" => merged.serve = report.serve.clone(),
+        "scenarios" => merged.scenarios = report.scenarios.clone(),
+        "fig6d" => merged.fig6d = report.fig6d.clone(),
+        _ => panic!("no report section named `{section}`"),
+    }
+    merged.identical_results = merged.all_identical();
+    let json = serde_json::to_string_pretty(&merged).expect("report serializes");
+    std::fs::write(into, json).unwrap_or_else(|e| panic!("cannot write {}: {e}", into.display()));
+    println!("merged `{section}` into {}", into.display());
+}
+
+fn read_report(path: &Path) -> Result<BenchSmokeReport, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    serde_json::from_str(&text).map_err(|e| format!("cannot parse {}: {e}", path.display()))
+}
+
+/// The gate's baseline: `explicit` (the value of `AUTOFJ_BENCH_BASELINE`)
+/// when set, where empty or `none` means no baseline; otherwise the
+/// `BENCH_pr<N>.json` in `dir` with the largest `N`, so the gate follows the
+/// trajectory when a change commits a new baseline.
+fn resolve_baseline_in(explicit: Option<String>, dir: &Path) -> Option<PathBuf> {
+    match explicit.as_deref() {
+        Some("" | "none") => None,
+        Some(path) => Some(PathBuf::from(path)),
+        None => std::fs::read_dir(dir)
+            .ok()?
+            .flatten()
+            .filter_map(|entry| {
+                let name = entry.file_name();
+                let pr = name
+                    .to_str()?
+                    .strip_prefix("BENCH_pr")?
+                    .strip_suffix(".json")?;
+                Some((pr.parse::<u64>().ok()?, entry.path()))
+            })
+            .max_by_key(|(pr, _)| *pr)
+            .map(|(_, path)| path),
+    }
 }
 
 #[cfg(test)]
@@ -669,6 +626,22 @@ mod tests {
         assert_eq!(effective_speedup(5.0, 0.0, 0.0), 1.0);
     }
 
+    /// Gate one section of two reports.
+    fn diff_reports(
+        fresh: &BenchSmokeReport,
+        base: &BenchSmokeReport,
+        section: &str,
+    ) -> Vec<String> {
+        gate(&fresh.serialize_value(), &base.serialize_value(), section)
+    }
+
+    fn serve_report(serve: ServeBench) -> BenchSmokeReport {
+        BenchSmokeReport {
+            serve: Some(serve),
+            ..Default::default()
+        }
+    }
+
     fn serve_bench(joined: usize, identical: bool) -> ServeBench {
         ServeBench {
             task: "ShoppingMall".to_string(),
@@ -691,23 +664,32 @@ mod tests {
 
     #[test]
     fn serve_gate_flags_quality_drift_but_not_timing_drift() {
-        let base = serve_bench(70, true);
-        let mut errors = Vec::new();
+        let base = serve_report(serve_bench(70, true));
         let mut fresh = serve_bench(70, true);
         fresh.runs[0].throughput_rps = 5.0; // timing noise: not a failure
         fresh.load_seconds = 9.9;
-        diff_serve_against_baseline(&fresh, &base, &mut errors);
+        let errors = diff_reports(&serve_report(fresh), &base, "serve");
         assert!(errors.is_empty(), "{errors:?}");
 
-        diff_serve_against_baseline(&serve_bench(69, true), &base, &mut errors);
-        diff_serve_against_baseline(&serve_bench(70, false), &base, &mut errors);
+        let mut errors = diff_reports(&serve_report(serve_bench(69, true)), &base, "serve");
+        errors.extend(diff_reports(
+            &serve_report(serve_bench(70, false)),
+            &base,
+            "serve",
+        ));
         assert_eq!(errors.len(), 2, "{errors:?}");
+        assert!(errors[0].contains("serve.joined"), "{errors:?}");
+        assert!(errors[1].contains("serve.identical_results"), "{errors:?}");
+
+        // A baseline without the section fails the gate.
+        let errors = diff_reports(&base, &BenchSmokeReport::default(), "serve");
+        assert_eq!(errors, ["serve: an object != baseline absent"]);
     }
 
     #[test]
     fn reports_without_serve_section_still_parse() {
-        // Committed baselines predate the serve/peak-RSS/scenarios/fig6d
-        // fields; the gate must keep reading them.
+        // The per-binary reports carry one section each; the others read
+        // back as absent.
         let old = r#"{"host_parallelism": 4, "tasks": [], "identical_results": true}"#;
         let report: BenchSmokeReport = serde_json::from_str(old).unwrap();
         assert!(report.serve.is_none());
@@ -729,8 +711,20 @@ mod tests {
         }
     }
 
-    fn task_bench(joined: usize, candidates: Option<CandidateStats>) -> TaskBench {
-        TaskBench {
+    fn profile(gini: f64) -> DataProfile {
+        let profile = autofj_eval::profile_tables(
+            &[&["grand hotel".to_string(), "old museum".to_string()]],
+            &[&["grand hotell".to_string(), "museum".to_string()]],
+            &[Some(0), Some(1)],
+        );
+        DataProfile {
+            token_skew_gini: gini,
+            ..profile
+        }
+    }
+
+    fn task_report(joined: usize, lr: u64) -> BenchSmokeReport {
+        let task = TaskBench {
             task: "ShoppingMall".to_string(),
             scale: "small".to_string(),
             size: (143, 80),
@@ -750,162 +744,316 @@ mod tests {
             speedup: 1.0,
             parallel_effective: 1.0,
             identical_results: true,
-            candidates,
-            profile: None,
+            candidates: candidate_stats(lr),
+            profile: profile(0.25),
+        };
+        BenchSmokeReport {
+            tasks: vec![task],
+            ..Default::default()
         }
     }
 
     #[test]
     fn task_gate_flags_candidate_count_drift() {
-        let base = task_bench(70, Some(candidate_stats(120)));
-        let mut errors = Vec::new();
-        diff_against_baseline(
-            &task_bench(70, Some(candidate_stats(120))),
-            &base,
-            &mut errors,
-        );
+        let base = task_report(70, 120);
+        let errors = diff_reports(&task_report(70, 120), &base, "tasks");
         assert!(errors.is_empty(), "{errors:?}");
 
         // Any counter drifting is a gate failure.
-        diff_against_baseline(
-            &task_bench(70, Some(candidate_stats(121))),
-            &base,
-            &mut errors,
-        );
+        let errors = diff_reports(&task_report(70, 121), &base, "tasks");
         assert_eq!(errors.len(), 1, "{errors:?}");
         assert!(errors[0].contains("candidates.lr_pairs"), "{errors:?}");
 
-        // Dropping the stats when the baseline has them is a gate failure;
-        // a baseline without them (pre-PR10) accepts a fresh run that adds
-        // them.
-        errors.clear();
-        diff_against_baseline(&task_bench(70, None), &base, &mut errors);
-        assert_eq!(errors.len(), 1, "{errors:?}");
-        errors.clear();
-        let old_base = task_bench(70, None);
-        diff_against_baseline(
-            &task_bench(70, Some(candidate_stats(120))),
-            &old_base,
-            &mut errors,
+        // Dropping the stats when the baseline has them is a gate failure.
+        let mut fresh = task_report(70, 120).serialize_value();
+        *leaf_mut(&mut fresh, &[2, 0, 8]) = Value::Null; // tasks[0].candidates
+        let errors = gate(&fresh, &base.serialize_value(), "tasks");
+        assert_eq!(
+            errors,
+            ["tasks[task=ShoppingMall].candidates: absent != baseline an object"]
         );
-        assert!(errors.is_empty(), "{errors:?}");
     }
 
-    fn fig6d_point(beta: f64, lr: u64) -> Fig6dPoint {
-        Fig6dPoint {
+    fn fig6d_report(points: &[(f64, u64)]) -> BenchSmokeReport {
+        let points = points.iter().map(|&(beta, lr)| Fig6dPoint {
             beta,
             precision: 0.93,
             recall: 0.8,
             seconds: 0.5,
             candidates: candidate_stats(lr),
+        });
+        BenchSmokeReport {
+            fig6d: Some(points.collect()),
+            ..Default::default()
         }
     }
 
     #[test]
     fn fig6d_gate_flags_candidate_drift_and_coverage_both_ways() {
-        let base = vec![fig6d_point(0.5, 100), fig6d_point(1.5, 300)];
-        let mut errors = Vec::new();
+        let base = fig6d_report(&[(0.5, 100), (1.5, 300)]);
 
         // Identical sweep with timing noise passes.
-        let mut fresh = vec![fig6d_point(0.5, 100), fig6d_point(1.5, 300)];
-        fresh[0].seconds = 99.0;
-        diff_fig6d_against_baseline(&fresh, &base, &mut errors);
+        let mut fresh = fig6d_report(&[(0.5, 100), (1.5, 300)]);
+        fresh.fig6d.as_mut().unwrap()[0].seconds = 99.0;
+        let errors = diff_reports(&fresh, &base, "fig6d");
         assert!(errors.is_empty(), "{errors:?}");
 
         // Candidate-count drift at one β fails.
-        let drift = vec![fig6d_point(0.5, 101), fig6d_point(1.5, 300)];
-        diff_fig6d_against_baseline(&drift, &base, &mut errors);
-        assert_eq!(errors.len(), 1, "{errors:?}");
-        assert!(errors[0].contains("candidates.lr_pairs"), "{errors:?}");
+        let drift = fig6d_report(&[(0.5, 101), (1.5, 300)]);
+        let errors = diff_reports(&drift, &base, "fig6d");
+        assert_eq!(
+            errors,
+            ["fig6d[beta=0.5].candidates.lr_pairs: 101 != baseline 100"]
+        );
 
         // A dropped β and an added β both fail (two-way coverage).
-        errors.clear();
-        let moved = vec![fig6d_point(0.5, 100), fig6d_point(2.0, 300)];
-        diff_fig6d_against_baseline(&moved, &base, &mut errors);
+        let moved = fig6d_report(&[(0.5, 100), (2.0, 300)]);
+        let errors = diff_reports(&moved, &base, "fig6d");
         assert_eq!(errors.len(), 2, "{errors:?}");
     }
 
     fn scenario_bench(joined: usize, gini: f64) -> ScenarioBench {
-        let profile = autofj_eval::profile_tables(
-            &[&["grand hotel".to_string(), "old museum".to_string()]],
-            &[&["grand hotell".to_string(), "museum".to_string()]],
-            &[Some(0), Some(1)],
-        );
+        let run = |threads, seconds| ScenarioRun {
+            threads,
+            seconds,
+            joined,
+            estimated_precision: 0.95,
+            actual_precision: 1.0,
+            actual_recall: 0.9,
+        };
         ScenarioBench {
             scenario: "irrelevant_50".to_string(),
             kind: "irrelevant_records".to_string(),
             size: (2, 2),
-            profile: DataProfile {
-                token_skew_gini: gini,
-                ..profile
-            },
-            runs: vec![
-                ScenarioRun {
-                    threads: 1,
-                    seconds: 0.1,
-                    joined,
-                    estimated_precision: 0.95,
-                    actual_precision: 1.0,
-                    actual_recall: 0.9,
-                },
-                ScenarioRun {
-                    threads: 4,
-                    seconds: 0.05,
-                    joined,
-                    estimated_precision: 0.95,
-                    actual_precision: 1.0,
-                    actual_recall: 0.9,
-                },
-            ],
+            profile: profile(gini),
+            runs: vec![run(1, 0.1), run(4, 0.05)],
             identical_results: true,
+        }
+    }
+
+    fn scenario_report(scenarios: Vec<ScenarioBench>) -> BenchSmokeReport {
+        BenchSmokeReport {
+            scenarios: Some(scenarios),
+            ..Default::default()
         }
     }
 
     #[test]
     fn scenario_gate_flags_quality_and_profile_drift_but_not_timing() {
-        let base = vec![scenario_bench(7, 0.25)];
-        let mut errors = Vec::new();
+        let base = scenario_report(vec![scenario_bench(7, 0.25)]);
 
         // Timing noise alone never fails the gate.
-        let mut fresh = vec![scenario_bench(7, 0.25)];
-        fresh[0].runs[1].seconds = 99.0;
-        diff_scenarios_against_baseline(&fresh, &base, &mut errors);
+        let mut fresh = scenario_bench(7, 0.25);
+        fresh.runs[1].seconds = 99.0;
+        let errors = diff_reports(&scenario_report(vec![fresh]), &base, "scenarios");
         assert!(errors.is_empty(), "{errors:?}");
 
         // Quality drift (pipeline change) fails.
-        diff_scenarios_against_baseline(&[scenario_bench(6, 0.25)], &base, &mut errors);
+        let drift = scenario_report(vec![scenario_bench(6, 0.25)]);
+        let errors = diff_reports(&drift, &base, "scenarios");
         assert_eq!(errors.len(), 2, "joined drifts on both legs: {errors:?}");
 
         // Profile drift (generator change) fails even with identical quality.
-        errors.clear();
-        diff_scenarios_against_baseline(&[scenario_bench(7, 0.75)], &base, &mut errors);
+        let drift = scenario_report(vec![scenario_bench(7, 0.75)]);
+        let errors = diff_reports(&drift, &base, "scenarios");
         assert_eq!(errors.len(), 1, "{errors:?}");
         assert!(errors[0].contains("profile.token_skew_gini"), "{errors:?}");
     }
 
     #[test]
     fn scenario_gate_flags_missing_and_unknown_scenarios() {
-        let base = vec![scenario_bench(7, 0.25)];
-        let mut errors = Vec::new();
-        diff_scenarios_against_baseline(&[], &base, &mut errors);
+        let base = scenario_report(vec![scenario_bench(7, 0.25)]);
+        let errors = diff_reports(&scenario_report(Vec::new()), &base, "scenarios");
         assert_eq!(errors.len(), 1);
         assert!(errors[0].contains("not measured"), "{errors:?}");
 
-        errors.clear();
         let mut renamed = scenario_bench(7, 0.25);
         renamed.scenario = "brand_new".to_string();
-        diff_scenarios_against_baseline(&[renamed], &base, &mut errors);
+        let errors = diff_reports(&scenario_report(vec![renamed]), &base, "scenarios");
         assert_eq!(errors.len(), 2, "dropped + unknown: {errors:?}");
     }
 
     #[test]
     fn baseline_resolution_prefers_env_and_newest_pr() {
-        // The env override is tested here; the newest-PR scan depends on the
-        // working directory, so it is covered by the repo-level CI run.
-        std::env::set_var("AUTOFJ_BENCH_BASELINE", "custom.json");
-        assert_eq!(resolve_baseline(), Some(PathBuf::from("custom.json")));
-        std::env::set_var("AUTOFJ_BENCH_BASELINE", "none");
-        assert_eq!(resolve_baseline(), None);
-        std::env::remove_var("AUTOFJ_BENCH_BASELINE");
+        let dir = std::env::temp_dir().join(format!("autofj-baselines-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        assert_eq!(resolve_baseline_in(None, &dir), None, "no BENCH_pr*.json");
+        for name in [
+            "BENCH_pr9.json",
+            "BENCH_pr13.json",
+            "BENCH.json",
+            "BENCH_prX.json",
+        ] {
+            std::fs::write(dir.join(name), "{}").unwrap();
+        }
+        assert_eq!(
+            resolve_baseline_in(None, &dir),
+            Some(dir.join("BENCH_pr13.json")),
+            "numeric, not lexicographic: pr13 beats pr9"
+        );
+        std::fs::write(dir.join("BENCH_pr100.json"), "{}").unwrap();
+        assert_eq!(
+            resolve_baseline_in(None, &dir),
+            Some(dir.join("BENCH_pr100.json"))
+        );
+        // An explicit AUTOFJ_BENCH_BASELINE wins; empty or `none` disables.
+        let explicit = |v: &str| resolve_baseline_in(Some(v.to_string()), &dir);
+        assert_eq!(explicit("custom.json"), Some(PathBuf::from("custom.json")));
+        assert_eq!(explicit("none"), None);
+        assert_eq!(explicit(""), None);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The value at `at`, a path of object-field and list indices.
+    fn leaf_mut<'v>(mut value: &'v mut Value, at: &[usize]) -> &'v mut Value {
+        for &i in at {
+            value = match value {
+                Value::Object(fields) => &mut fields[i].1,
+                Value::Array(items) => &mut items[i],
+                leaf => panic!("cannot index {} at {at:?}", leaf.kind()),
+            };
+        }
+        value
+    }
+
+    /// One leaf of a report's value tree.
+    struct Leaf {
+        /// Index path from the report root (see [`leaf_mut`]).
+        at: Vec<usize>,
+        /// The path the gate names it by.
+        path: String,
+        /// Under an informational key.
+        informational: bool,
+        /// The field a keyed-list entry pairs on.
+        key: bool,
+    }
+
+    /// Collect every leaf under `value`, which sits under object key `key`
+    /// (and is an entry of a list keyed by `by`, or a key field itself).
+    #[allow(clippy::too_many_arguments)]
+    fn collect(
+        value: &Value,
+        key: &str,
+        by: &[&'static str],
+        is_key: bool,
+        at: &mut Vec<usize>,
+        path: &str,
+        informational: bool,
+        out: &mut Vec<Leaf>,
+    ) {
+        let informational = informational || matches!(rule(key), Some(Rule::Informational));
+        match value {
+            Value::Object(fields) => {
+                for (i, (k, v)) in fields.iter().enumerate() {
+                    at.push(i);
+                    let child = format!("{path}.{k}");
+                    let is_key = by.contains(&k.as_str());
+                    collect(v, k, &[], is_key, at, &child, informational, out);
+                    at.pop();
+                }
+            }
+            Value::Array(items) => {
+                let keyed = match rule(key) {
+                    Some(Rule::Keyed(by, _)) => by,
+                    _ => &[],
+                };
+                for (i, item) in items.iter().enumerate() {
+                    at.push(i);
+                    let child = if keyed.is_empty() {
+                        format!("{path}[{i}]")
+                    } else {
+                        entry_path(path, keyed, item)
+                    };
+                    collect(item, "", keyed, false, at, &child, informational, out);
+                    at.pop();
+                }
+            }
+            _ => out.push(Leaf {
+                at: at.clone(),
+                path: path.to_string(),
+                informational,
+                key: is_key,
+            }),
+        }
+    }
+
+    fn bump(value: &mut Value) {
+        match value {
+            Value::Bool(b) => *b = !*b,
+            Value::I64(n) => *n += 1,
+            Value::U64(n) => *n += 1,
+            Value::F64(x) => *x += 1e-6 * x.abs().max(1.0),
+            Value::Str(s) => s.push('x'),
+            other => panic!("not a leaf value: {}", other.kind()),
+        }
+    }
+
+    #[test]
+    fn every_leaf_of_the_committed_baseline_gates_or_is_informational() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let path = resolve_baseline_in(None, &root).expect("a committed BENCH_pr*.json");
+        let base = read_report(&path).unwrap().serialize_value();
+        let sections = base.as_object().unwrap();
+        let (mut gated, mut informational) = (0, 0);
+        for section in ["tasks", "serve", "scenarios", "fig6d"] {
+            let errors = gate(&base, &base, section);
+            assert!(errors.is_empty(), "{errors:?}");
+            let index = sections.iter().position(|(k, _)| k == section).unwrap();
+            let mut leaves = Vec::new();
+            let value = field(&base, section);
+            collect(
+                value,
+                section,
+                &[],
+                false,
+                &mut vec![index],
+                section,
+                false,
+                &mut leaves,
+            );
+            for leaf in leaves {
+                // Wall-clock noise must never fail the gate.
+                let name = leaf.path.rsplit('.').next().unwrap();
+                let timing = ["seconds", "_ms", "_rps"].iter().any(|t| name.ends_with(t));
+                assert!(!timing || leaf.informational, "{} gates", leaf.path);
+                let mut fresh = base.clone();
+                bump(leaf_mut(&mut fresh, &leaf.at));
+                let errors = gate(&fresh, &base, section);
+                if leaf.informational {
+                    informational += 1;
+                    assert!(errors.is_empty(), "{}: {errors:?}", leaf.path);
+                } else if leaf.key {
+                    gated += 1;
+                    assert!(!errors.is_empty(), "{}", leaf.path);
+                    assert!(errors[0].ends_with("not in the baseline"), "{errors:?}");
+                } else {
+                    gated += 1;
+                    assert_eq!(errors.len(), 1, "{}: {errors:?}", leaf.path);
+                    assert!(
+                        errors[0].starts_with(&leaf.path),
+                        "{}: {errors:?}",
+                        leaf.path
+                    );
+                }
+            }
+        }
+        assert!(
+            gated > 400 && informational > 300,
+            "{gated} + {informational}"
+        );
+
+        // A fresh run may measure a subset of the tasks, but must measure
+        // every scenario and every β.
+        for (section, dropped) in [("tasks", 0), ("scenarios", 1), ("fig6d", 1)] {
+            let mut fresh = base.clone();
+            let index = sections.iter().position(|(k, _)| k == section).unwrap();
+            let Value::Array(entries) = leaf_mut(&mut fresh, &[index]) else {
+                panic!("{section} is a list");
+            };
+            entries.remove(0);
+            let errors = gate(&fresh, &base, section);
+            assert_eq!(errors.len(), dropped, "{section}: {errors:?}");
+            assert!(errors.iter().all(|e| e.ends_with("not measured")));
+        }
     }
 }

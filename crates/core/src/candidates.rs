@@ -55,15 +55,6 @@ pub fn candidate_stage(
         let _t = timing::scoped(Phase::Block);
         options.blocker().block_prepared(col, num_left)
     };
-    let bs = blocking.stats;
-    timing::record_blocking_stats(
-        bs.lr_pairs,
-        bs.ll_pairs,
-        bs.per_probe_max,
-        bs.scored_records,
-        bs.postings_scanned,
-        bs.postings_total,
-    );
     if !options.use_negative_rules {
         return Candidates {
             blocking,

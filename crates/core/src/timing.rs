@@ -22,6 +22,11 @@
 //!
 //! Callers that want a per-run breakdown (`bench_smoke`) call [`reset`]
 //! before the run and [`snapshot`] after.
+//!
+//! Only wall-clock phase time lives here.  Blocking's candidate-set
+//! counters belong to the run that blocked: they travel on
+//! `BlockingOutput::stats`, which a single-column join hands back as
+//! `PipelineArtifacts::blocking`.
 
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -149,93 +154,12 @@ pub fn scoped(phase: Phase) -> PhaseGuard {
     }
 }
 
-/// Zero every accumulator (start of a measured run), including the blocking
-/// candidate-set statistics.
+/// Zero every accumulator (start of a measured run).
 pub fn reset() {
     for slot in 0..NUM_PHASES {
         NANOS[slot].store(0, Ordering::Relaxed);
         ENTRIES[slot].store(0, Ordering::Relaxed);
     }
-    for slot in &BLOCKING_STATS {
-        slot.store(0, Ordering::Relaxed);
-    }
-    BLOCKING_RECORDED.store(false, Ordering::Relaxed);
-}
-
-/// Candidate-set statistics of the blocking phase, as carried on the
-/// `BENCH_*.json` trajectory.  Every counter is an exact integer total over
-/// probes, identical at any thread count, so the fields gate like the
-/// quality metrics do (the derived `reduction_ratio` gates with a float
-/// epsilon).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct CandidateStats {
-    /// L–R candidate pairs kept by blocking.
-    pub lr_pairs: u64,
-    /// L–L candidate pairs kept by blocking (self excluded).
-    pub ll_pairs: u64,
-    /// Largest candidate list kept for any single probe record.
-    pub per_probe_max: u64,
-    /// Records exactly verified across all probes — the superset the
-    /// essential-list bound could not prune.
-    pub scored_records: u64,
-    /// Posting entries actually walked by the probes: the prefix warm-up
-    /// plus the essential lists.
-    pub postings_scanned: u64,
-    /// Posting entries the dense walk would have read.
-    pub postings_total: u64,
-    /// `1 − postings_scanned / postings_total`: the fraction of the dense
-    /// traversal the probes skipped (0 when nothing was probed or the
-    /// probes read at least as much as the dense walk).
-    pub reduction_ratio: f64,
-}
-
-// Slot order: lr_pairs, ll_pairs, per_probe_max, scored_records,
-// postings_scanned, postings_total.
-static BLOCKING_STATS: [AtomicU64; 6] = [const { AtomicU64::new(0) }; 6];
-static BLOCKING_RECORDED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-/// Record the candidate-set statistics of a blocking run.  Counters
-/// *accumulate* over calls (a pipeline blocks once, but multi-column joins
-/// may block per column); `per_probe_max` accumulates as a max.
-pub fn record_blocking_stats(
-    lr_pairs: u64,
-    ll_pairs: u64,
-    per_probe_max: u64,
-    scored_records: u64,
-    postings_scanned: u64,
-    postings_total: u64,
-) {
-    BLOCKING_STATS[0].fetch_add(lr_pairs, Ordering::Relaxed);
-    BLOCKING_STATS[1].fetch_add(ll_pairs, Ordering::Relaxed);
-    BLOCKING_STATS[2].fetch_max(per_probe_max, Ordering::Relaxed);
-    BLOCKING_STATS[3].fetch_add(scored_records, Ordering::Relaxed);
-    BLOCKING_STATS[4].fetch_add(postings_scanned, Ordering::Relaxed);
-    BLOCKING_STATS[5].fetch_add(postings_total, Ordering::Relaxed);
-    BLOCKING_RECORDED.store(true, Ordering::Relaxed);
-}
-
-/// The blocking candidate-set statistics accumulated since the last
-/// [`reset`], or `None` if no blocking run recorded any.
-pub fn blocking_stats() -> Option<CandidateStats> {
-    if !BLOCKING_RECORDED.load(Ordering::Relaxed) {
-        return None;
-    }
-    let load = |slot: usize| BLOCKING_STATS[slot].load(Ordering::Relaxed);
-    let (scanned, total) = (load(4), load(5));
-    let reduction_ratio = if total == 0 || scanned >= total {
-        0.0
-    } else {
-        1.0 - scanned as f64 / total as f64
-    };
-    Some(CandidateStats {
-        lr_pairs: load(0),
-        ll_pairs: load(1),
-        per_probe_max: load(2),
-        scored_records: load(3),
-        postings_scanned: scanned,
-        postings_total: total,
-        reduction_ratio,
-    })
 }
 
 /// Accumulated time of one phase, as reported by [`snapshot`].
@@ -307,26 +231,6 @@ mod tests {
                 "assemble"
             ]
         );
-    }
-
-    #[test]
-    fn blocking_stats_accumulate_and_derive_reduction() {
-        // No reset here (global state, parallel tests): assert relative
-        // effects only.
-        let before = blocking_stats().unwrap_or_default();
-        record_blocking_stats(10, 5, 7, 40, 100, 400);
-        let after = blocking_stats().expect("stats were recorded");
-        assert!(after.lr_pairs >= before.lr_pairs + 10);
-        assert!(after.ll_pairs >= before.ll_pairs + 5);
-        assert!(after.per_probe_max >= 7);
-        assert!(after.scored_records >= before.scored_records + 40);
-        assert!(after.postings_scanned >= before.postings_scanned + 100);
-        assert!(after.postings_total >= before.postings_total + 400);
-        assert!((0.0..=1.0).contains(&after.reduction_ratio));
-        if after.postings_total > 0 && after.postings_scanned < after.postings_total {
-            let expect = 1.0 - after.postings_scanned as f64 / after.postings_total as f64;
-            assert!((after.reduction_ratio - expect).abs() < 1e-12);
-        }
     }
 
     #[test]
