@@ -86,7 +86,7 @@ pub fn join_multi_column(
         })
         .collect();
     let cache = MultiColumnDistanceCache::build(
-        space.functions(),
+        space,
         &prepared,
         left.len(),
         right.len(),

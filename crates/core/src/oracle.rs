@@ -1,22 +1,23 @@
 //! Distance oracles.
 //!
-//! The precision-estimation and greedy-search machinery only needs two
-//! primitives: the distance between a left and a right record, and the
-//! distance between two left records, under the `i`-th join function of the
-//! search space.  Abstracting this behind [`DistanceOracle`] lets the same
-//! estimator drive
+//! The precision estimator needs two walks per group of join functions:
+//! the nearest left candidate of each right record
+//! ([`DistanceOracle::group_nearest`]) and the sorted ball neighbourhood of
+//! each left record ([`DistanceOracle::group_ll_distances`]).  Abstracting
+//! them behind [`DistanceOracle`] lets the same estimator drive
 //!
-//! * single-column joins ([`SingleColumnOracle`], distances computed directly
-//!   from one [`PreparedColumn`]), and
-//! * multi-column joins ([`WeightedColumnsOracle`], distances are weighted
-//!   sums of cached per-column distances, Definition 4.1), where the cache
-//!   ([`MultiColumnDistanceCache`]) is built once and reused across the many
+//! * single-column joins ([`SingleColumnOracle`]: kernel groups walk one
+//!   [`PreparedColumn`], sharing a merge walk across the set distances of a
+//!   scheme), and
+//! * multi-column joins ([`WeightedColumnsOracle`]: weighted sums of cached
+//!   per-column distances, Definition 4.1, read by candidate slot), where the
+//!   cache ([`MultiColumnDistanceCache`]) is filled once through
+//!   [`JoinFunctionSpace::batch_distances`] and reused across the many
 //!   weight vectors Algorithm 3 tries.
 
 use autofj_text::kernel::{offer_nearest, plan_kernel_groups, KernelFamily, KernelGroup};
-use autofj_text::{JoinFunction, PreparedColumn};
-use rayon::prelude::*;
-use std::collections::HashMap;
+use autofj_text::{JoinFunction, JoinFunctionSpace, PreparedColumn};
+use std::ops::Range;
 
 /// An evaluation group advertised by an oracle: functions whose distances
 /// the oracle can produce together in one pass per pair (e.g. all set
@@ -33,12 +34,10 @@ pub struct EvalGroup {
     pub plan_idx: usize,
 }
 
-/// Pairwise distances under an indexed family of join functions.
-///
-/// The `group_*` methods are the batched surface the estimator drives; their
-/// default implementations replicate the per-pair `lr`/`ll` calls exactly
-/// (byte-identical results), so existing oracles keep their behavior while
-/// [`SingleColumnOracle`] overrides them with shared-pass kernels.
+/// Pairwise distances under an indexed family of join functions, served in
+/// evaluation groups: the estimator asks only for the nearest left
+/// candidate of each right record and for the ball neighbourhood of each
+/// left record, one group of functions at a time.
 pub trait DistanceOracle: Sync {
     /// Number of join functions.
     fn num_functions(&self) -> usize;
@@ -46,22 +45,10 @@ pub trait DistanceOracle: Sync {
     fn num_left(&self) -> usize;
     /// Number of right (query) records.
     fn num_right(&self) -> usize;
-    /// Distance between left record `l` and right record `r` under function `f`.
-    fn lr(&self, f: usize, l: usize, r: usize) -> f64;
-    /// Distance between left records `l1` and `l2` under function `f`.
-    fn ll(&self, f: usize, l1: usize, l2: usize) -> f64;
 
     /// The oracle's evaluation groups, covering every function exactly once
-    /// in function order.  Default: one group per function, unknown family.
-    fn eval_groups(&self) -> Vec<EvalGroup> {
-        (0..self.num_functions())
-            .map(|f| EvalGroup {
-                family: None,
-                members: vec![f],
-                plan_idx: f,
-            })
-            .collect()
-    }
+    /// in function order.
+    fn eval_groups(&self) -> Vec<EvalGroup>;
 
     /// For every member of `group`, the nearest left candidate of right
     /// record `r` among `candidates` and its `f32` distance, folded through
@@ -73,14 +60,7 @@ pub trait DistanceOracle: Sync {
         r: usize,
         candidates: &[usize],
         out: &mut [Option<(u32, f32)>],
-    ) {
-        for (slot, &f) in out.iter_mut().zip(&group.members) {
-            *slot = None;
-            for &l in candidates {
-                offer_nearest(slot, l as u32, self.lr(f, l, r));
-            }
-        }
-    }
+    );
 
     /// For each member of `group` flagged in `wanted`, the ball
     /// neighbourhood of left record `l`: its finite `f32` distances to the
@@ -94,25 +74,13 @@ pub trait DistanceOracle: Sync {
         candidates: &[usize],
         wanted: &[bool],
         out: &mut [Vec<f32>],
-    ) {
-        for ((slot, &f), &w) in out.iter_mut().zip(&group.members).zip(wanted) {
-            if w {
-                slot.extend(
-                    candidates
-                        .iter()
-                        .map(|&l2| self.ll(f, l, l2) as f32)
-                        .filter(|d| d.is_finite()),
-                );
-                slot.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-            }
-        }
-    }
+    );
 }
 
 /// Oracle for single-column tables: one prepared column holding the left
 /// records followed by the right records.
 pub struct SingleColumnOracle {
-    functions: Vec<JoinFunction>,
+    num_functions: usize,
     column: PreparedColumn,
     num_left: usize,
     num_right: usize,
@@ -128,7 +96,7 @@ impl SingleColumnOracle {
         all.extend(left.iter().map(|s| s.as_ref()));
         all.extend(right.iter().map(|s| s.as_ref()));
         Self {
-            functions: functions.to_vec(),
+            num_functions: functions.len(),
             column: PreparedColumn::build(&all),
             num_left: left.len(),
             num_right: right.len(),
@@ -150,7 +118,7 @@ impl SingleColumnOracle {
 
 impl DistanceOracle for SingleColumnOracle {
     fn num_functions(&self) -> usize {
-        self.functions.len()
+        self.num_functions
     }
     fn num_left(&self) -> usize {
         self.num_left
@@ -158,13 +126,6 @@ impl DistanceOracle for SingleColumnOracle {
     fn num_right(&self) -> usize {
         self.num_right
     }
-    fn lr(&self, f: usize, l: usize, r: usize) -> f64 {
-        self.functions[f].distance(&self.column, l, self.num_left + r)
-    }
-    fn ll(&self, f: usize, l1: usize, l2: usize) -> f64 {
-        self.functions[f].distance(&self.column, l1, l2)
-    }
-
     fn eval_groups(&self) -> Vec<EvalGroup> {
         self.groups
             .iter()
@@ -216,18 +177,46 @@ pub struct MultiColumnDistanceCache {
     num_columns: usize,
     num_left: usize,
     num_right: usize,
-    /// `lr_index[r]` maps a left index to its slot in the flattened arrays.
-    lr_index: Vec<HashMap<u32, u32>>,
-    /// `ll_index[l]` maps another left index to its slot.
-    ll_index: Vec<HashMap<u32, u32>>,
-    /// `lr_dist[f][c]` is aligned with the flattened L–R pair list.
+    /// L–R candidate lists in CSR form: right record `r`'s candidates are
+    /// `lr_ids[lr_offsets[r]..lr_offsets[r + 1]]`, and so are its slots.
+    lr_offsets: Vec<usize>,
+    lr_ids: Vec<usize>,
+    /// L–L candidate lists, in the same CSR form per left record.
+    ll_offsets: Vec<usize>,
+    ll_ids: Vec<usize>,
+    /// `lr_dist[f][c][slot]`: function `f`'s distance on column `c`.
     lr_dist: Vec<Vec<Vec<f32>>>,
-    /// `ll_dist[f][c]` is aligned with the flattened L–L pair list.
+    /// `ll_dist[f][c][slot]`, aligned with the L–L slots.
     ll_dist: Vec<Vec<Vec<f32>>>,
-    /// Start offset of each right record's slots in the flattened L–R arrays.
-    lr_offsets: Vec<u32>,
-    /// Start offset of each left record's slots in the flattened L–L arrays.
-    ll_offsets: Vec<u32>,
+}
+
+/// Flatten candidate lists into CSR offsets and ids.
+fn csr(lists: &[Vec<usize>]) -> (Vec<usize>, Vec<usize>) {
+    let mut offsets = Vec::with_capacity(lists.len() + 1);
+    offsets.push(0);
+    let mut ids = Vec::with_capacity(lists.iter().map(Vec::len).sum());
+    for list in lists {
+        ids.extend_from_slice(list);
+        offsets.push(ids.len());
+    }
+    (offsets, ids)
+}
+
+/// `[f][c][slot]` distances of `pairs` under every function of `space`,
+/// one [`JoinFunctionSpace::batch_distances`] call per column, narrowed to
+/// `f32` before the next column is evaluated.
+fn column_distances(
+    space: &JoinFunctionSpace,
+    columns: &[PreparedColumn],
+    pairs: &[(usize, usize)],
+) -> Vec<Vec<Vec<f32>>> {
+    let mut dist = vec![Vec::new(); space.len()];
+    for col in columns {
+        for (per_fn, row) in dist.iter_mut().zip(space.batch_distances(col, pairs)) {
+            per_fn.push(row.into_iter().map(|d| d as f32).collect());
+        }
+    }
+    dist
 }
 
 impl MultiColumnDistanceCache {
@@ -238,81 +227,41 @@ impl MultiColumnDistanceCache {
     /// * `num_left` / `num_right` — row counts.
     /// * `lr_candidates[r]` — blocked left candidates of right record `r`.
     /// * `ll_candidates[l]` — blocked left candidates of left record `l`.
+    ///
+    /// Every pair puts the reference record first, as the directional
+    /// containment hybrids need: L–R pairs are `(l, num_left + r)` and L–L
+    /// pairs are `(l, l2)`.
     pub fn build(
-        functions: &[JoinFunction],
+        space: &JoinFunctionSpace,
         columns: &[PreparedColumn],
         num_left: usize,
         num_right: usize,
         lr_candidates: &[Vec<usize>],
         ll_candidates: &[Vec<usize>],
     ) -> Self {
-        let num_columns = columns.len();
-        let num_functions = functions.len();
-
-        let mut lr_offsets = Vec::with_capacity(num_right + 1);
-        let mut lr_pairs: Vec<(u32, u32)> = Vec::new();
-        let mut lr_index = Vec::with_capacity(num_right);
-        lr_offsets.push(0u32);
-        for (r, cands) in lr_candidates.iter().enumerate() {
-            let mut map = HashMap::with_capacity(cands.len());
-            for &l in cands {
-                map.insert(l as u32, lr_pairs.len() as u32);
-                lr_pairs.push((l as u32, r as u32));
-            }
-            lr_index.push(map);
-            lr_offsets.push(lr_pairs.len() as u32);
-        }
-
-        let mut ll_offsets = Vec::with_capacity(num_left + 1);
-        let mut ll_pairs: Vec<(u32, u32)> = Vec::new();
-        let mut ll_index = Vec::with_capacity(num_left);
-        ll_offsets.push(0u32);
-        for (l, cands) in ll_candidates.iter().enumerate() {
-            let mut map = HashMap::with_capacity(cands.len());
-            for &l2 in cands {
-                map.insert(l2 as u32, ll_pairs.len() as u32);
-                ll_pairs.push((l as u32, l2 as u32));
-            }
-            ll_index.push(map);
-            ll_offsets.push(ll_pairs.len() as u32);
-        }
-
-        let compute = |pairs: &[(u32, u32)], right_is_query: bool| -> Vec<Vec<Vec<f32>>> {
-            (0..num_functions)
-                .into_par_iter()
-                .map(|f| {
-                    (0..num_columns)
-                        .map(|c| {
-                            pairs
-                                .iter()
-                                .map(|&(a, b)| {
-                                    let right_idx = if right_is_query {
-                                        num_left + b as usize
-                                    } else {
-                                        b as usize
-                                    };
-                                    functions[f].distance(&columns[c], a as usize, right_idx) as f32
-                                })
-                                .collect()
-                        })
-                        .collect()
-                })
-                .collect()
-        };
-        let lr_dist = compute(&lr_pairs, true);
-        let ll_dist = compute(&ll_pairs, false);
-
+        let (lr_offsets, lr_ids) = csr(lr_candidates);
+        let (ll_offsets, ll_ids) = csr(ll_candidates);
+        let lr_pairs: Vec<(usize, usize)> = lr_candidates
+            .iter()
+            .enumerate()
+            .flat_map(|(r, cands)| cands.iter().map(move |&l| (l, num_left + r)))
+            .collect();
+        let ll_pairs: Vec<(usize, usize)> = ll_candidates
+            .iter()
+            .enumerate()
+            .flat_map(|(l, cands)| cands.iter().map(move |&l2| (l, l2)))
+            .collect();
         Self {
-            num_functions,
-            num_columns,
+            num_functions: space.len(),
+            num_columns: columns.len(),
             num_left,
             num_right,
-            lr_index,
-            ll_index,
-            lr_dist,
-            ll_dist,
+            lr_dist: column_distances(space, columns, &lr_pairs),
+            ll_dist: column_distances(space, columns, &ll_pairs),
             lr_offsets,
+            lr_ids,
             ll_offsets,
+            ll_ids,
         }
     }
 
@@ -323,17 +272,21 @@ impl MultiColumnDistanceCache {
 
     /// Number of cached L–R pairs.
     pub fn num_lr_pairs(&self) -> usize {
-        *self.lr_offsets.last().unwrap_or(&0) as usize
+        self.lr_ids.len()
     }
 
     /// Number of cached L–L pairs.
     pub fn num_ll_pairs(&self) -> usize {
-        *self.ll_offsets.last().unwrap_or(&0) as usize
+        self.ll_ids.len()
     }
 }
 
 /// A view of a [`MultiColumnDistanceCache`] under a specific column-weight
 /// vector `w` (Definition 4.1: `F_w(l, r) = Σ_j w_j · f(l[j], r[j])`).
+///
+/// Distances are read by slot: the estimator passes back exactly the
+/// candidate lists the cache was built from, and a different list panics
+/// instead of being misread.
 pub struct WeightedColumnsOracle<'a> {
     cache: &'a MultiColumnDistanceCache,
     weights: Vec<f64>,
@@ -354,21 +307,30 @@ impl<'a> WeightedColumnsOracle<'a> {
         Self { cache, weights }
     }
 
-    /// The weight vector of this view.
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
-    }
-
+    /// `F_w` of function `f` at `slot`: the cached `f32` column distances,
+    /// widened and summed in column order, skipping non-positive weights.
     #[inline]
-    fn weighted(&self, f: usize, slot: u32, dist: &[Vec<Vec<f32>>]) -> f64 {
+    fn weighted(&self, f: usize, slot: usize, dist: &[Vec<Vec<f32>>]) -> f64 {
         let mut sum = 0.0;
         for (c, &w) in self.weights.iter().enumerate() {
             if w > 0.0 {
-                sum += w * dist[f][c][slot as usize] as f64;
+                sum += w * dist[f][c][slot] as f64;
             }
         }
         sum
     }
+}
+
+/// The slot range of record `i` in a CSR candidate list, after checking
+/// that the caller asks about exactly the cached candidates.
+fn slots(offsets: &[usize], ids: &[usize], i: usize, candidates: &[usize]) -> Range<usize> {
+    let range = offsets[i]..offsets[i + 1];
+    assert_eq!(
+        &ids[range.clone()],
+        candidates,
+        "candidates of record {i} differ from the cached list"
+    );
+    range
 }
 
 impl DistanceOracle for WeightedColumnsOracle<'_> {
@@ -381,16 +343,55 @@ impl DistanceOracle for WeightedColumnsOracle<'_> {
     fn num_right(&self) -> usize {
         self.cache.num_right
     }
-    fn lr(&self, f: usize, l: usize, r: usize) -> f64 {
-        match self.cache.lr_index[r].get(&(l as u32)) {
-            Some(&slot) => self.weighted(f, slot, &self.cache.lr_dist),
-            None => f64::INFINITY,
+
+    /// One group per function: the cache holds no shared walk to exploit.
+    fn eval_groups(&self) -> Vec<EvalGroup> {
+        (0..self.cache.num_functions)
+            .map(|f| EvalGroup {
+                family: None,
+                members: vec![f],
+                plan_idx: f,
+            })
+            .collect()
+    }
+
+    fn group_nearest(
+        &self,
+        group: &EvalGroup,
+        r: usize,
+        candidates: &[usize],
+        out: &mut [Option<(u32, f32)>],
+    ) {
+        let (offsets, ids) = (&self.cache.lr_offsets, &self.cache.lr_ids);
+        let range = slots(offsets, ids, r, candidates);
+        for (best, &f) in out.iter_mut().zip(&group.members) {
+            *best = None;
+            for (slot, &l) in range.clone().zip(candidates) {
+                offer_nearest(best, l as u32, self.weighted(f, slot, &self.cache.lr_dist));
+            }
         }
     }
-    fn ll(&self, f: usize, l1: usize, l2: usize) -> f64 {
-        match self.cache.ll_index[l1].get(&(l2 as u32)) {
-            Some(&slot) => self.weighted(f, slot, &self.cache.ll_dist),
-            None => f64::INFINITY,
+
+    fn group_ll_distances(
+        &self,
+        group: &EvalGroup,
+        l: usize,
+        candidates: &[usize],
+        wanted: &[bool],
+        out: &mut [Vec<f32>],
+    ) {
+        let (offsets, ids) = (&self.cache.ll_offsets, &self.cache.ll_ids);
+        let range = slots(offsets, ids, l, candidates);
+        for ((row, &f), &w) in out.iter_mut().zip(&group.members).zip(wanted) {
+            if w {
+                row.extend(
+                    range
+                        .clone()
+                        .map(|slot| self.weighted(f, slot, &self.cache.ll_dist) as f32)
+                        .filter(|d| d.is_finite()),
+                );
+                row.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+            }
         }
     }
 }
@@ -412,6 +413,45 @@ mod tests {
         ]
     }
 
+    /// The evaluation group serving function `f`, and `f`'s slot in it.
+    fn group_of(oracle: &impl DistanceOracle, f: usize) -> (EvalGroup, usize) {
+        oracle
+            .eval_groups()
+            .into_iter()
+            .find_map(|g| {
+                let m = g.members.iter().position(|&x| x == f)?;
+                Some((g, m))
+            })
+            .expect("every function has a group")
+    }
+
+    /// Function `f`'s nearest candidate of right record `r`.
+    fn nearest(
+        oracle: &impl DistanceOracle,
+        f: usize,
+        r: usize,
+        candidates: &[usize],
+    ) -> Option<(u32, f32)> {
+        let (g, m) = group_of(oracle, f);
+        let mut out = vec![None; g.members.len()];
+        oracle.group_nearest(&g, r, candidates, &mut out);
+        out[m]
+    }
+
+    /// Function `f`'s sorted ball row of left record `l`.
+    fn ball_row(
+        oracle: &impl DistanceOracle,
+        f: usize,
+        l: usize,
+        candidates: &[usize],
+    ) -> Vec<f32> {
+        let (g, m) = group_of(oracle, f);
+        let wanted: Vec<bool> = (0..g.members.len()).map(|i| i == m).collect();
+        let mut out = vec![Vec::new(); g.members.len()];
+        oracle.group_ll_distances(&g, l, candidates, &wanted, &mut out);
+        std::mem::take(&mut out[m])
+    }
+
     #[test]
     fn single_column_oracle_matches_direct_distance() {
         let fns = small_functions();
@@ -421,67 +461,67 @@ mod tests {
         assert_eq!(oracle.num_left(), 2);
         assert_eq!(oracle.num_right(), 1);
         let direct = fns[1].distance_str("alpha beta", "alpha beta gamma");
-        assert!((oracle.lr(1, 0, 0) - direct).abs() < 1e-9);
+        assert_eq!(nearest(&oracle, 1, 0, &[0]), Some((0, direct as f32)));
         let ll_direct = fns[0].distance_str("alpha beta", "gamma delta");
-        assert!((oracle.ll(0, 0, 1) - ll_direct).abs() < 1e-9);
+        assert_eq!(ball_row(&oracle, 0, 0, &[1]), vec![ll_direct as f32]);
+    }
+
+    /// Two columns, two left records, one right record: L–R candidates
+    /// `[[0, 1]]`, L–L candidates `[[1], [0]]`.
+    fn two_column_cache() -> MultiColumnDistanceCache {
+        let space = JoinFunctionSpace::from_functions(small_functions(), "small");
+        let col_a = PreparedColumn::build(&["alpha beta", "gamma delta", "alpha beta"]);
+        let col_b = PreparedColumn::build(&["one", "two", "one two three"]);
+        let cache = MultiColumnDistanceCache::build(
+            &space,
+            &[col_a, col_b],
+            2,
+            1,
+            &[vec![0, 1]],
+            &[vec![1], vec![0]],
+        );
+        assert_eq!(cache.num_lr_pairs(), 2);
+        assert_eq!(cache.num_ll_pairs(), 2);
+        cache
     }
 
     #[test]
     fn weighted_oracle_sums_column_distances() {
         let fns = small_functions();
-        let left_a = ["alpha beta".to_string(), "gamma delta".to_string()];
-        let right_a = ["alpha beta".to_string()];
-        let left_b = ["one".to_string(), "two".to_string()];
-        let right_b = ["one two three".to_string()];
-        let col_a = PreparedColumn::build(
-            &left_a
-                .iter()
-                .chain(right_a.iter())
-                .cloned()
-                .collect::<Vec<_>>(),
-        );
-        let col_b = PreparedColumn::build(
-            &left_b
-                .iter()
-                .chain(right_b.iter())
-                .cloned()
-                .collect::<Vec<_>>(),
-        );
-        let lr_cands = vec![vec![0, 1]];
-        let ll_cands = vec![vec![1], vec![0]];
-        let cache =
-            MultiColumnDistanceCache::build(&fns, &[col_a, col_b], 2, 1, &lr_cands, &ll_cands);
-        assert_eq!(cache.num_lr_pairs(), 2);
-        assert_eq!(cache.num_ll_pairs(), 2);
-
+        let cache = two_column_cache();
         let oracle = WeightedColumnsOracle::new(&cache, vec![0.7, 0.3]);
         let expect = 0.7 * fns[1].distance_str("alpha beta", "alpha beta")
             + 0.3 * fns[1].distance_str("one", "one two three");
-        assert!((oracle.lr(1, 0, 0) - expect).abs() < 1e-5);
+        let (l, d) = nearest(&oracle, 1, 0, &[0, 1]).expect("a nearest candidate");
+        assert_eq!(l, 0);
+        assert!((d as f64 - expect).abs() < 1e-5);
+        let expect_ll = 0.7 * fns[0].distance_str("alpha beta", "gamma delta")
+            + 0.3 * fns[0].distance_str("one", "two");
+        let row = ball_row(&oracle, 0, 0, &[1]);
+        assert_eq!(row.len(), 1);
+        assert!((row[0] as f64 - expect_ll).abs() < 1e-5);
 
         // Zero-weight column contributes nothing.
         let oracle_a_only = WeightedColumnsOracle::new(&cache, vec![1.0, 0.0]);
         let expect_a = fns[1].distance_str("alpha beta", "alpha beta");
-        assert!((oracle_a_only.lr(1, 0, 0) - expect_a).abs() < 1e-5);
+        let (_, d_a) = nearest(&oracle_a_only, 1, 0, &[0, 1]).expect("a nearest candidate");
+        assert!((d_a as f64 - expect_a).abs() < 1e-5);
     }
 
     #[test]
-    fn weighted_oracle_reports_infinity_for_unblocked_pairs() {
-        let fns = small_functions();
-        let col = PreparedColumn::build(&["a", "b", "q"]);
-        let cache =
-            MultiColumnDistanceCache::build(&fns, &[col], 2, 1, &[vec![0]], &[vec![], vec![]]);
-        let oracle = WeightedColumnsOracle::new(&cache, vec![1.0]);
-        assert!(oracle.lr(0, 1, 0).is_infinite());
-        assert!(oracle.ll(0, 0, 1).is_infinite());
+    #[should_panic(expected = "differ from the cached list")]
+    fn weighted_oracle_panics_on_a_candidate_list_it_did_not_cache() {
+        let cache = two_column_cache();
+        let oracle = WeightedColumnsOracle::new(&cache, vec![0.5, 0.5]);
+        let _ = nearest(&oracle, 0, 0, &[1, 0]);
     }
 
     #[test]
     #[should_panic(expected = "weight vector length")]
     fn mismatched_weight_length_panics() {
-        let fns = small_functions();
+        let space = JoinFunctionSpace::from_functions(small_functions(), "small");
         let col = PreparedColumn::build(&["a", "b"]);
-        let cache = MultiColumnDistanceCache::build(&fns, &[col], 1, 1, &[vec![0]], &[vec![]]);
+        let cache = MultiColumnDistanceCache::build(&space, &[col], 1, 1, &[vec![0]], &[vec![]]);
         let _ = WeightedColumnsOracle::new(&cache, vec![0.5, 0.5]);
     }
 

@@ -13,7 +13,7 @@
 //!                                       140
 //! ```
 
-use crate::kernel::{plan_kernel_groups, with_scratch, FunctionKernel};
+use crate::kernel::{eval_function, plan_kernel_groups, with_scratch};
 use crate::prepared::PreparedColumn;
 use crate::preprocess::Preprocessing;
 use crate::tokenize::Tokenization;
@@ -178,17 +178,16 @@ impl JoinFunction {
     /// [`PreparedColumn::prepare_query`]); for in-column records it is
     /// exactly [`Self::distance`].
     ///
-    /// This is a thin wrapper over the kernel layer
-    /// ([`crate::kernel::FunctionKernel`]) using the calling thread's
-    /// scratch; batch callers should hold a [`crate::kernel::KernelScratch`]
-    /// of their own and use the kernel API directly.
+    /// This evaluates the function's kernel with the calling thread's
+    /// scratch; batch callers evaluate a whole [`crate::KernelGroup`] per
+    /// pair instead ([`JoinFunctionSpace::batch_distances`]).
     pub fn distance_between(
         &self,
         col: &PreparedColumn,
         lr: &crate::prepared::PreparedRecord,
         rr: &crate::prepared::PreparedRecord,
     ) -> f64 {
-        with_scratch(|scratch| FunctionKernel::new(col, *self).eval_records(scratch, lr, rr, None))
+        with_scratch(|scratch| eval_function(col, *self, scratch, lr, rr, None))
     }
 
     /// Distance between two raw strings, building a throw-away prepared
@@ -360,12 +359,12 @@ impl JoinFunctionSpace {
 
     /// Evaluate every function of the space over a batch of `(left, right)`
     /// record-index pairs of a prepared column, in parallel over
-    /// `(function, pair-block)` work items.
+    /// `(kernel group, pair-block)` work items.
     ///
     /// Returns one distance vector per function, aligned with
     /// [`Self::functions`] and with `pairs` — the batched equivalent of
-    /// calling [`JoinFunction::distance`] in two nested loops, and the
-    /// entry point future sharding/batching layers distribute over workers.
+    /// calling [`JoinFunction::distance`] in two nested loops.  The
+    /// multi-column distance cache is filled through it, once per column.
     ///
     /// Splitting by function alone strands the expensive `O(len²)`
     /// char-based functions in one worker's chunk while the set-based merge

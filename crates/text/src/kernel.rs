@@ -1,19 +1,19 @@
-//! The batched distance-kernel API.
+//! The distance kernels and the planner that shares their work.
 //!
-//! Everything that evaluates a [`JoinFunction`] now goes through this layer:
+//! Every [`JoinFunction`] evaluation ends in this module:
 //!
-//! * [`DistanceKernel`] — the trait: evaluate a batch of record-index pairs
-//!   into a flat output buffer, with reusable per-worker [`KernelScratch`]
-//!   and an optional distance bound for threshold-aware early exit.
-//! * [`FunctionKernel`] — one join function over a prepared column; routes
-//!   char distances to the bit-parallel / banded kernels of
-//!   [`crate::distance::myers`] and the scratch-reusing Jaro kernel, and set
-//!   distances to the merge walk of [`crate::distance::set`].
+//! * one function between two prepared records routes char distances to the
+//!   bit-parallel / banded kernels of [`crate::distance::myers`] and the
+//!   scratch-reusing Jaro kernel, and set distances to the merge walk of
+//!   [`crate::distance::set`] — [`JoinFunction::distance_between`] is its
+//!   public entry point;
 //! * [`KernelGroup`] / [`plan_kernel_groups`] — the sharing planner: set (and
 //!   hybrid) functions that differ only in the distance member share one
 //!   `(preprocessing, tokenization, weighting)` merge walk per pair, since
 //!   all of their distances are pure functions of the same [`set::SetOverlap`]
-//!   statistics.
+//!   statistics.  [`KernelGroup::eval_records_into`] evaluates one pair for
+//!   every member; the nearest fold, the ball neighbourhood walk and
+//!   [`crate::JoinFunctionSpace::batch_distances`] are built on it.
 //!
 //! ## The bound contract
 //!
@@ -49,33 +49,6 @@ thread_local! {
 /// caller that has no scratch of its own to pass down.
 pub fn with_scratch<R>(f: impl FnOnce(&mut KernelScratch) -> R) -> R {
     SCRATCH.with(|s| f(&mut s.borrow_mut()))
-}
-
-/// A batched distance evaluator over record-index pairs of some prepared
-/// column.
-pub trait DistanceKernel {
-    /// Number of distances written per pair (1 for single-function kernels,
-    /// the member count for family groups).
-    fn values_per_pair(&self) -> usize;
-
-    /// Evaluate `pairs` into `out` (length `pairs.len() * values_per_pair()`,
-    /// laid out pair-major), honouring the bound contract described in the
-    /// module docs.
-    fn eval_into(
-        &self,
-        scratch: &mut KernelScratch,
-        pairs: &[(u32, u32)],
-        bound: Option<f64>,
-        out: &mut [f64],
-    );
-
-    /// Convenience single-pair evaluation (single-function kernels only).
-    fn eval_pair(&self, scratch: &mut KernelScratch, l: u32, r: u32, bound: Option<f64>) -> f64 {
-        debug_assert_eq!(self.values_per_pair(), 1);
-        let mut out = [0.0f64];
-        self.eval_into(scratch, &[(l, r)], bound, &mut out);
-        out[0]
-    }
 }
 
 /// The kernel family a join function is served by (used for per-family
@@ -121,85 +94,35 @@ impl KernelFamily {
     }
 }
 
-/// One join function bound to a prepared column.
-#[derive(Debug, Clone, Copy)]
-pub struct FunctionKernel<'a> {
-    /// The column whose records (and weight tables) the kernel evaluates.
-    pub col: &'a PreparedColumn,
-    /// The join function.
-    pub func: JoinFunction,
-}
-
-impl<'a> FunctionKernel<'a> {
-    /// Construct a kernel for `func` over `col`.
-    pub fn new(col: &'a PreparedColumn, func: JoinFunction) -> Self {
-        Self { col, func }
-    }
-
-    /// Evaluate one pair of explicit prepared records (the online-query path
-    /// scores records that are not part of the column).
-    pub fn eval_records(
-        &self,
-        scratch: &mut KernelScratch,
-        lr: &PreparedRecord,
-        rr: &PreparedRecord,
-        bound: Option<f64>,
-    ) -> f64 {
-        let pi = prep_index(self.func.prep);
-        match self.func.dist {
-            DistanceFunction::JaroWinkler => bounded_jaro_winkler_ids(
-                &lr.char_ids[pi],
-                &rr.char_ids[pi],
-                bound,
-                &mut scratch.jaro,
-            ),
-            DistanceFunction::Edit => bounded_normalized_edit(
-                &lr.char_ids[pi],
-                &rr.char_ids[pi],
-                bound,
-                &mut scratch.edit,
-            ),
-            DistanceFunction::Embedding => {
-                embed::cosine_distance(&lr.embeddings[pi], &rr.embeddings[pi])
-            }
-            dist => {
-                let tok = self
-                    .func
-                    .tok
-                    .unwrap_or(crate::tokenize::Tokenization::Space);
-                let weighting = self
-                    .func
-                    .weight
-                    .unwrap_or(crate::weights::TokenWeighting::Equal);
-                let si = scheme_index(self.func.prep, tok);
-                let weights = self.col.weight_table(self.func.prep, tok, weighting);
-                let o = set::overlap(&lr.token_sets[si], &rr.token_sets[si], weights);
-                set_member_distance(&o, dist)
-            }
+/// Distance of `func` between two prepared records, using `col` only for
+/// its weight tables: char distances go to the bit-parallel / banded and
+/// Jaro kernels (honouring `bound`), set distances to one merge walk.
+pub(crate) fn eval_function(
+    col: &PreparedColumn,
+    func: JoinFunction,
+    scratch: &mut KernelScratch,
+    lr: &PreparedRecord,
+    rr: &PreparedRecord,
+    bound: Option<f64>,
+) -> f64 {
+    let pi = prep_index(func.prep);
+    match func.dist {
+        DistanceFunction::JaroWinkler => {
+            bounded_jaro_winkler_ids(&lr.char_ids[pi], &rr.char_ids[pi], bound, &mut scratch.jaro)
         }
-    }
-}
-
-impl DistanceKernel for FunctionKernel<'_> {
-    fn values_per_pair(&self) -> usize {
-        1
-    }
-
-    fn eval_into(
-        &self,
-        scratch: &mut KernelScratch,
-        pairs: &[(u32, u32)],
-        bound: Option<f64>,
-        out: &mut [f64],
-    ) {
-        assert_eq!(out.len(), pairs.len(), "one output slot per pair");
-        for (slot, &(l, r)) in out.iter_mut().zip(pairs) {
-            *slot = self.eval_records(
-                scratch,
-                self.col.record(l as usize),
-                self.col.record(r as usize),
-                bound,
-            );
+        DistanceFunction::Edit => {
+            bounded_normalized_edit(&lr.char_ids[pi], &rr.char_ids[pi], bound, &mut scratch.edit)
+        }
+        DistanceFunction::Embedding => {
+            embed::cosine_distance(&lr.embeddings[pi], &rr.embeddings[pi])
+        }
+        dist => {
+            let tok = func.tok.unwrap_or(crate::tokenize::Tokenization::Space);
+            let weighting = func.weight.unwrap_or(crate::weights::TokenWeighting::Equal);
+            let si = scheme_index(func.prep, tok);
+            let weights = col.weight_table(func.prep, tok, weighting);
+            let o = set::overlap(&lr.token_sets[si], &rr.token_sets[si], weights);
+            set_member_distance(&o, dist)
         }
     }
 }
@@ -268,7 +191,7 @@ impl KernelGroup {
         debug_assert_eq!(out.len(), self.members.len());
         match &self.kind {
             GroupKind::Single(func) => {
-                out[0] = FunctionKernel::new(col, *func).eval_records(scratch, lr, rr, bound);
+                out[0] = eval_function(col, *func, scratch, lr, rr, bound);
             }
             GroupKind::SetFamily {
                 prep,
@@ -370,43 +293,6 @@ pub fn offer_nearest(slot: &mut Option<(u32, f32)>, l: u32, d: f64) {
     match slot {
         Some((_, bd)) if d >= *bd => {}
         _ => *slot = Some((l, d)),
-    }
-}
-
-/// A [`KernelGroup`] bound to its column — the group-level
-/// [`DistanceKernel`], writing `members.len()` distances per pair.
-#[derive(Debug, Clone, Copy)]
-pub struct GroupKernel<'a> {
-    /// The column the group evaluates over.
-    pub col: &'a PreparedColumn,
-    /// The planned group.
-    pub group: &'a KernelGroup,
-}
-
-impl DistanceKernel for GroupKernel<'_> {
-    fn values_per_pair(&self) -> usize {
-        self.group.members.len()
-    }
-
-    fn eval_into(
-        &self,
-        scratch: &mut KernelScratch,
-        pairs: &[(u32, u32)],
-        bound: Option<f64>,
-        out: &mut [f64],
-    ) {
-        let k = self.values_per_pair();
-        assert_eq!(out.len(), pairs.len() * k, "members × pairs output slots");
-        for (chunk, &(l, r)) in out.chunks_mut(k).zip(pairs) {
-            self.group.eval_records_into(
-                self.col,
-                scratch,
-                self.col.record(l as usize),
-                self.col.record(r as usize),
-                bound,
-                chunk,
-            );
-        }
     }
 }
 

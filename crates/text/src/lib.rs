@@ -27,10 +27,7 @@ pub mod vocab;
 pub mod weights;
 
 pub use joinfn::{DistanceFunction, JoinFunction, JoinFunctionSpace};
-pub use kernel::{
-    plan_kernel_groups, with_scratch, DistanceKernel, FunctionKernel, GroupKernel, KernelFamily,
-    KernelGroup, KernelScratch,
-};
+pub use kernel::{plan_kernel_groups, with_scratch, KernelFamily, KernelGroup, KernelScratch};
 pub use prepared::{PreparedColumn, PreparedRecord};
 pub use preprocess::Preprocessing;
 pub use tokenize::Tokenization;

@@ -1,26 +1,24 @@
 //! Reference-vs-fast properties for the distance kernels (proptest).
 //!
-//! The bit-parallel / banded / merge-walk kernels behind the
-//! [`autofj_text::DistanceKernel`] API must be **bit-identical** to the
-//! retained scalar reference implementations on every input, at every bound,
-//! at every thread count — these properties pin that contract:
+//! The bit-parallel / banded / merge-walk kernels behind
+//! [`autofj_text::KernelGroup`] must be **bit-identical** to the retained
+//! scalar reference implementations on every input, at every bound, at every
+//! thread count — these properties pin that contract:
 //!
 //! * the Myers bit-parallel Levenshtein equals the single-row reference DP,
 //!   including across the 64-char block boundary;
 //! * a bounded kernel call with `bound = Some(τ)` returns the exact distance
 //!   whenever the true distance is ≤ τ, and some value > τ otherwise;
-//! * grouped batch evaluation (`eval_into`, `batch_distances`) returns the
-//!   same bytes as the one-pair-at-a-time [`JoinFunction::distance`] path.
+//! * grouped evaluation (`KernelGroup::eval_records_into`,
+//!   `batch_distances`) returns the same bytes as the one-function-at-a-time
+//!   [`JoinFunction::distance`] path.
 
 use autofj_text::distance::jaro::{bounded_jaro_winkler_ids, JaroScratch};
 use autofj_text::distance::myers::{bounded_normalized_edit, levenshtein_ids, EditScratch};
 use autofj_text::distance::reference::{
     char_ids, jaro_winkler_distance_reference, levenshtein_reference, normalized_edit_reference,
 };
-use autofj_text::{
-    plan_kernel_groups, DistanceKernel, GroupKernel, JoinFunctionSpace, KernelScratch,
-    PreparedColumn,
-};
+use autofj_text::{plan_kernel_groups, JoinFunctionSpace, KernelScratch, PreparedColumn};
 use proptest::prelude::*;
 use std::sync::Mutex;
 
@@ -108,37 +106,36 @@ proptest! {
         }
     }
 
-    /// Grouped `eval_into` — bounded or not — matches the per-pair
-    /// `JoinFunction::distance` path for every function of the reduced space,
-    /// bit for bit (bounded results only where the bound admits them).
+    /// `KernelGroup::eval_records_into` — bounded or not — matches the
+    /// per-function `JoinFunction::distance` path for every function of the
+    /// reduced space, bit for bit (bounded results only where the bound
+    /// admits them).
     #[test]
     fn grouped_eval_into_matches_per_pair_distance(
         strings in proptest::collection::vec(name_strategy(), 2..10),
         tau in 0.0f64..1.1,
     ) {
         let col = PreparedColumn::build(&strings);
-        let n = strings.len() as u32;
-        let pairs: Vec<(u32, u32)> = (0..n).flat_map(|i| (0..n).map(move |j| (i, j))).collect();
+        let n = strings.len();
         let space = JoinFunctionSpace::reduced24();
         let functions = space.functions();
         let mut scratch = KernelScratch::default();
         for group in plan_kernel_groups(functions) {
-            let members = &group.members;
-            let kernel = GroupKernel { col: &col, group: &group };
-            let k = kernel.values_per_pair();
-            let mut out = vec![0.0f64; pairs.len() * k];
-            let mut bounded = vec![0.0f64; pairs.len() * k];
-            kernel.eval_into(&mut scratch, &pairs, None, &mut out);
-            kernel.eval_into(&mut scratch, &pairs, Some(tau), &mut bounded);
-            for (p, &(i, j)) in pairs.iter().enumerate() {
-                for (m, &f_idx) in members.iter().enumerate() {
-                    let exact = functions[f_idx].distance(&col, i as usize, j as usize);
-                    let got = out[p * k + m];
+            let k = group.members.len();
+            let mut out = vec![0.0f64; k];
+            let mut bounded = vec![0.0f64; k];
+            for (i, j) in (0..n).flat_map(|i| (0..n).map(move |j| (i, j))) {
+                let (li, rj) = (col.record(i), col.record(j));
+                group.eval_records_into(&col, &mut scratch, li, rj, None, &mut out);
+                group.eval_records_into(&col, &mut scratch, li, rj, Some(tau), &mut bounded);
+                for (m, &f_idx) in group.members.iter().enumerate() {
+                    let exact = functions[f_idx].distance(&col, i, j);
+                    let got = out[m];
                     prop_assert!(
                         got.to_bits() == exact.to_bits(),
                         "{}: {got} vs {exact}", functions[f_idx].code()
                     );
-                    let bv = bounded[p * k + m];
+                    let bv = bounded[m];
                     if exact <= tau {
                         prop_assert_eq!(bv.to_bits(), exact.to_bits());
                     } else {

@@ -3,10 +3,14 @@
 
 use autofj::block::{block_reference, Blocker, GramIndex, ProbeScratch};
 use autofj::core::negative_rules::reference::NegativeRuleSet;
+use autofj::core::oracle::{DistanceOracle, MultiColumnDistanceCache, WeightedColumnsOracle};
 use autofj::core::{candidate_stage, AutoFjOptions, AutoFuzzyJoin, InternedRuleSet, Table};
 use autofj::eval::{adjusted_recall, evaluate_assignment, pr_auc, ScoredPrediction};
 use autofj::text::prepared::scheme_index;
-use autofj::text::{JoinFunctionSpace, PreparedColumn, Preprocessing, Tokenization};
+use autofj::text::{
+    DistanceFunction, JoinFunction, JoinFunctionSpace, PreparedColumn, Preprocessing,
+    TokenWeighting, Tokenization,
+};
 use proptest::prelude::*;
 use std::sync::Mutex;
 
@@ -126,6 +130,35 @@ fn zipf_gram_set(draws: &[u32]) -> Vec<u32> {
     set.sort_unstable();
     set.dedup();
     set
+}
+
+/// Strategy: a table cell that is 1–3 words of a three-word pool (so
+/// one cell's words often contain another's) or a short random name.
+fn cell_strategy() -> impl Strategy<Value = String> {
+    proptest::string::string_regex(
+        "(lsu|tigers|2007)( (lsu|tigers|2007)){0,2}|[A-Za-z0-9]{1,8}( [A-Za-z0-9]{1,8}){0,2}",
+    )
+    .unwrap()
+}
+
+/// The directional set distances (`r ⊆ l` containment hybrids).
+const CONTAINMENT: [DistanceFunction; 3] = [
+    DistanceFunction::ContainJaccard,
+    DistanceFunction::ContainCosine,
+    DistanceFunction::ContainDice,
+];
+
+/// Spec of Definition 4.1 over cached `f32` column distances: function
+/// `f`'s per-column `distance(a, b)`, narrowed to `f32`, widened and summed
+/// in column order, skipping zero weights.
+fn weighted_spec(f: &JoinFunction, cols: &[PreparedColumn], w: &[f64], a: usize, b: usize) -> f64 {
+    let mut sum = 0.0;
+    for (col, &wc) in cols.iter().zip(w) {
+        if wc > 0.0 {
+            sum += wc * f.distance(col, a, b) as f32 as f64;
+        }
+    }
+    sum
 }
 
 /// `build_global` mutates process-wide state; the blocking-equivalence
@@ -412,6 +445,96 @@ proptest! {
         for p in &result.pairs {
             prop_assert!(p.left < left.len());
             prop_assert!(p.right < right.len());
+        }
+    }
+
+    /// `WeightedColumnsOracle`'s two group walks equal the spec, over the
+    /// reduced-24 space plus the containment hybrids, on random 2–3-column
+    /// tables (missing values included), random candidate lists
+    /// (empty ones included) and weight vectors with zeros: the nearest walk
+    /// is a first-wins strict-min fold of `weighted_spec` narrowed to
+    /// `f32`, and a wanted ball row holds the finite narrowed values sorted
+    /// ascending (an unwanted one stays empty).
+    #[test]
+    fn weighted_oracle_walks_match_column_sum_spec(
+        columns in 2usize..4,
+        left in proptest::collection::vec(
+            proptest::collection::vec(proptest::option::of(cell_strategy()), 3..4), 1..6),
+        right in proptest::collection::vec(
+            proptest::collection::vec(proptest::option::of(cell_strategy()), 3..4), 1..5),
+        lr_raw in proptest::collection::vec(proptest::collection::vec(0usize..64, 0..5), 5..6),
+        ll_raw in proptest::collection::vec(proptest::collection::vec(0usize..64, 0..5), 6..7),
+        weight_steps in proptest::collection::vec(0usize..4, 3..4),
+    ) {
+        let (nl, nr) = (left.len(), right.len());
+        let cols: Vec<PreparedColumn> = (0..columns)
+            .map(|c| {
+                let values: Vec<&str> = left
+                    .iter()
+                    .chain(&right)
+                    .map(|row| row[c].as_deref().unwrap_or(""))
+                    .collect();
+                PreparedColumn::build(&values)
+            })
+            .collect();
+        let to_lefts = |raw: &[Vec<usize>], n: usize| -> Vec<Vec<usize>> {
+            raw[..n].iter().map(|c| c.iter().map(|&l| l % nl).collect()).collect()
+        };
+        let lr_cands = to_lefts(&lr_raw, nr);
+        let ll_cands = to_lefts(&ll_raw, nl);
+        let weights: Vec<f64> = weight_steps[..columns].iter().map(|&k| k as f64 / 3.0).collect();
+        // Reduced-24 is all symmetric distances; the directional containment
+        // hybrids also pin that each pair puts the reference record first.
+        let mut functions = JoinFunctionSpace::reduced24().functions().to_vec();
+        functions.extend(CONTAINMENT.map(|d| {
+            JoinFunction::set_based(Preprocessing::Lower, Tokenization::Space, TokenWeighting::Idf, d)
+        }));
+        let space = JoinFunctionSpace::from_functions(functions, "reduced-24+contain");
+        let cache = MultiColumnDistanceCache::build(&space, &cols, nl, nr, &lr_cands, &ll_cands);
+        let oracle = WeightedColumnsOracle::new(&cache, weights.clone());
+
+        for group in oracle.eval_groups() {
+            let k = group.members.len();
+            for (r, cands) in lr_cands.iter().enumerate() {
+                let mut got = vec![None; k];
+                oracle.group_nearest(&group, r, cands, &mut got);
+                for (&f, got) in group.members.iter().zip(got) {
+                    let func = &space.functions()[f];
+                    let mut want: Option<(u32, f32)> = None;
+                    for &l in cands {
+                        let d = weighted_spec(func, &cols, &weights, l, nl + r) as f32;
+                        if d.is_finite() && want.is_none_or(|(_, best)| d < best) {
+                            want = Some((l as u32, d));
+                        }
+                    }
+                    prop_assert!(
+                        got.map(|(l, d)| (l, d.to_bits())) == want.map(|(l, d)| (l, d.to_bits())),
+                        "{} nearest of r={r}: {got:?} vs {want:?}", func.code()
+                    );
+                }
+            }
+            for (l, cands) in ll_cands.iter().enumerate() {
+                let wanted: Vec<bool> = group.members.iter().map(|&f| (f + l) % 3 != 0).collect();
+                let mut got = vec![Vec::new(); k];
+                oracle.group_ll_distances(&group, l, cands, &wanted, &mut got);
+                for ((&f, &w), got) in group.members.iter().zip(&wanted).zip(got) {
+                    let func = &space.functions()[f];
+                    let mut want: Vec<f32> = Vec::new();
+                    if w {
+                        want = cands
+                            .iter()
+                            .map(|&l2| weighted_spec(func, &cols, &weights, l, l2) as f32)
+                            .filter(|d| d.is_finite())
+                            .collect();
+                        want.sort_by(|a, b| a.total_cmp(b));
+                    }
+                    let bits = |v: &[f32]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+                    prop_assert!(
+                        bits(&got) == bits(&want),
+                        "{} ball row of l={l}: {got:?} vs {want:?}", func.code()
+                    );
+                }
+            }
         }
     }
 
