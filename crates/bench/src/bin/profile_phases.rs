@@ -4,6 +4,8 @@
 //! This is the interactive companion of the `phases` section that
 //! `bench_smoke` persists into `BENCH_*.json`: one run, one table, no gate —
 //! for answering "where do the seconds go?" before touching the code.
+//! Under the table it prints the greedy search's work counters
+//! ([`GreedyStats`]), counted on a second, untimed learn of the same task.
 //!
 //! ```bash
 //! AUTOFJ_SCALE=medium RAYON_NUM_THREADS=1 \
@@ -17,9 +19,29 @@
 
 use autofj_bench::runner::{autofj_options, run_autofj};
 use autofj_bench::Reporter;
-use autofj_core::timing;
-use autofj_datagen::{benchmark_specs, medium_smoke_spec, BenchmarkScale};
+use autofj_core::estimate::Precompute;
+use autofj_core::greedy::{run_greedy_with_stats, GreedyStats};
+use autofj_core::oracle::SingleColumnOracle;
+use autofj_core::{candidate_stage, timing, AutoFjOptions};
+use autofj_datagen::{benchmark_specs, medium_smoke_spec, BenchmarkScale, SingleColumnTask};
 use autofj_text::JoinFunctionSpace;
+
+/// The greedy work counters of one learn of `task`.
+fn greedy_stats(
+    task: &SingleColumnTask,
+    space: &JoinFunctionSpace,
+    options: &AutoFjOptions,
+) -> GreedyStats {
+    let oracle = SingleColumnOracle::build(space.functions(), &task.left, &task.right);
+    let candidates = candidate_stage(oracle.column(), task.left.len(), options);
+    let pre = Precompute::build(
+        &oracle,
+        candidates.lr_candidates(),
+        &candidates.blocking.left_candidates_of_left,
+        options.num_thresholds,
+    );
+    run_greedy_with_stats(&pre, options).1
+}
 
 fn main() {
     let scale = std::env::var("AUTOFJ_SCALE")
@@ -43,9 +65,10 @@ fn main() {
         threads
     );
 
+    let options = autofj_options();
     timing::reset();
     rayon::reset_engine_stats();
-    let (result, quality, _pepcc, seconds) = run_autofj(&task, &space, &autofj_options());
+    let (result, quality, _pepcc, seconds) = run_autofj(&task, &space, &options);
     let phases = timing::snapshot();
     let engine = rayon::engine_stats();
 
@@ -78,5 +101,16 @@ fn main() {
         engine.parallel_span_seconds,
         engine.parallel_work_seconds / engine.parallel_span_seconds.max(1e-9),
         threads,
+    );
+    let greedy = greedy_stats(&task, &space, &options);
+    let after_round_one: u64 = greedy.updates_per_round.iter().sum();
+    println!(
+        "greedy work: {} round(s), round-1 coverage {}, {} histogram update(s) after \
+         round 1 (at most {} in one round), {} in all",
+        greedy.rounds,
+        greedy.round_one_coverage,
+        after_round_one,
+        greedy.updates_per_round.iter().max().unwrap_or(&0),
+        greedy.round_one_coverage + after_round_one,
     );
 }

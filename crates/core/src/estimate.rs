@@ -19,19 +19,18 @@
 //! Everything a greedy round needs about a candidate configuration
 //! `C = ⟨f, θ⟩` is **frozen at pre-compute time**: the coverage of `C` (the
 //! prefix of [`FunctionStats::sorted_rights`] with distance ≤ θ) and the
-//! per-pair precision [`FunctionStats::precision_at_rank`] depend only on
-//! this pre-compute, never on the evolving assignment.  A candidate's
-//! marginal TP/FP delta against the current assignment is therefore a sum of
-//! *per-right* contributions, where each contribution is a pure function of
-//! `(rank, assignment[r])`.  This is what makes the greedy search's
-//! incremental re-scoring exact rather than approximate: if none of a
-//! candidate's covered right records changed assignment since its delta was
-//! last computed, every per-right contribution — and, because the summation
-//! order over ranks is fixed, the floating-point sum itself — is
-//! **bit-identical** to a recompute-from-scratch.  The search only needs to
-//! re-score candidates whose threshold reaches the nearest-distance of some
-//! re-assigned right record (`θ ≥ min_changed d_f(r)`); see
-//! `greedy::run_greedy` and the `run_greedy_reference` equivalence tests.
+//! whole ball count `n` of each covered pair, whose precision is `1/(1+n)`
+//! ([`FunctionStats::ball_counts`] for the `2θ` ball; the pair's own `2d`
+//! ball under [`BallMode::PairDistance`]).  Neither depends on the evolving
+//! assignment.  A candidate's marginal TP/FP against the current assignment
+//! is therefore a sum of per-right contributions, each a pure function of
+//! `(n, assignment[r])`, which the greedy search keeps as an integer
+//! histogram over `n`.  When a round changes right record `r`, only the
+//! candidates whose threshold reaches `d_f(r)` cover it, and each subtracts
+//! `r`'s old contribution and adds its new one.  Integer counts make that
+//! exact: an updated histogram equals one rebuilt from scratch, so the TP/FP
+//! read off it are the same bits; see `greedy` and the
+//! `run_greedy_reference` equivalence tests.
 
 use crate::options::BallMode;
 use crate::oracle::{DistanceOracle, EvalGroup};
@@ -73,7 +72,7 @@ pub fn ball_precision(sorted_distances: &[f32], radius: f64) -> f64 {
 
 /// `1 / (1 + n)` for `n` reference neighbours inside the ball.
 #[inline]
-fn inverse_ball_count(neighbours: usize) -> f64 {
+pub(crate) fn inverse_ball_count(neighbours: usize) -> f64 {
     1.0 / (1.0 + neighbours as f64)
 }
 
@@ -190,17 +189,6 @@ impl FunctionStats {
             BallMode::PairDistance => 2.0 * d as f64,
         };
         ball_precision(&self.ll_sorted[l as usize], radius)
-    }
-
-    /// O(1) per-pair precision for the right record at `rank` under the
-    /// threshold at `threshold_idx` — bit-identical to
-    /// [`Self::precision_at_rank`] with [`BallMode::ConfigTheta`] and the
-    /// same threshold (the table caches the identical partition-point count
-    /// and the quotient is computed the same way).
-    #[inline]
-    pub fn precision_at_threshold_idx(&self, rank: usize, threshold_idx: usize) -> f64 {
-        let l = self.lefts[rank];
-        inverse_ball_count(self.ball_counts[threshold_idx][l as usize] as usize)
     }
 
     /// The nearest left record and distance of right record `r`, if any.

@@ -11,27 +11,28 @@
 //! configurations) are resolved by keeping the assignment with the higher
 //! per-pair precision estimate, as described at the end of §3.1.
 //!
-//! # Incremental re-scoring
+//! # Exact integer accounting
 //!
-//! A naive implementation recomputes `profit(U ∪ {C})` for **every**
-//! candidate in **every** round, walking each candidate's full coverage.
-//! This search instead caches every candidate's TP/FP delta and, after a
-//! round assigns (or re-assigns) a set of right records, re-scores only the
-//! candidates whose coverage can intersect those records: candidate
-//! `⟨f, θ⟩` covers right `r` iff `d_f(r) ≤ θ`, so it needs re-scoring iff
-//! `θ ≥ min over changed r of d_f(r)`.  Cached deltas of untouched
-//! candidates are *bit-identical* to a recompute (the incremental-estimate
-//! invariant, see `crate::estimate`), which
-//! [`run_greedy_reference`] — the retained recompute-from-scratch
-//! implementation — pins in the cross-implementation equivalence tests.
+//! Every per-pair precision is `p = 1/(1+n)` (Eq. 8/9) for a whole count `n`
+//! of reference records in the ball.  So a candidate's marginal change to
+//! the solution is a signed histogram `g[n]` plus a join count: a join adds
+//! +1 at `n`, a §3.1 replacement also −1 at the displaced join's `n_old`.
+//! Its TP/FP delta is `Σ g[n]/(1+n)` and `Σ g[n]·n/(1+n)` in ascending `n`,
+//! and the solution's own TP/FP is one more histogram.  Integer adds
+//! commute, so no figure depends on accounting order or thread count.
 //!
-//! Note that a candidate's delta is **not monotone** across rounds: a
-//! right record re-assigned to a *different* left by a conflict resolution
-//! can resurrect a positive TP contribution for a candidate that agreed
-//! with the old left.  Candidates are therefore never dropped from the
-//! frontier while unselected, only skipped while their cached `tp ≤ 0`.
+//! Round 1 builds every histogram from the candidate's full coverage.  A
+//! round that changes right record `r` then updates only the alive
+//! `⟨f, θ⟩` with `d_f(r) ≤ θ` (a partition point in `f`'s thresholds): out
+//! goes `r`'s old contribution, in goes its new one.  [`run_greedy_reference`],
+//! the from-scratch spec, rebuilds every histogram each round instead; the
+//! tests pin both paths to equal histograms and equal outcomes.
+//!
+//! A delta is **not monotone**: a conflict resolution that moves a record to
+//! another left can revive a candidate that agreed with the old left, so
+//! unselected candidates are only skipped while `Δtp ≤ 0`, never dropped.
 
-use crate::estimate::Precompute;
+use crate::estimate::{ball_count_sorted, inverse_ball_count, Precompute};
 use crate::options::{AutoFjOptions, BallMode};
 use crate::timing::{self, Phase};
 use rayon::prelude::*;
@@ -94,6 +95,20 @@ impl GreedyOutcome {
     }
 }
 
+/// The work one greedy run did, counted on the run itself (see
+/// [`run_greedy_with_stats`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct GreedyStats {
+    /// Accepted rounds (selected configurations).
+    pub rounds: usize,
+    /// (candidate, covered right record) pairs walked to build the round-1
+    /// histograms.
+    pub round_one_coverage: u64,
+    /// Histogram updates after each accepted round of the union search: one
+    /// per (changed right record, alive candidate covering it).
+    pub updates_per_round: Vec<u64>,
+}
+
 /// What offering a join to one right record changes under the §3.1
 /// conflict rule; see [`offer`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -123,379 +138,359 @@ pub fn offer(current: Option<&Assigned>, left: u32, precision: f64) -> Offer {
     }
 }
 
-/// The change a candidate would make to the current solution.
-#[derive(Debug, Clone, Copy, Default)]
+/// Expected true and false positives, of a solution or of a candidate's
+/// marginal change to it.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct Delta {
     tp: f64,
     fp: f64,
-    new_joins: usize,
 }
 
-impl Delta {
-    /// Account for one offer of a pair with precision `p`.
+/// What a right record holds: its join, if any, and that join's ball count.
+type Held = (Option<Assigned>, u32);
+
+/// A signed count, per ball count `n`, of the pairs a candidate would add
+/// (+1) or displace (−1), plus the number of right records it would newly
+/// join.  The solution is the histogram of everything applied so far.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Histogram {
+    counts: Vec<i32>,
+    joins: i32,
+}
+
+impl Histogram {
+    /// Account `sign` × what offering left `l` with ball count `n` and
+    /// precision `p` changes for a right record that holds `held`; return
+    /// the offer.
     #[inline]
-    fn add(&mut self, offer: Offer, p: f64) {
-        match offer {
+    fn offer(&mut self, held: Held, l: u32, (n, p): (u32, f64), sign: i32) -> Offer {
+        let o = offer(held.0.as_ref(), l, p);
+        match o {
             Offer::Keep => {}
             Offer::Join => {
-                self.tp += p;
-                self.fp += 1.0 - p;
-                self.new_joins += 1;
+                self.counts[n as usize] += sign;
+                self.joins += sign;
             }
-            Offer::Replace(old) => {
-                self.tp += p - old;
-                self.fp += old - p;
+            Offer::Replace(_) => {
+                self.counts[n as usize] += sign;
+                self.counts[held.1 as usize] -= sign;
             }
         }
+        o
     }
-}
 
-/// Per-pair precision of the right record at `rank` under `cand`: the O(1)
-/// ball-count table for the default config-θ ball, the binary-search path
-/// for the pair-distance ball (whose cutoff varies per rank).  Both compute
-/// the same bits for ConfigTheta (see `FunctionStats::precision_at_threshold_idx`).
-#[inline]
-fn pair_precision(
-    stats: &crate::estimate::FunctionStats,
-    rank: usize,
-    cand: CandidateConfig,
-    ball_mode: BallMode,
-) -> f64 {
-    match ball_mode {
-        BallMode::ConfigTheta => stats.precision_at_threshold_idx(rank, cand.threshold_idx),
-        BallMode::PairDistance => stats.precision_at_rank(rank, cand.threshold, ball_mode),
-    }
-}
-
-/// Evaluate the delta of adding candidate `cand` to the current assignment.
-fn evaluate_candidate(
-    pre: &Precompute,
-    assignment: &[Option<Assigned>],
-    cand: CandidateConfig,
-    ball_mode: BallMode,
-) -> Delta {
-    let stats = &pre.functions[cand.function];
-    let joined = stats.joined_count(cand.threshold);
-    let mut delta = Delta::default();
-    for rank in 0..joined {
-        let (r, _) = stats.sorted_rights[rank];
-        let l = stats.lefts[rank];
-        let p = pair_precision(stats, rank, cand, ball_mode);
-        delta.add(offer(assignment[r as usize].as_ref(), l, p), p);
-    }
-    delta
-}
-
-/// Fixed rank-block size for the parallel conflict-resolving apply.  The
-/// block size is a constant — never derived from the thread count — so the
-/// per-block floating-point folds and their merge order are identical at any
-/// thread count, keeping every bit of TP/FP deterministic.
-const APPLY_BLOCK: usize = 4096;
-
-/// Apply candidate `cand` to the assignment, mutating it in place.
-///
-/// Returns the applied delta and the right records whose assignment changed
-/// (newly joined or re-assigned by conflict resolution).  Each right record
-/// appears at most once in `sorted_rights` (one nearest neighbour per
-/// right), so per-rank decisions only read that record's own slot and never
-/// conflict: blocks of ranks are decided in parallel against a frozen
-/// snapshot and the updates written back sequentially in block order.
-fn apply_candidate(
-    pre: &Precompute,
-    assignment: &mut [Option<Assigned>],
-    cand: CandidateConfig,
-    config_ordinal: usize,
-    ball_mode: BallMode,
-) -> (Delta, Vec<u32>) {
-    let stats = &pre.functions[cand.function];
-    let joined = stats.joined_count(cand.threshold);
-    let snapshot: &[Option<Assigned>] = assignment;
-    let blocks: Vec<(usize, usize)> = (0..joined)
-        .step_by(APPLY_BLOCK)
-        .map(|start| (start, (start + APPLY_BLOCK).min(joined)))
-        .collect();
-    let per_block: Vec<(Delta, Vec<(u32, Assigned)>)> = blocks
-        .par_iter()
-        .map(|&(start, end)| {
-            let mut delta = Delta::default();
-            let mut updates = Vec::new();
-            for rank in start..end {
-                let (r, d) = stats.sorted_rights[rank];
-                let l = stats.lefts[rank];
-                let p = pair_precision(stats, rank, cand, ball_mode);
-                let o = offer(snapshot[r as usize].as_ref(), l, p);
-                delta.add(o, p);
-                if o != Offer::Keep {
-                    updates.push((
-                        r,
-                        Assigned {
-                            left: l,
-                            distance: d,
-                            precision: p,
-                            config_ordinal,
-                        },
-                    ));
-                }
-            }
-            (delta, updates)
-        })
-        .collect();
-    let mut total = Delta::default();
-    let mut changed = Vec::new();
-    for (delta, updates) in per_block {
-        total.tp += delta.tp;
-        total.fp += delta.fp;
-        total.new_joins += delta.new_joins;
-        for (r, a) in updates {
-            assignment[r as usize] = Some(a);
-            changed.push(r);
+    /// `Σ g[n]/(1+n)` and `Σ g[n]·n/(1+n)` in ascending `n`, with
+    /// `weights[n] = (1/(1+n), n/(1+n))`.
+    fn delta(&self, weights: &[(f64, f64)]) -> Delta {
+        let mut d = Delta::default();
+        for (&g, &(tp, fp)) in self.counts.iter().zip(weights) {
+            d.tp += g as f64 * tp;
+            d.fp += g as f64 * fp;
         }
+        d
     }
-    (total, changed)
 }
 
-/// For each function, the minimum nearest-neighbour distance among the
-/// `changed` right records — the smallest threshold whose coverage can
-/// intersect them.  `None` when no changed record has a neighbour under the
-/// function (its candidates never need re-scoring for this round).
-fn min_changed_distance_per_function(pre: &Precompute, changed: &[u32]) -> Vec<Option<f32>> {
-    pre.functions
-        .par_iter()
-        .map(|stats| {
-            let mut min: Option<f32> = None;
-            for &r in changed {
-                if let Some((_, d)) = stats.nearest[r as usize] {
-                    if min.is_none_or(|m| d < m) {
-                        min = Some(d);
-                    }
+/// The index of the largest key, the earliest one on equal keys.
+fn first_max(keyed: impl Iterator<Item = (usize, f64)>) -> Option<usize> {
+    keyed
+        .reduce(|a, b| if b.1 > a.1 { b } else { a })
+        .map(|(i, _)| i)
+}
+
+/// Enumerate every candidate configuration of a pre-compute, function-major
+/// with ascending thresholds.
+pub fn candidate_configs(pre: &Precompute) -> Vec<CandidateConfig> {
+    (pre.functions.iter().enumerate())
+        .flat_map(|(function, stats)| {
+            (stats.thresholds.iter().enumerate()).map(move |(threshold_idx, &threshold)| {
+                CandidateConfig {
+                    function,
+                    threshold,
+                    threshold_idx,
                 }
-            }
-            min
+            })
         })
         .collect()
 }
 
-/// Enumerate every candidate configuration of a pre-compute.
-pub fn candidate_configs(pre: &Precompute) -> Vec<CandidateConfig> {
-    let mut out = Vec::with_capacity(pre.num_candidate_configs());
-    for (f, stats) in pre.functions.iter().enumerate() {
-        for (ti, &t) in stats.thresholds.iter().enumerate() {
-            out.push(CandidateConfig {
-                function: f,
-                threshold: t,
-                threshold_idx: ti,
-            });
+/// One greedy search: the assignment, the solution's histogram and every
+/// candidate's histogram against it.
+struct Search<'a> {
+    pre: &'a Precompute,
+    candidates: Vec<CandidateConfig>,
+    /// Under [`BallMode::PairDistance`], `pair_balls[f][r]` is the ball
+    /// count of right `r`'s pair under `f` (the `2·d` ball depends only on
+    /// the pair, so one count serves every `θ ≥ d`).  `None` under
+    /// [`BallMode::ConfigTheta`], whose counts are `ball_counts[t][l]`.
+    pair_balls: Option<Vec<Vec<u32>>>,
+    /// `(1/(1+n), n/(1+n))` for every ball count `n` of any pair; its
+    /// length is every histogram's, since a replacement's `n_old` may come
+    /// from another function.
+    weights: Vec<(f64, f64)>,
+    /// Not yet selected.  Selected candidates are marked, never removed, so
+    /// candidate order (and with it first-wins tie-breaking) is fixed.
+    alive: Vec<bool>,
+    hists: Vec<Histogram>,
+    deltas: Vec<Delta>,
+    assignment: Vec<Option<Assigned>>,
+    /// Ball count of each assigned right record's join.
+    balls: Vec<u32>,
+    solution: Histogram,
+    selected: Vec<CandidateConfig>,
+    precision_trace: Vec<f64>,
+    stats: GreedyStats,
+}
+
+impl<'a> Search<'a> {
+    /// An empty solution with every candidate's round-1 histogram built.
+    fn new(pre: &'a Precompute, ball_mode: BallMode) -> Self {
+        let candidates = candidate_configs(pre);
+        let pair_balls: Option<Vec<Vec<u32>>> = (ball_mode == BallMode::PairDistance).then(|| {
+            (pre.functions.par_iter())
+                .map(|s| {
+                    let mut balls = vec![0; pre.num_right()];
+                    for (&(r, d), &l) in s.sorted_rights.iter().zip(&s.lefts) {
+                        let n = ball_count_sorted(&s.ll_sorted[l as usize], 2.0 * d as f64);
+                        balls[r as usize] = n as u32;
+                    }
+                    balls
+                })
+                .collect()
+        });
+        let max_ball = match &pair_balls {
+            Some(pb) => pb.iter().flatten().max(),
+            None => (pre.functions.iter())
+                .flat_map(|s| {
+                    s.ball_counts
+                        .iter()
+                        .flat_map(|row| s.lefts.iter().map(|&l| &row[l as usize]))
+                })
+                .max(),
+        };
+        let width = 1 + max_ball.copied().unwrap_or(0) as usize;
+        let num = candidates.len();
+        let round_one_coverage = (candidates.iter())
+            .map(|c| pre.functions[c.function].joined_count(c.threshold) as u64)
+            .sum();
+        let mut search = Search {
+            pre,
+            candidates,
+            pair_balls,
+            weights: (0..width)
+                .map(|n| (inverse_ball_count(n), n as f64 / (1.0 + n as f64)))
+                .collect(),
+            alive: vec![true; num],
+            hists: Vec::new(),
+            deltas: Vec::new(),
+            assignment: vec![None; pre.num_right()],
+            balls: vec![0; pre.num_right()],
+            solution: Histogram {
+                counts: vec![0; width],
+                joins: 0,
+            },
+            selected: Vec::new(),
+            precision_trace: Vec::new(),
+            stats: GreedyStats {
+                round_one_coverage,
+                ..Default::default()
+            },
+        };
+        search.rescore_all();
+        search
+    }
+
+    /// The ball count of right `r` joined to left `l` under the `t`-th
+    /// threshold of function `f`, with its precision `1/(1+n)`.
+    #[inline]
+    fn ball(&self, f: usize, t: usize, r: u32, l: u32) -> (u32, f64) {
+        let n = match &self.pair_balls {
+            Some(pb) => pb[f][r as usize],
+            None => self.pre.functions[f].ball_counts[t][l as usize],
+        };
+        (n, self.weights[n as usize].0)
+    }
+
+    /// Candidate `ci`'s histogram against the current assignment, walked
+    /// over its full coverage.
+    fn histogram(&self, ci: usize) -> Histogram {
+        let c = self.candidates[ci];
+        let stats = &self.pre.functions[c.function];
+        let mut h = Histogram {
+            counts: vec![0; self.weights.len()],
+            joins: 0,
+        };
+        for rank in 0..stats.joined_count(c.threshold) {
+            let (right, l) = (stats.sorted_rights[rank].0, stats.lefts[rank]);
+            let ball = self.ball(c.function, c.threshold_idx, right, l);
+            let r = right as usize;
+            h.offer((self.assignment[r], self.balls[r]), l, ball, 1);
         }
+        h
     }
-    out
+
+    /// Rebuild every candidate's histogram from the assignment, in parallel
+    /// over candidates.
+    fn rescore_all(&mut self) {
+        let _t = timing::scoped(Phase::GreedyScore);
+        let this = &*self;
+        let hists: Vec<Histogram> = (0..this.candidates.len())
+            .into_par_iter()
+            .with_min_len(4)
+            .map(|ci| this.histogram(ci))
+            .collect();
+        self.deltas = hists.iter().map(|h| h.delta(&self.weights)).collect();
+        self.hists = hists;
+    }
+
+    /// Move each changed right record's contribution to every alive
+    /// candidate covering it from what the record held to what it holds.
+    fn update(&mut self, changes: &[(u32, Held)]) {
+        let _t = timing::scoped(Phase::GreedyScore);
+        let pre = self.pre;
+        let mut dirty = vec![false; self.candidates.len()];
+        let mut updates = 0u64;
+        for &(right, was) in changes {
+            let r = right as usize;
+            let now = (self.assignment[r], self.balls[r]);
+            for (f, stats) in pre.functions.iter().enumerate() {
+                let Some((l, d)) = stats.nearest[r] else {
+                    continue;
+                };
+                let covering = stats.thresholds.partition_point(|&theta| theta < d);
+                let first = self.candidates.partition_point(|c| c.function < f);
+                for t in covering..stats.thresholds.len() {
+                    let ci = first + t;
+                    if self.alive[ci] {
+                        let ball = self.ball(f, t, right, l);
+                        self.hists[ci].offer(was, l, ball, -1);
+                        self.hists[ci].offer(now, l, ball, 1);
+                        dirty[ci] = true;
+                        updates += 1;
+                    }
+                }
+            }
+        }
+        for ci in (0..dirty.len()).filter(|&ci| dirty[ci]) {
+            self.deltas[ci] = self.hists[ci].delta(&self.weights);
+        }
+        self.stats.updates_per_round.push(updates);
+    }
+
+    /// Lines 7–11: the alive candidate of highest profit
+    /// `(tp + Δtp) / (fp + Δfp)` with `Δtp > 0` (the earlier on equal
+    /// profit), if the grown solution's precision beats `tau`.  `Δtp > 0`
+    /// keeps the quotient defined: a zero-join round never passes on a
+    /// phantom precision of 1.
+    fn select(&self, tau: f64) -> Option<usize> {
+        let _t = timing::scoped(Phase::GreedyArgmax);
+        let Delta { tp, fp } = self.solution.delta(&self.weights);
+        let ci = first_max(
+            (self.deltas.iter().enumerate())
+                .filter(|&(ci, d)| self.alive[ci] && d.tp > 0.0)
+                .map(|(ci, d)| (ci, (tp + d.tp) / (fp + d.fp).max(1e-9))),
+        )?;
+        let (new_tp, new_fp) = (tp + self.deltas[ci].tp, fp + self.deltas[ci].fp);
+        (new_tp / (new_tp + new_fp).max(1e-12) > tau).then_some(ci)
+    }
+
+    /// Select candidate `ci`: offer its coverage to the assignment under the
+    /// §3.1 rule, and return what every record that changed held before.
+    fn apply(&mut self, ci: usize) -> Vec<(u32, Held)> {
+        let _t = timing::scoped(Phase::ConflictResolve);
+        let pre = self.pre;
+        let c = self.candidates[ci];
+        let stats = &pre.functions[c.function];
+        self.alive[ci] = false;
+        let mut changes = Vec::new();
+        for rank in 0..stats.joined_count(c.threshold) {
+            let (right, distance) = stats.sorted_rights[rank];
+            let (r, left) = (right as usize, stats.lefts[rank]);
+            let (n, precision) = self.ball(c.function, c.threshold_idx, right, left);
+            let was = (self.assignment[r], self.balls[r]);
+            if self.solution.offer(was, left, (n, precision), 1) != Offer::Keep {
+                changes.push((right, was));
+                self.assignment[r] = Some(Assigned {
+                    left,
+                    distance,
+                    precision,
+                    config_ordinal: self.selected.len(),
+                });
+                self.balls[r] = n;
+            }
+        }
+        let Delta { tp, fp } = self.solution.delta(&self.weights);
+        self.selected.push(c);
+        self.precision_trace.push(tp / (tp + fp).max(1e-12));
+        changes
+    }
+
+    fn finish(mut self) -> (GreedyOutcome, GreedyStats) {
+        let Delta { tp, fp } = self.solution.delta(&self.weights);
+        self.stats.rounds = self.selected.len();
+        let outcome = GreedyOutcome {
+            selected: self.selected,
+            assignment: self.assignment,
+            tp,
+            fp,
+            precision_trace: self.precision_trace,
+        };
+        (outcome, self.stats)
+    }
 }
 
-/// Run Algorithm 1 over a pre-compute, with incremental candidate
-/// re-scoring (see the module docs).
+/// Run Algorithm 1 over a pre-compute (see the module docs).
 pub fn run_greedy(pre: &Precompute, options: &AutoFjOptions) -> GreedyOutcome {
-    if !options.union_of_configurations {
-        return run_single_best(pre, options);
-    }
-    run_union_greedy(pre, options, true)
+    run_greedy_with_stats(pre, options).0
 }
 
-/// Recompute-from-scratch reference implementation of [`run_greedy`]: every
-/// round re-scores every unselected candidate against the full assignment.
-/// Retained so the equivalence tests can pin the incremental path — both
-/// must produce byte-identical [`GreedyOutcome`]s on any input, at any
-/// thread count.
+/// [`run_greedy`], also returning the work the run did.
+pub fn run_greedy_with_stats(
+    pre: &Precompute,
+    options: &AutoFjOptions,
+) -> (GreedyOutcome, GreedyStats) {
+    let tau = options.precision_target;
+    let mut search = Search::new(pre, options.ball_mode);
+    if !options.union_of_configurations {
+        // The `AutoFJ-UC` ablation: of the configurations whose round-1
+        // precision beats the target, the one of highest estimated recall.
+        let deltas = search.deltas.iter().enumerate();
+        let single = deltas
+            .filter(|(_, d)| d.tp > 0.0 && d.tp / (d.tp + d.fp).max(1e-12) > tau)
+            .map(|(ci, d)| (ci, d.tp));
+        if let Some(ci) = first_max(single) {
+            search.apply(ci);
+        }
+        return search.finish();
+    }
+    for _ in 0..options.max_iterations {
+        let Some(ci) = search.select(tau) else {
+            break;
+        };
+        let changes = search.apply(ci);
+        search.update(&changes);
+    }
+    search.finish()
+}
+
+/// The from-scratch spec of [`run_greedy`]: every round rebuilds every
+/// candidate's histogram from the assignment instead of updating it per
+/// changed record.  Both must produce identical [`GreedyOutcome`]s on any
+/// input, at any thread count.  (The `AutoFJ-UC` ablation has no rounds to
+/// update, so it runs [`run_greedy`] itself.)
 pub fn run_greedy_reference(pre: &Precompute, options: &AutoFjOptions) -> GreedyOutcome {
     if !options.union_of_configurations {
-        return run_single_best(pre, options);
+        return run_greedy(pre, options);
     }
-    run_union_greedy(pre, options, false)
-}
-
-fn run_union_greedy(pre: &Precompute, options: &AutoFjOptions, incremental: bool) -> GreedyOutcome {
-    let tau = options.precision_target;
-    let ball = options.ball_mode;
-    let candidates = candidate_configs(pre);
-    let mut deltas: Vec<Delta> = vec![Delta::default(); candidates.len()];
-    // `alive[ci]` = not yet selected.  Selected candidates are excluded by a
-    // stable mark (never a swap-remove) so candidate order — and with it the
-    // first-wins tie-breaking of the argmax — is the same in both
-    // implementations and at every thread count.
-    let mut alive: Vec<bool> = vec![true; candidates.len()];
-    let mut assignment: Vec<Option<Assigned>> = vec![None; pre.num_right()];
-    let mut selected = Vec::new();
-    let mut precision_trace = Vec::new();
-    let mut tp = 0.0f64;
-    let mut fp = 0.0f64;
-    // Right records (re-)assigned by the previous round; `None` marks the
-    // first round, where every candidate needs scoring.
-    let mut changed: Option<Vec<u32>> = None;
-
-    for _iter in 0..options.max_iterations {
-        // Lines 7–10, part 1: (re-)score candidates in one parallel pass.
-        // The incremental path only touches candidates whose coverage can
-        // intersect the records the previous round assigned; every other
-        // cached delta is bit-identical to a recompute (the
-        // incremental-estimate invariant, see `crate::estimate`).
-        {
-            let _t = timing::scoped(Phase::GreedyScore);
-            let stale: Vec<usize> = match &changed {
-                Some(ch) if incremental => {
-                    let dmin = min_changed_distance_per_function(pre, ch);
-                    (0..candidates.len())
-                        .filter(|&ci| {
-                            alive[ci]
-                                && dmin[candidates[ci].function]
-                                    .is_some_and(|m| candidates[ci].threshold >= m)
-                        })
-                        .collect()
-                }
-                _ => (0..candidates.len()).filter(|&ci| alive[ci]).collect(),
-            };
-            let assignment_ref = &assignment;
-            let candidates_ref = &candidates;
-            let fresh: Vec<Delta> = stale
-                .par_iter()
-                .with_min_len(4)
-                .map(|&ci| evaluate_candidate(pre, assignment_ref, candidates_ref[ci], ball))
-                .collect();
-            for (&ci, d) in stale.iter().zip(fresh) {
-                deltas[ci] = d;
-            }
-        }
-
-        // Part 2: argmax over the cached deltas.  The reduce keeps the
-        // *earlier* candidate on equal profit (chunks are folded in input
-        // order), preserving the exact first-wins tie-breaking of a
-        // sequential scan at any thread count.
-        let best: Option<(usize, Delta, f64)> = {
-            let _t = timing::scoped(Phase::GreedyArgmax);
-            let deltas_ref = &deltas;
-            let alive_ref = &alive;
-            (0..candidates.len())
-                .into_par_iter()
-                .with_min_len(64)
-                .map(|ci| {
-                    if !alive_ref[ci] {
-                        return None;
-                    }
-                    let delta = deltas_ref[ci];
-                    if delta.tp <= 0.0 {
-                        return None;
-                    }
-                    let profit = (tp + delta.tp) / (fp + delta.fp).max(1e-9);
-                    Some((ci, delta, profit))
-                })
-                .reduce(
-                    || None,
-                    |a, b| match (a, b) {
-                        (None, b) => b,
-                        (a, None) => a,
-                        (Some(x), Some(y)) => {
-                            if y.2 > x.2 {
-                                Some(y)
-                            } else {
-                                Some(x)
-                            }
-                        }
-                    },
-                )
-        };
-        let Some((best_idx, delta, _)) = best else {
-            // No candidate adds any new expected true positive.
+    let mut search = Search::new(pre, options.ball_mode);
+    for _ in 0..options.max_iterations {
+        let Some(ci) = search.select(options.precision_target) else {
             break;
         };
-        // Line 11: check the precision of the grown solution.  This uses the
-        // same `tp + fp <= 0 ⇒ precision = 1` convention as
-        // `GreedyOutcome::estimated_precision`: a candidate only reaches here
-        // with `delta.tp > 0`, so `new_tp + new_fp > 0` and the quotient is
-        // well-defined — a zero-join round can neither loop forever nor be
-        // accepted on a phantom 1.0 precision (it breaks out above instead).
-        let new_tp = tp + delta.tp;
-        let new_fp = fp + delta.fp;
-        let new_precision = new_tp / (new_tp + new_fp).max(1e-12);
-        if new_precision <= tau {
-            // Growing the solution (or, when nothing is selected yet, even
-            // the most profitable single configuration) cannot meet the
-            // target; stop with what we have — possibly the empty
-            // (join-nothing) program, which trivially satisfies it.
-            break;
-        }
-        let _t = timing::scoped(Phase::ConflictResolve);
-        alive[best_idx] = false;
-        let cand = candidates[best_idx];
-        let (applied, ch) = apply_candidate(pre, &mut assignment, cand, selected.len(), ball);
-        tp += applied.tp;
-        fp += applied.fp;
-        selected.push(cand);
-        precision_trace.push(tp / (tp + fp).max(1e-12));
-        changed = Some(ch);
+        search.apply(ci);
+        search.rescore_all();
     }
-
-    GreedyOutcome {
-        selected,
-        assignment,
-        tp,
-        fp,
-        precision_trace,
-    }
-}
-
-/// The `AutoFJ-UC` ablation: pick the single configuration with the highest
-/// estimated recall among those meeting the precision target.
-fn run_single_best(pre: &Precompute, options: &AutoFjOptions) -> GreedyOutcome {
-    let tau = options.precision_target;
-    let ball = options.ball_mode;
-    let empty: Vec<Option<Assigned>> = vec![None; pre.num_right()];
-    let candidates = candidate_configs(pre);
-    let empty_ref = &empty;
-    // Fused evaluate + argmax, first-wins on equal recall (see `run_greedy`).
-    let best: Option<(CandidateConfig, Delta)> = candidates
-        .par_iter()
-        .with_min_len(16)
-        .map(|&cand| {
-            let delta = evaluate_candidate(pre, empty_ref, cand, ball);
-            if delta.tp <= 0.0 {
-                return None;
-            }
-            let precision = delta.tp / (delta.tp + delta.fp).max(1e-12);
-            if precision <= tau {
-                return None;
-            }
-            Some((cand, delta))
-        })
-        .reduce(
-            || None,
-            |a, b| match (a, b) {
-                (None, b) => b,
-                (a, None) => a,
-                (Some(x), Some(y)) => {
-                    if y.1.tp > x.1.tp {
-                        Some(y)
-                    } else {
-                        Some(x)
-                    }
-                }
-            },
-        );
-    let mut assignment = vec![None; pre.num_right()];
-    let mut selected = Vec::new();
-    let mut tp = 0.0;
-    let mut fp = 0.0;
-    let mut precision_trace = Vec::new();
-    if let Some((cand, _)) = best {
-        let (applied, _changed) = apply_candidate(pre, &mut assignment, cand, 0, ball);
-        tp = applied.tp;
-        fp = applied.fp;
-        selected.push(cand);
-        precision_trace.push(tp / (tp + fp).max(1e-12));
-    }
-    GreedyOutcome {
-        selected,
-        assignment,
-        tp,
-        fp,
-        precision_trace,
-    }
+    search.finish().0
 }
 
 #[cfg(test)]
@@ -755,35 +750,24 @@ mod tests {
         // Candidate A (function 0) covers rights {0, 1}; candidate B
         // (function 1) covers rights {1, 2}, agreeing with A on right 1's
         // left record.  Once A is selected, right 1 no longer contributes to
-        // B's marginal delta — a stale cached score for B would keep claiming
+        // B's marginal delta — a stale score for B would keep claiming
         // tp = 2 and over-select it.
         let f_a = crafted_stats(3, 6, &[(0, 0, 0.1), (1, 0, 0.2)], vec![0.2], &[]);
         let f_b = crafted_stats(3, 6, &[(1, 0, 0.15), (2, 5, 0.1)], vec![0.15], &[]);
         let pre = Precompute::from_parts(vec![f_a, f_b], 3);
-        let ball = BallMode::ConfigTheta;
-        let a = CandidateConfig {
-            function: 0,
-            threshold: 0.2,
-            threshold_idx: 0,
-        };
-        let b = CandidateConfig {
-            function: 1,
-            threshold: 0.15,
-            threshold_idx: 0,
-        };
+        let (a, b) = (0, 1);
 
-        let mut assignment: Vec<Option<Assigned>> = vec![None; 3];
-        let before = evaluate_candidate(&pre, &assignment, b, ball);
-        assert_eq!(before.tp, 2.0, "B initially covers two unassigned rights");
-        apply_candidate(&pre, &mut assignment, a, 0, ball);
-        let after = evaluate_candidate(&pre, &assignment, b, ball);
+        let mut search = Search::new(&pre, BallMode::ConfigTheta);
+        let before = search.deltas[b].tp;
+        assert_eq!(before, 2.0, "B initially covers two unassigned rights");
+        let changes = search.apply(a);
+        search.update(&changes);
+        let after = search.deltas[b].tp;
         assert!(
-            after.tp < before.tp,
-            "B's marginal tp must shrink once A claims right 1 ({} !< {})",
-            after.tp,
-            before.tp
+            after < before,
+            "B's marginal tp must shrink once A claims right 1 ({after} !< {before})"
         );
-        assert_eq!(after.tp, 1.0, "only right 2 still contributes");
+        assert_eq!(after, 1.0, "only right 2 still contributes");
 
         // The full searches agree on the final program (and with each other).
         let options = AutoFjOptions::default();
@@ -792,6 +776,179 @@ mod tests {
         assert_bit_identical(&inc, &refr);
         assert_eq!(inc.selected.len(), 2);
         assert_eq!(inc.tp, 3.0, "right 1 counted once, not twice");
+    }
+
+    /// The spec of a histogram's figures: candidate `ci`'s marginal change
+    /// summed per pair in `f64`, the way the per-pair precisions read.
+    fn direct_delta(search: &Search, ci: usize) -> (f64, f64, i32) {
+        let c = search.candidates[ci];
+        let stats = &search.pre.functions[c.function];
+        let (mut tp, mut fp, mut joins) = (0.0, 0.0, 0);
+        for rank in 0..stats.joined_count(c.threshold) {
+            let r = stats.sorted_rights[rank].0;
+            let l = stats.lefts[rank];
+            let p = 1.0 / (1.0 + search.ball(c.function, c.threshold_idx, r, l).0 as f64);
+            match offer(search.assignment[r as usize].as_ref(), l, p) {
+                Offer::Keep => {}
+                Offer::Join => {
+                    tp += p;
+                    fp += 1.0 - p;
+                    joins += 1;
+                }
+                Offer::Replace(old) => {
+                    tp += p - old;
+                    fp += old - p;
+                }
+            }
+        }
+        (tp, fp, joins)
+    }
+
+    /// Every alive histogram equals its from-scratch rebuild, and its
+    /// figures equal the direct per-pair sum; so does the solution's.
+    fn assert_histograms_exact(search: &Search) {
+        for ci in (0..search.candidates.len()).filter(|&ci| search.alive[ci]) {
+            assert_eq!(search.hists[ci], search.histogram(ci), "candidate {ci}");
+            let (tp, fp, joins) = direct_delta(search, ci);
+            let d = search.deltas[ci];
+            assert!(
+                (d.tp - tp).abs() < 1e-12,
+                "candidate {ci}: tp {} vs {tp}",
+                d.tp
+            );
+            assert!(
+                (d.fp - fp).abs() < 1e-12,
+                "candidate {ci}: fp {} vs {fp}",
+                d.fp
+            );
+            assert_eq!(search.hists[ci].joins, joins, "candidate {ci}: joins");
+        }
+        let joined = search.assignment.iter().flatten();
+        let tp: f64 = joined.clone().map(|a| a.precision).sum();
+        let fp: f64 = joined.clone().map(|a| 1.0 - a.precision).sum();
+        let d = search.solution.delta(&search.weights);
+        assert!((d.tp - tp).abs() < 1e-12 && (d.fp - fp).abs() < 1e-12);
+        assert_eq!(search.solution.joins as usize, joined.count());
+    }
+
+    #[test]
+    fn histogram_figures_match_per_pair_sums_through_join_and_replacements() {
+        // Right 0 is joined by A (left 0, two ball neighbours: p = 1/3),
+        // replaced by B (left 1, one neighbour: p = 1/2), then replaced
+        // again by C (left 2, none: p = 1).  D offers right 0 to left 0 at
+        // p = 1: worth nothing while A holds it there, worth 1/2 again once
+        // B's replacement takes it away from left 0.  D and C also join
+        // right 1 (left 3; p = 1 and 1/2).
+        let f_a = crafted_stats(
+            2,
+            4,
+            &[(0, 0, 0.1), (1, 3, 0.3)],
+            vec![0.1, 0.3],
+            &[(0, vec![0.05, 0.1, 0.5]), (3, vec![0.2])],
+        );
+        let f_b = crafted_stats(2, 4, &[(0, 1, 0.1)], vec![0.1], &[(1, vec![0.05])]);
+        let f_c = crafted_stats(
+            2,
+            4,
+            &[(0, 2, 0.1), (1, 3, 0.2)],
+            vec![0.2],
+            &[(3, vec![0.1])],
+        );
+        let f_d = crafted_stats(2, 4, &[(0, 0, 0.1), (1, 3, 0.1)], vec![0.1], &[]);
+        let pre = Precompute::from_parts(vec![f_a, f_b, f_c, f_d], 2);
+        // Candidates: A@0.1, A@0.3, B, C, D.  The ball counts agree in both
+        // modes except A@0.3's pair with right 0, whose `2d` ball (d = 0.1)
+        // holds two neighbours and whose `2θ` ball holds three.
+        let (a, b, c, d) = (0, 2, 3, 4);
+        for (ball, a_wide) in [
+            (BallMode::ConfigTheta, &[0, 1, 0, 1][..]),
+            (BallMode::PairDistance, &[0, 1, 1][..]),
+        ] {
+            let mut search = Search::new(&pre, ball);
+            assert_histograms_exact(&search);
+            assert_eq!(search.hists[1].counts, a_wide, "{ball:?}: A@0.3");
+            assert_eq!(search.deltas[d].tp, 2.0);
+
+            let apply = |search: &mut Search, ci: usize| {
+                let changes = search.apply(ci);
+                search.update(&changes);
+                assert_histograms_exact(search);
+            };
+            apply(&mut search, a);
+            assert_eq!(search.deltas[d].tp, 1.0, "right 0 already joins D's left");
+            apply(&mut search, b);
+            assert_eq!(search.assignment[0].map(|x| x.left), Some(1));
+            assert!(
+                (search.deltas[d].tp - 1.5).abs() < 1e-12,
+                "right 0 scores again"
+            );
+            assert_eq!(search.select(0.0), Some(d), "and the argmax sees it");
+            apply(&mut search, c);
+            assert_eq!(search.assignment[0].map(|x| x.left), Some(2));
+            assert_eq!(search.assignment[1].map(|x| x.left), Some(3));
+            assert_eq!(search.deltas[d].tp, 0.0, "C's joins leave D nothing");
+        }
+    }
+
+    #[test]
+    fn greedy_stats_count_round_one_coverage_plus_changed_covering_pairs() {
+        // Function 0 at θ = 0.1 covers right 0 and at θ = 0.2 rights {0, 1};
+        // function 1 at θ = 0.15 covers rights {1, 2}.  Round-1 coverage is
+        // 1 + 2 + 2 = 5.  Round 1 selects ⟨0, 0.2⟩ (first of the two tp = 2
+        // candidates) and changes rights 0 and 1: right 0 is covered by the
+        // alive ⟨0, 0.1⟩, right 1 by the alive ⟨1, 0.15⟩, so 2 updates.
+        // Round 2 selects ⟨1, 0.15⟩, which changes right 2, covered by no
+        // alive candidate: 0 updates.  ⟨0, 0.1⟩ then adds nothing, so the
+        // search stops.
+        let f_0 = crafted_stats(3, 6, &[(0, 0, 0.1), (1, 0, 0.2)], vec![0.1, 0.2], &[]);
+        let f_1 = crafted_stats(3, 6, &[(1, 0, 0.15), (2, 5, 0.1)], vec![0.15], &[]);
+        let pre = Precompute::from_parts(vec![f_0, f_1], 3);
+        let (out, stats) = run_greedy_with_stats(&pre, &AutoFjOptions::default());
+        assert_eq!(out.selected.len(), 2);
+        assert_eq!(
+            stats,
+            GreedyStats {
+                rounds: 2,
+                round_one_coverage: 5,
+                updates_per_round: vec![2, 0],
+            }
+        );
+    }
+
+    #[test]
+    fn incremental_histograms_equal_rebuilt_histograms_every_round() {
+        let left = grid_left();
+        let right: Vec<String> = left
+            .iter()
+            .enumerate()
+            .map(|(i, s)| match i % 3 {
+                0 => format!("{s} x"),
+                1 => s.replacen("football", "futbol", 1),
+                _ => s.split_whitespace().skip(1).collect::<Vec<_>>().join(" "),
+            })
+            .collect();
+        let pre = build_pre(&left, &right);
+        for ball in [BallMode::ConfigTheta, BallMode::PairDistance] {
+            let mut inc = Search::new(&pre, ball);
+            let mut refr = Search::new(&pre, ball);
+            assert_histograms_exact(&inc);
+            let mut rounds = 0;
+            while let Some(ci) = inc.select(0.5) {
+                assert_eq!(refr.select(0.5), Some(ci), "{ball:?} round {rounds}");
+                let changes = inc.apply(ci);
+                inc.update(&changes);
+                refr.apply(ci);
+                refr.rescore_all();
+                assert_eq!(inc.alive, refr.alive);
+                for ci in (0..inc.candidates.len()).filter(|&ci| inc.alive[ci]) {
+                    assert_eq!(inc.hists[ci], refr.hists[ci], "{ball:?} candidate {ci}");
+                }
+                assert_histograms_exact(&inc);
+                rounds += 1;
+            }
+            assert!(rounds >= 2, "{ball:?}: only {rounds} rounds");
+            assert_eq!(refr.select(0.5), None);
+        }
     }
 
     #[test]

@@ -54,8 +54,9 @@ pub enum Phase {
     PrecomputeHybrid,
     /// Pre-compute share spent in the embedding-distance kernels.
     PrecomputeEmbed,
-    /// Greedy rounds: (re-)scoring candidate deltas against the current
-    /// assignment.
+    /// Greedy search: building every candidate's round-1 histogram, then,
+    /// after each round, updating the histograms of the alive candidates
+    /// that cover a changed record.
     GreedyScore,
     /// Greedy rounds: profit argmax over the scored frontier.
     GreedyArgmax,

@@ -106,58 +106,78 @@ fn medium_datagen_task_is_byte_identical_at_1_and_4_threads() {
 /// recompute-from-scratch reference (`run_greedy_reference`) — same selected
 /// configurations, same assignment, bit-for-bit the same TP/FP sums — on
 /// every input and at every thread count.  Property-style sweep: seeded
-/// datagen tasks from structurally different domains × a grid of precision
-/// targets × thread counts, comparing the serialized `GreedyOutcome`s (the
-/// serialization includes every float, so an ulp of drift fails loudly).
+/// datagen tasks from structurally different domains × all-pairs and
+/// blocked, rule-filtered candidate lists × both ball modes × a grid of
+/// precision targets × thread counts, comparing the serialized
+/// `GreedyOutcome`s (the serialization includes every float, so an ulp of
+/// drift fails loudly).
 #[test]
 fn incremental_greedy_matches_recompute_reference_across_tasks_and_threads() {
     use autofj::core::estimate::Precompute;
     use autofj::core::greedy::{run_greedy, run_greedy_reference};
     use autofj::core::oracle::SingleColumnOracle;
+    use autofj::core::{candidate_stage, BallMode};
 
     let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     for task_idx in [7usize, 21, 36] {
         let task = benchmark_specs(BenchmarkScale::Tiny)[task_idx].generate();
         let space = JoinFunctionSpace::reduced24();
         let oracle = SingleColumnOracle::build(space.functions(), &task.left, &task.right);
-        let lr: Vec<Vec<usize>> = (0..task.right.len())
+        let all_lr: Vec<Vec<usize>> = (0..task.right.len())
             .map(|_| (0..task.left.len()).collect())
             .collect();
-        let ll: Vec<Vec<usize>> = (0..task.left.len())
+        let all_ll: Vec<Vec<usize>> = (0..task.left.len())
             .map(|i| (0..task.left.len()).filter(|&j| j != i).collect())
             .collect();
-        let mut reference_at_one: Vec<String> = Vec::new();
+        let blocked = candidate_stage(oracle.column(), task.left.len(), &AutoFjOptions::default());
+        let legs = [
+            ("all pairs", all_lr.as_slice(), all_ll.as_slice()),
+            (
+                "blocked",
+                blocked.lr_candidates(),
+                blocked.blocking.left_candidates_of_left.as_slice(),
+            ),
+        ];
+        let mut at_one: Vec<String> = Vec::new();
         for threads in [1usize, 3, 8] {
             rayon::ThreadPoolBuilder::new()
                 .num_threads(threads)
                 .build_global()
                 .expect("configure shim pool");
-            let pre = Precompute::build(&oracle, &lr, &ll, 25);
-            for (ti, tau) in [0.5f64, 0.9, 0.99].into_iter().enumerate() {
-                let options = AutoFjOptions {
-                    precision_target: tau,
-                    ..Default::default()
-                };
-                let inc = serde_json::to_string(&run_greedy(&pre, &options))
-                    .expect("GreedyOutcome serializes");
-                let refr = serde_json::to_string(&run_greedy_reference(&pre, &options))
-                    .expect("GreedyOutcome serializes");
-                assert_eq!(
-                    inc, refr,
-                    "task {task_idx}, tau {tau}, {threads} threads: \
-                     incremental and reference outcomes diverged"
-                );
-                // And the (equal) outcomes must not depend on the thread
-                // count either.
-                if threads == 1 {
-                    reference_at_one.push(inc);
-                } else {
-                    assert_eq!(
-                        inc, reference_at_one[ti],
-                        "task {task_idx}, tau {tau}: outcome differs \
-                         between 1 and {threads} threads"
-                    );
+            let mut outcomes = Vec::new();
+            for (leg, lr, ll) in legs {
+                let pre = Precompute::build(&oracle, lr, ll, 25);
+                for ball_mode in [BallMode::ConfigTheta, BallMode::PairDistance] {
+                    for tau in [0.5f64, 0.9, 0.99] {
+                        let options = AutoFjOptions {
+                            precision_target: tau,
+                            ball_mode,
+                            ..Default::default()
+                        };
+                        let inc = serde_json::to_string(&run_greedy(&pre, &options))
+                            .expect("GreedyOutcome serializes");
+                        let refr = serde_json::to_string(&run_greedy_reference(&pre, &options))
+                            .expect("GreedyOutcome serializes");
+                        assert_eq!(
+                            inc, refr,
+                            "task {task_idx}, {leg}, {ball_mode:?}, tau {tau}, {threads} \
+                             threads: incremental and reference outcomes diverged"
+                        );
+                        outcomes.push((format!("{leg}, {ball_mode:?}, tau {tau}"), inc));
+                    }
                 }
+            }
+            // And the (equal) outcomes must not depend on the thread count
+            // either.
+            if threads == 1 {
+                at_one = outcomes.into_iter().map(|(_, o)| o).collect();
+                continue;
+            }
+            for ((case, got), want) in outcomes.iter().zip(&at_one) {
+                assert_eq!(
+                    got, want,
+                    "task {task_idx}, {case}: outcome differs between 1 and {threads} threads"
+                );
             }
         }
     }
