@@ -23,6 +23,51 @@ fn sample_column() -> PreparedColumn {
     PreparedColumn::build(&strings)
 }
 
+/// Columns beyond short ASCII names: records longer than 64 chars
+/// (multi-word pattern masks), records with characters past Latin-1 (the
+/// mask table's spill list), and long records of dozens of distinct CJK ids
+/// (the spill list at its largest).
+fn char_kernel_columns() -> [(&'static str, PreparedColumn); 3] {
+    let long: Vec<String> = (0..200)
+        .map(|i| {
+            format!(
+                "{} {} historical society of the upper {} river valley, chapter {i}, founded {}",
+                ["Wisconsin", "Alabama", "Oregon", "Mississippi"][i % 4],
+                ["Badgers", "Crimson Tide", "Ducks", "Bulldogs"][i % 4],
+                ["Missouri", "Columbia", "Tennessee"][i % 3],
+                1850 + i % 60,
+            )
+        })
+        .collect();
+    let non_ascii: Vec<String> = (0..200)
+        .map(|i| {
+            format!(
+                "{} {} {} 第{i}季",
+                1990 + i % 25,
+                [
+                    "北京国安",
+                    "Αθήνα Ολυμπιακός",
+                    "Москва Спартак",
+                    "東京ヴェルディ"
+                ][i % 4],
+                ["足球队", "ποδόσφαιρο", "футбол"][i % 3],
+            )
+        })
+        .collect();
+    let cjk_long: Vec<String> = (0..200u32)
+        .map(|i| {
+            (0..96u32)
+                .filter_map(|j| char::from_u32(0x4E00 + (i * 31 + j * 7) % 120))
+                .collect()
+        })
+        .collect();
+    [
+        ("long", PreparedColumn::build(&long)),
+        ("non_ascii", PreparedColumn::build(&non_ascii)),
+        ("cjk_long", PreparedColumn::build(&cjk_long)),
+    ]
+}
+
 fn bench_distances(c: &mut Criterion) {
     let col = sample_column();
     let functions = [
@@ -77,6 +122,29 @@ fn bench_distances(c: &mut Criterion) {
                 black_box(acc)
             })
         });
+    }
+    group.finish();
+
+    let mut group = c.benchmark_group("char_kernels_200_pairs");
+    group
+        .sample_size(10)
+        .measurement_time(Duration::from_secs(2));
+    for (column, col) in char_kernel_columns() {
+        for (name, dist) in [
+            ("edit", DistanceFunction::Edit),
+            ("jaro_winkler", DistanceFunction::JaroWinkler),
+        ] {
+            let f = JoinFunction::char_based(Preprocessing::Lower, dist);
+            group.bench_function(format!("{name}_{column}"), |b| {
+                b.iter(|| {
+                    let mut acc = 0.0;
+                    for i in 0..200 {
+                        acc += f.distance(&col, i, (i * 7 + 13) % 200);
+                    }
+                    black_box(acc)
+                })
+            });
+        }
     }
     group.finish();
 

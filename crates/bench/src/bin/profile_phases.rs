@@ -4,8 +4,12 @@
 //! This is the interactive companion of the `phases` section that
 //! `bench_smoke` persists into `BENCH_*.json`: one run, one table, no gate —
 //! for answering "where do the seconds go?" before touching the code.
-//! Under the table it prints the greedy search's work counters
-//! ([`GreedyStats`]), counted on a second, untimed learn of the same task.
+//! Under the table it prints the pre-compute's kernel-group evaluations per
+//! kernel family ([`Precompute::work`]) and the greedy search's work
+//! counters ([`GreedyStats`]), both counted on a second, untimed learn of
+//! the same task.  A family's pairs/s divides its pairs by its
+//! `precompute/<family>` phase, which the pre-compute times on tables of
+//! 2048 or more right records (`-` otherwise).
 //!
 //! ```bash
 //! AUTOFJ_SCALE=medium RAYON_NUM_THREADS=1 \
@@ -19,19 +23,19 @@
 
 use autofj_bench::runner::{autofj_options, run_autofj};
 use autofj_bench::Reporter;
-use autofj_core::estimate::Precompute;
+use autofj_core::estimate::{FamilyWork, Precompute};
 use autofj_core::greedy::{run_greedy_with_stats, GreedyStats};
 use autofj_core::oracle::SingleColumnOracle;
 use autofj_core::{candidate_stage, timing, AutoFjOptions};
 use autofj_datagen::{benchmark_specs, medium_smoke_spec, BenchmarkScale, SingleColumnTask};
-use autofj_text::JoinFunctionSpace;
+use autofj_text::{JoinFunctionSpace, KernelFamily};
 
-/// The greedy work counters of one learn of `task`.
-fn greedy_stats(
+/// The pre-compute and greedy work counters of one learn of `task`.
+fn work_counters(
     task: &SingleColumnTask,
     space: &JoinFunctionSpace,
     options: &AutoFjOptions,
-) -> GreedyStats {
+) -> (Vec<(KernelFamily, FamilyWork)>, GreedyStats) {
     let oracle = SingleColumnOracle::build(space.functions(), &task.left, &task.right);
     let candidates = candidate_stage(oracle.column(), task.left.len(), options);
     let pre = Precompute::build(
@@ -40,7 +44,8 @@ fn greedy_stats(
         &candidates.blocking.left_candidates_of_left,
         options.num_thresholds,
     );
-    run_greedy_with_stats(&pre, options).1
+    let greedy = run_greedy_with_stats(&pre, options).1;
+    (pre.work, greedy)
 }
 
 fn main() {
@@ -102,7 +107,25 @@ fn main() {
         engine.parallel_work_seconds / engine.parallel_span_seconds.max(1e-9),
         threads,
     );
-    let greedy = greedy_stats(&task, &space, &options);
+    let (precompute, greedy) = work_counters(&task, &space, &options);
+    let families: Vec<String> = precompute
+        .iter()
+        .map(|(family, work)| {
+            let pairs = work.lr_pairs + work.ll_pairs;
+            let phase = format!("precompute/{}", family.label());
+            let rate = match phases.iter().find(|p| p.phase == phase) {
+                Some(p) if p.seconds > 0.0 => format!("{:.2} M", pairs as f64 / p.seconds / 1e6),
+                _ => "-".to_string(),
+            };
+            format!(
+                "{} {} L-R + {} L-L pairs ({rate} pairs/s)",
+                family.label(),
+                work.lr_pairs,
+                work.ll_pairs
+            )
+        })
+        .collect();
+    println!("precompute work: {}", families.join("; "));
     let after_round_one: u64 = greedy.updates_per_round.iter().sum();
     println!(
         "greedy work: {} round(s), round-1 coverage {}, {} histogram update(s) after \

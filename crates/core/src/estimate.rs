@@ -206,14 +206,14 @@ impl FunctionStats {
 /// parallel map over the union of needed left records.  Results are
 /// collected in input order, and no floating-point accumulation crosses a
 /// chunk boundary, so every member's output is the same at any thread
-/// count.
+/// count.  The group's evaluation counts come back beside the statistics.
 fn build_group_stats<O: DistanceOracle>(
     group: &EvalGroup,
     oracle: &O,
     lr_candidates: &[Vec<usize>],
     ll_candidates: &[Vec<usize>],
     num_thresholds: usize,
-) -> Vec<FunctionStats> {
+) -> (Vec<FunctionStats>, FamilyWork) {
     let k = group.members.len();
     let num_rows = oracle.num_right().min(lr_candidates.len());
     let rows: Vec<Vec<Option<(u32, f32)>>> = (0..num_rows)
@@ -263,8 +263,19 @@ fn build_group_stats<O: DistanceOracle>(
             ll_per[m][l as usize] = v;
         }
     }
+    let work = FamilyWork {
+        lr_pairs: lr_candidates[..num_rows]
+            .iter()
+            .map(|c| c.len() as u64)
+            .sum(),
+        ll_pairs: keys
+            .iter()
+            .filter_map(|&l| ll_candidates.get(l as usize))
+            .map(|c| c.len() as u64)
+            .sum(),
+    };
 
-    nearest_per
+    let stats = nearest_per
         .into_iter()
         .zip(ll_per)
         .map(|(nearest, ll_sorted)| {
@@ -272,7 +283,8 @@ fn build_group_stats<O: DistanceOracle>(
             let thresholds = pick_thresholds(&sorted_rights, num_thresholds);
             FunctionStats::from_raw(nearest, sorted_rights, ll_sorted, thresholds)
         })
-        .collect()
+        .collect();
+    (stats, work)
 }
 
 /// The nested timing phase attributing pre-compute time to a kernel family.
@@ -308,12 +320,27 @@ fn pick_thresholds(sorted_rights: &[(u32, f32)], num_thresholds: usize) -> Vec<f
     out
 }
 
+/// The kernel-group evaluations a pre-compute ran for one kernel family:
+/// each pair evaluates every member of a group at once.  Counted from the
+/// candidate-list lengths, so the figures are exact at any thread count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FamilyWork {
+    /// L–R pairs of the nearest fold.
+    pub lr_pairs: u64,
+    /// L–L pairs of the ball walk, over the wanted left records only.
+    pub ll_pairs: u64,
+}
+
 /// Pre-computed statistics for every function in the search space
 /// (Algorithm 1, lines 3–4).
 #[derive(Debug, Clone)]
 pub struct Precompute {
     /// One entry per join function, aligned with the search space.
     pub functions: Vec<FunctionStats>,
+    /// Kernel-group evaluations per family, in order of first group; groups
+    /// without a kernel family (cached multi-column distances) run no
+    /// kernel and are not counted.
+    pub work: Vec<(KernelFamily, FamilyWork)>,
     num_right: usize,
 }
 
@@ -347,7 +374,9 @@ impl Precompute {
         /// instead (the pre-PR6 strategy).
         const INNER_PARALLEL_MIN_RIGHTS: usize = 2048;
         let groups = oracle.eval_groups();
-        let built: Vec<Vec<FunctionStats>> = if oracle.num_right() >= INNER_PARALLEL_MIN_RIGHTS {
+        let built: Vec<(Vec<FunctionStats>, FamilyWork)> = if oracle.num_right()
+            >= INNER_PARALLEL_MIN_RIGHTS
+        {
             groups
                 .iter()
                 .map(|g| {
@@ -363,9 +392,19 @@ impl Precompute {
         };
         let mut functions: Vec<Option<FunctionStats>> =
             (0..oracle.num_functions()).map(|_| None).collect();
-        for (g, stats) in groups.iter().zip(built) {
+        let mut work: Vec<(KernelFamily, FamilyWork)> = Vec::new();
+        for (g, (stats, group_work)) in groups.iter().zip(built) {
             for (&f_idx, s) in g.members.iter().zip(stats) {
                 functions[f_idx] = Some(s);
+            }
+            if let Some(family) = g.family {
+                match work.iter_mut().find(|(f, _)| *f == family) {
+                    Some((_, w)) => {
+                        w.lr_pairs += group_work.lr_pairs;
+                        w.ll_pairs += group_work.ll_pairs;
+                    }
+                    None => work.push((family, group_work)),
+                }
             }
         }
         let functions = functions
@@ -374,6 +413,7 @@ impl Precompute {
             .collect();
         Self {
             functions,
+            work,
             num_right: oracle.num_right(),
         }
     }
@@ -386,6 +426,7 @@ impl Precompute {
     pub fn from_parts(functions: Vec<FunctionStats>, num_right: usize) -> Self {
         Self {
             functions,
+            work: Vec::new(),
             num_right,
         }
     }
@@ -517,6 +558,52 @@ mod tests {
             prev = c;
         }
         assert_eq!(prev, right.len());
+    }
+
+    #[test]
+    fn work_counts_group_evaluations_per_family() {
+        let left = grid_left();
+        let right = vec![
+            "2007 lsu tigers football".to_string(),
+            "2005 alabama tide football team".to_string(),
+            "2008 wisconsin badgers".to_string(),
+        ];
+        let fns = vec![
+            JoinFunction::char_based(Preprocessing::Lower, DistanceFunction::Edit),
+            JoinFunction::char_based(Preprocessing::Lower, DistanceFunction::JaroWinkler),
+            jaccard_space()[0],
+            JoinFunction::set_based(
+                Preprocessing::Lower,
+                Tokenization::Space,
+                TokenWeighting::Equal,
+                DistanceFunction::Cosine,
+            ),
+        ];
+        let oracle = SingleColumnOracle::build(&fns, &left, &right);
+        let (lr, ll) = all_candidates(left.len(), right.len());
+        let pre = Precompute::build(&oracle, &lr, &ll, 10);
+        let families: Vec<KernelFamily> = pre.work.iter().map(|(f, _)| *f).collect();
+        assert_eq!(
+            families,
+            [KernelFamily::Edit, KernelFamily::Jaro, KernelFamily::Set]
+        );
+        // One group per family: Jaccard and Cosine share one merge walk.
+        let lr_pairs = (right.len() * left.len()) as u64;
+        let functions = &pre.functions;
+        let members: [&[usize]; 3] = [&[0], &[1], &[2, 3]];
+        for (fs, (family, work)) in members.into_iter().zip(&pre.work) {
+            assert_eq!(work.lr_pairs, lr_pairs, "{family:?}");
+            // Only the lefts that are some member's nearest are walked.
+            let mut wanted: Vec<u32> = fs
+                .iter()
+                .flat_map(|&f| (0..right.len()).filter_map(move |r| functions[f].nearest_of(r)))
+                .map(|(l, _)| l)
+                .collect();
+            wanted.sort_unstable();
+            wanted.dedup();
+            let ll_pairs = (wanted.len() * (left.len() - 1)) as u64;
+            assert_eq!(work.ll_pairs, ll_pairs, "{family:?}");
+        }
     }
 
     #[test]

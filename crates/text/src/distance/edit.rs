@@ -2,10 +2,12 @@
 //!
 //! These are compatibility entry points for the experiment bins and the
 //! baselines crate.  They all route through the bit-parallel kernel in
-//! [`super::myers`]; the original scalar DP lives in [`super::reference`]
-//! and is exercised against the kernel by the `kernel_reference` proptests.
+//! [`super::myers`] on this thread's reused kernel scratch; the original
+//! scalar DP lives in [`super::reference`] and is exercised against the
+//! kernel by the `kernel_reference` proptests.
 
-use super::myers::{levenshtein_ids, EditScratch};
+use super::myers::levenshtein_ids;
+use crate::kernel::with_scratch;
 
 fn ids(s: &str) -> Vec<u32> {
     s.chars().map(|c| c as u32).collect()
@@ -14,7 +16,7 @@ fn ids(s: &str) -> Vec<u32> {
 /// Raw Levenshtein distance between two strings, counted in Unicode scalar
 /// values (insertions, deletions, substitutions all cost 1).
 pub fn levenshtein(a: &str, b: &str) -> usize {
-    levenshtein_ids(&ids(a), &ids(b), &mut EditScratch::default())
+    with_scratch(|s| levenshtein_ids(&ids(a), &ids(b), &mut s.edit))
 }
 
 /// Levenshtein distance over pre-collected character slices.
@@ -22,7 +24,7 @@ pub fn levenshtein(a: &str, b: &str) -> usize {
 pub fn levenshtein_chars(a: &[char], b: &[char]) -> usize {
     let ai: Vec<u32> = a.iter().map(|&c| c as u32).collect();
     let bi: Vec<u32> = b.iter().map(|&c| c as u32).collect();
-    levenshtein_ids(&ai, &bi, &mut EditScratch::default())
+    with_scratch(|s| levenshtein_ids(&ai, &bi, &mut s.edit))
 }
 
 /// Normalized edit distance: `levenshtein(a, b) / max(|a|, |b|)`, in `[0, 1]`.
@@ -34,7 +36,7 @@ pub fn normalized_edit_distance(a: &str, b: &str) -> f64 {
     if max_len == 0 {
         return 0.0;
     }
-    levenshtein_ids(&ai, &bi, &mut EditScratch::default()) as f64 / max_len as f64
+    with_scratch(|s| levenshtein_ids(&ai, &bi, &mut s.edit)) as f64 / max_len as f64
 }
 
 /// Normalized edit distance over pre-collected character slices.

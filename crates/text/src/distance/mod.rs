@@ -13,6 +13,8 @@
 //!   distances (Table 1 footnote).
 //! * [`embed`] — embedding distance (`GED`) over hashed token embeddings.
 //! * [`myers`] — bit-parallel / banded edit-distance kernels (the hot path).
+//! * `masks` (private) — the pattern-match mask table the Myers and Jaro
+//!   kernels share.
 //! * [`mod@reference`] — the original scalar inner loops, kept as the
 //!   correctness pin for the kernel proptests.
 
@@ -20,6 +22,7 @@ pub mod edit;
 pub mod embed;
 pub mod hybrid;
 pub mod jaro;
+mod masks;
 pub mod myers;
 pub mod reference;
 pub mod set;

@@ -22,15 +22,16 @@
 //! early exit can never flip a join decision made at threshold `τ`.
 //!
 //! All kernels borrow their working memory from an [`EditScratch`] so the
-//! steady state allocates nothing per call.
+//! steady state allocates nothing per call; the Myers `Peq` is the
+//! pattern-mask table it shares with the Jaro kernel.
+
+use super::masks::PatternMasks;
 
 /// Reusable working memory for the edit-distance kernels.
 #[derive(Debug, Default, Clone)]
 pub struct EditScratch {
-    /// Sorted, deduplicated pattern character ids (the `Peq` row keys).
-    pat_chars: Vec<u32>,
-    /// `Peq` bit-masks, `pat_chars.len() × num_blocks`, row-major per char.
-    pat_masks: Vec<u64>,
+    /// The pattern's `Peq` bit-masks.
+    masks: PatternMasks,
     /// Vertical positive-delta vectors, one per block.
     vp: Vec<u64>,
     /// Vertical negative-delta vectors, one per block.
@@ -62,8 +63,8 @@ fn advance_block(vp: &mut u64, vn: &mut u64, eq: u64, hin: i32, out_bit: u32) ->
 /// Exact Levenshtein distance via multi-block bit-parallel Myers.
 ///
 /// The shorter string becomes the pattern (vertical axis), so the cost is
-/// `O(⌈min(m,n)/64⌉ · max(m,n))` word operations plus an `O(m log m)` `Peq`
-/// build per call, all out of `scratch`.
+/// `O(⌈min(m,n)/64⌉ · max(m,n))` word operations plus an `O(m)` `Peq`
+/// build in the shared pattern-mask table, all out of `scratch`.
 pub fn levenshtein_myers(a: &[u32], b: &[u32], scratch: &mut EditScratch) -> usize {
     if a.is_empty() {
         return b.len();
@@ -74,47 +75,27 @@ pub fn levenshtein_myers(a: &[u32], b: &[u32], scratch: &mut EditScratch) -> usi
     let (pat, text) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     let m = pat.len();
     let num_blocks = m.div_ceil(64);
-
-    // Build Peq: sorted unique pattern chars, one mask row per char.
-    scratch.pat_chars.clear();
-    scratch.pat_chars.extend_from_slice(pat);
-    scratch.pat_chars.sort_unstable();
-    scratch.pat_chars.dedup();
-    scratch.pat_masks.clear();
-    scratch
-        .pat_masks
-        .resize(scratch.pat_chars.len() * num_blocks, 0);
-    for (i, &c) in pat.iter().enumerate() {
-        let row = scratch
-            .pat_chars
-            .binary_search(&c)
-            .expect("pattern char was just inserted");
-        scratch.pat_masks[row * num_blocks + i / 64] |= 1u64 << (i % 64);
-    }
-
-    scratch.vp.clear();
-    scratch.vp.resize(num_blocks, !0u64);
-    scratch.vn.clear();
-    scratch.vn.resize(num_blocks, 0);
-
     let last_block = num_blocks - 1;
     let last_bit = ((m - 1) % 64) as u32;
-    let mut score = m as isize;
-    for &c in text {
-        let row = scratch.pat_chars.binary_search(&c).ok();
-        // The top boundary row increases by one per text column (D[0][j] = j).
-        let mut hin = 1i32;
-        for blk in 0..num_blocks {
-            let eq = match row {
-                Some(r) => scratch.pat_masks[r * num_blocks + blk],
-                None => 0,
-            };
-            let out_bit = if blk == last_block { last_bit } else { 63 };
-            hin = advance_block(&mut scratch.vp[blk], &mut scratch.vn[blk], eq, hin, out_bit);
+    let (vp, vn) = (&mut scratch.vp, &mut scratch.vn);
+    scratch.masks.with(pat, |peq| {
+        let mut score = m as isize;
+        vp.clear();
+        vp.resize(num_blocks, !0u64);
+        vn.clear();
+        vn.resize(num_blocks, 0);
+        for &c in text {
+            let eq = peq.row(c);
+            // The top boundary row increases by one per text column (D[0][j] = j).
+            let mut hin = 1i32;
+            for blk in 0..num_blocks {
+                let out_bit = if blk == last_block { last_bit } else { 63 };
+                hin = advance_block(&mut vp[blk], &mut vn[blk], eq[blk], hin, out_bit);
+            }
+            score += hin as isize;
         }
-        score += hin as isize;
-    }
-    score as usize
+        score as usize
+    })
 }
 
 /// Banded (Ukkonen) Levenshtein: exact distance when it is `≤ k`, `None` as

@@ -1,8 +1,8 @@
 //! Scalar reference implementations of the character distances.
 //!
 //! These are the original, obviously-correct inner loops that the
-//! bit-parallel and banded kernels of [`super::myers`] replaced on the hot
-//! path.  They stay in-tree as the correctness pin: the
+//! bit-parallel and banded kernels of [`super::myers`] and the bit-parallel
+//! Jaro scan of [`super::jaro`] replaced on the hot path.  They stay in-tree as the correctness pin: the
 //! `kernel_reference` proptests drive arbitrary strings (and bounds, and
 //! thread counts) through both paths and require byte-identical output.
 //!
@@ -43,9 +43,9 @@ pub fn normalized_edit_reference(a: &[u32], b: &[u32]) -> f64 {
     levenshtein_reference(a, b) as f64 / max_len as f64
 }
 
-/// Allocating reference Jaro similarity over id slices — the same algorithm
-/// as the scratch-reusing kernel in [`super::jaro`], kept separate so the
-/// proptests compare two independent code paths.
+/// Allocating reference Jaro similarity over id slices: the textbook
+/// window scan over match flags, the spec the bit-parallel kernel in
+/// [`super::jaro`] is pinned to.
 pub fn jaro_similarity_reference(a: &[u32], b: &[u32]) -> f64 {
     if a.is_empty() && b.is_empty() {
         return 1.0;

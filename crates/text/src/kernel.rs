@@ -4,7 +4,7 @@
 //!
 //! * one function between two prepared records routes char distances to the
 //!   bit-parallel / banded kernels of [`crate::distance::myers`] and the
-//!   scratch-reusing Jaro kernel, and set distances to the merge walk of
+//!   bit-parallel Jaro kernel, and set distances to the merge walk of
 //!   [`crate::distance::set`] — [`JoinFunction::distance_between`] is its
 //!   public entry point;
 //! * [`KernelGroup`] / [`plan_kernel_groups`] — the sharing planner: set (and
@@ -36,7 +36,7 @@ use std::cell::RefCell;
 pub struct KernelScratch {
     /// Bit-parallel / banded edit-distance buffers.
     pub edit: EditScratch,
-    /// Jaro match-flag buffers.
+    /// Jaro pattern masks and match-flag words.
     pub jaro: JaroScratch,
 }
 
@@ -57,7 +57,7 @@ pub fn with_scratch<R>(f: impl FnOnce(&mut KernelScratch) -> R) -> R {
 pub enum KernelFamily {
     /// Bit-parallel / banded normalized edit distance.
     Edit,
-    /// Scratch-reusing Jaro-Winkler.
+    /// Bit-parallel Jaro-Winkler.
     Jaro,
     /// Merge-walk weighted set distances (JD/CD/DD/MD/ID).
     Set,

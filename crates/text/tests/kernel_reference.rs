@@ -7,6 +7,10 @@
 //!
 //! * the Myers bit-parallel Levenshtein equals the single-row reference DP,
 //!   including across the 64-char block boundary;
+//! * the bit-parallel Jaro-Winkler equals the textbook window scan, across
+//!   the 64- and 128-char word boundaries;
+//! * both kernels read character ids `≥ 256` through the mask table's spill
+//!   list, and a reused scratch leaks no mask bits from one call to the next;
 //! * a bounded kernel call with `bound = Some(τ)` returns the exact distance
 //!   whenever the true distance is ≤ τ, and some value > τ otherwise;
 //! * grouped evaluation (`KernelGroup::eval_records_into`,
@@ -36,6 +40,43 @@ fn ids_strategy() -> impl Strategy<Value = Vec<usize>> {
 /// The shim has no `prop_map`; widen generated ids in the test body.
 fn to_u32(v: &[usize]) -> Vec<u32> {
     v.iter().map(|&x| x as u32).collect()
+}
+
+/// A mixed alphabet: ASCII, the top of the direct mask table (255) and ids
+/// past it (Greek, CJK, an emoji) that the mask table spills.
+const MIXED: [u32; 8] = [97, 98, 32, 255, 0x100, 0x3B1, 0x4E2D, 0x1F600];
+
+/// Strategy: indices into [`MIXED`], lengths crossing the word boundaries.
+fn mixed_strategy() -> impl Strategy<Value = Vec<usize>> {
+    proptest::collection::vec(0usize..MIXED.len(), 0..150)
+}
+
+fn to_mixed(v: &[usize]) -> Vec<u32> {
+    v.iter().map(|&x| MIXED[x]).collect()
+}
+
+/// Jaro-Winkler through `scratch`, bounded and unbounded, against the
+/// reference: exact without a bound, and the bound contract with one.
+fn check_jaro(
+    a: &[u32],
+    b: &[u32],
+    tau: f64,
+    scratch: &mut JaroScratch,
+) -> Result<(), TestCaseError> {
+    let exact = jaro_winkler_distance_reference(a, b);
+    let unbounded = bounded_jaro_winkler_ids(a, b, None, scratch);
+    prop_assert_eq!(unbounded.to_bits(), exact.to_bits());
+    let bounded = bounded_jaro_winkler_ids(a, b, Some(tau), scratch);
+    if exact <= tau {
+        prop_assert_eq!(bounded.to_bits(), exact.to_bits());
+    } else {
+        prop_assert!(
+            bounded > tau,
+            "exact {exact} > τ {tau} but kernel said {bounded}"
+        );
+        prop_assert!(bounded <= exact);
+    }
+    Ok(())
 }
 
 /// `build_global` mutates process-wide state; the thread-count sweep
@@ -85,24 +126,69 @@ proptest! {
     }
 
     /// Bounded Jaro-Winkler honours the same contract against the scalar
-    /// reference.
+    /// reference on short names.
     #[test]
     fn bounded_jaro_winkler_honours_contract(
         a in name_strategy(),
         b in name_strategy(),
         tau in -0.1f64..1.2,
     ) {
-        let (ia, ib) = (char_ids(&a), char_ids(&b));
-        let exact = jaro_winkler_distance_reference(&ia, &ib);
+        check_jaro(&char_ids(&a), &char_ids(&b), tau, &mut JaroScratch::default())?;
+    }
+
+    /// The bit-parallel Jaro scan equals the reference on id sequences whose
+    /// lengths cross the 64- and 128-char word boundaries, in both orders.
+    #[test]
+    fn jaro_matches_reference_across_words(
+        a in ids_strategy(),
+        b in ids_strategy(),
+        tau in -0.1f64..1.2,
+    ) {
+        let (a, b) = (to_u32(&a), to_u32(&b));
         let mut scratch = JaroScratch::default();
-        let unbounded = bounded_jaro_winkler_ids(&ia, &ib, None, &mut scratch);
-        prop_assert_eq!(unbounded.to_bits(), exact.to_bits());
-        let bounded = bounded_jaro_winkler_ids(&ia, &ib, Some(tau), &mut scratch);
-        if exact <= tau {
-            prop_assert_eq!(bounded.to_bits(), exact.to_bits());
-        } else {
-            prop_assert!(bounded > tau, "exact {exact} > τ {tau} but kernel said {bounded}");
-            prop_assert!(bounded <= exact);
+        check_jaro(&a, &b, tau, &mut scratch)?;
+        check_jaro(&b, &a, tau, &mut scratch)?;
+    }
+
+    /// Both kernels are exact on ids past the direct mask table (the spill
+    /// list), mixed with direct ones.
+    #[test]
+    fn kernels_match_reference_on_spilled_ids(
+        a in mixed_strategy(),
+        b in mixed_strategy(),
+        tau in -0.1f64..1.2,
+    ) {
+        let (a, b) = (to_mixed(&a), to_mixed(&b));
+        check_jaro(&a, &b, tau, &mut JaroScratch::default())?;
+        let mut scratch = EditScratch::default();
+        prop_assert_eq!(levenshtein_ids(&a, &b, &mut scratch), levenshtein_reference(&a, &b));
+        prop_assert_eq!(
+            bounded_normalized_edit(&a, &b, None, &mut scratch).to_bits(),
+            normalized_edit_reference(&a, &b).to_bits()
+        );
+    }
+
+    /// One scratch serves a long call, then a short one, then a non-ASCII
+    /// one: no mask bit or match flag of an earlier call leaks into a later
+    /// one.
+    #[test]
+    fn reused_scratch_leaks_nothing(
+        long in proptest::collection::vec(0usize..6, 65..150),
+        short in proptest::collection::vec(0usize..6, 0..20),
+        mixed in mixed_strategy(),
+        tau in -0.1f64..1.2,
+    ) {
+        let calls = [
+            (to_u32(&long), to_u32(&long[..long.len() / 2])),
+            (to_u32(&short), to_u32(&long)),
+            (to_mixed(&mixed), to_u32(&short)),
+            (to_u32(&short), to_mixed(&mixed)),
+        ];
+        let mut jaro = JaroScratch::default();
+        let mut edit = EditScratch::default();
+        for (a, b) in &calls {
+            check_jaro(a, b, tau, &mut jaro)?;
+            prop_assert_eq!(levenshtein_ids(a, b, &mut edit), levenshtein_reference(a, b));
         }
     }
 
