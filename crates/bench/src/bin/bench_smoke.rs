@@ -18,10 +18,11 @@
 //! critical path).  Wall-clock `speedup` stays recorded but is meaningless
 //! on a core-starved CI host; the gate reads the CPU-clock model instead.
 //!
-//! `AUTOFJ_SCALE` selects the task set: `small` or `medium` run just that
-//! task (the CI matrix runs one leg per scale); anything else — including
-//! unset — runs both, which is how the committed `BENCH_pr*.json` baseline
-//! at the repository root is produced.
+//! `AUTOFJ_SCALE` selects the task set: `small`, `medium` or `large` run
+//! just that task (the CI matrix runs one leg per scale); unset runs all
+//! three, which is how the committed `BENCH_pr*.json` baseline at the
+//! repository root is produced.  Any other value exits 2 and names the
+//! accepted ones.
 //!
 //! The run doubles as the **bench gate**: [`autofj_bench::smoke::smoke`]
 //! diffs the `tasks` section against the committed baseline, matching each
@@ -38,7 +39,9 @@
 //! `parallel_effective` falls below
 //! [`autofj_bench::smoke::MIN_PARALLEL_EFFECTIVE`].
 
-use autofj_bench::runner::{autofj_options, run_autofj, run_autofj_with_stats};
+use autofj_bench::runner::{
+    autofj_options, env_space, or_exit, parse_knob, run_autofj, run_autofj_with_stats,
+};
 use autofj_bench::smoke::{
     effective_speedup, smoke, wall_ratio, BenchRun, BenchSmokeReport, TaskBench,
 };
@@ -129,25 +132,29 @@ fn bench_task(
     }
 }
 
+/// The smoke tasks `AUTOFJ_SCALE` selects: `small`, `medium` or `large`;
+/// all three when unset.
+fn smoke_scales(value: Option<&str>) -> Result<&'static [&'static str], String> {
+    let accepted: [(&str, &'static [&'static str]); 3] = [
+        ("small", &["small"]),
+        ("medium", &["medium"]),
+        ("large", &["large"]),
+    ];
+    parse_knob(
+        "AUTOFJ_SCALE",
+        value,
+        &accepted,
+        &["small", "medium", "large"],
+    )
+}
+
 fn main() {
-    // Which smoke tasks to run: the CI matrix passes `small` / `medium` to
-    // run a single leg; the default (committed-baseline) invocation runs
-    // both.
-    let scale_env = std::env::var("AUTOFJ_SCALE")
-        .unwrap_or_default()
-        .to_lowercase();
-    let scales: &[&str] = match scale_env.as_str() {
-        "small" => &["small"],
-        "medium" => &["medium"],
-        "large" => &["large"],
-        _ => &["small", "medium", "large"],
-    };
+    // Which smoke tasks to run: each CI leg passes one scale; the default
+    // (committed-baseline) invocation runs all three.
+    let scales = or_exit(smoke_scales(std::env::var("AUTOFJ_SCALE").ok().as_deref()));
     // Default to the reduced 24-function space so the smoke run stays fast;
     // AUTOFJ_SPACE selects a bigger space for deeper benchmarking sessions.
-    let space = match std::env::var("AUTOFJ_SPACE") {
-        Ok(_) => autofj_bench::runner::env_space(),
-        Err(_) => JoinFunctionSpace::reduced24(),
-    };
+    let space = env_space(JoinFunctionSpace::reduced24());
     let multi_threads: usize = std::env::var("AUTOFJ_BENCH_THREADS")
         .ok()
         .and_then(|s| s.parse().ok())
@@ -249,4 +256,20 @@ fn main() {
     }
 
     smoke("BENCH", report, "tasks");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn smoke_scales_run_all_three_tiers_only_when_unset() {
+        assert_eq!(smoke_scales(None).unwrap(), ["small", "medium", "large"]);
+        assert_eq!(smoke_scales(Some("Medium")).unwrap(), ["medium"]);
+        let err = smoke_scales(Some("medum")).unwrap_err();
+        assert_eq!(
+            err,
+            "AUTOFJ_SCALE=medum is not one of: small, medium, large"
+        );
+    }
 }

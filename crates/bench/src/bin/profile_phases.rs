@@ -17,11 +17,12 @@
 //! ```
 //!
 //! Environment:
-//! * `AUTOFJ_SCALE` — `small` (default) or `medium`: which smoke task to run.
+//! * `AUTOFJ_SCALE` — `small` (default) or `medium`: which smoke task to
+//!   run; any other value exits 2.
 //! * `RAYON_NUM_THREADS` — worker threads of the execution engine.
 //! * `AUTOFJ_SPACE` — optional bigger configuration space (see `bench_smoke`).
 
-use autofj_bench::runner::{autofj_options, run_autofj};
+use autofj_bench::runner::{autofj_options, env_space, or_exit, parse_knob, run_autofj};
 use autofj_bench::Reporter;
 use autofj_core::estimate::{FamilyWork, Precompute};
 use autofj_core::greedy::{run_greedy_with_stats, GreedyStats};
@@ -49,17 +50,19 @@ fn work_counters(
 }
 
 fn main() {
-    let scale = std::env::var("AUTOFJ_SCALE")
-        .unwrap_or_default()
-        .to_lowercase();
-    let task = match scale.as_str() {
-        "medium" => medium_smoke_spec().generate(),
-        _ => benchmark_specs(BenchmarkScale::Small)[36].generate(),
+    let accepted = [("small", false), ("medium", true)];
+    let medium = or_exit(parse_knob(
+        "AUTOFJ_SCALE",
+        std::env::var("AUTOFJ_SCALE").ok().as_deref(),
+        &accepted,
+        false,
+    ));
+    let task = if medium {
+        medium_smoke_spec().generate()
+    } else {
+        benchmark_specs(BenchmarkScale::Small)[36].generate()
     };
-    let space = match std::env::var("AUTOFJ_SPACE") {
-        Ok(_) => autofj_bench::runner::env_space(),
-        Err(_) => JoinFunctionSpace::reduced24(),
-    };
+    let space = env_space(JoinFunctionSpace::reduced24());
     let threads = rayon::current_num_threads();
     eprintln!(
         "profile-phases: {} ({}x{}), space {}, {} thread(s)",

@@ -27,7 +27,7 @@
 //! Exits non-zero if any scenario's results differ across thread counts or
 //! any quality-or-profile field drifts from the committed baseline.
 
-use autofj_bench::runner::{autofj_options, run_autofj};
+use autofj_bench::runner::{autofj_options, env_space, run_autofj};
 use autofj_bench::smoke::{smoke, BenchSmokeReport, ScenarioBench, ScenarioRun};
 use autofj_bench::Reporter;
 use autofj_core::multi_column::join_multi_column;
@@ -107,10 +107,7 @@ fn main() {
     // Default to the reduced 24-function space so the matrix stays fast on
     // CI; AUTOFJ_SPACE selects a bigger space for deeper sessions (the
     // committed baseline is produced with the default).
-    let space = match std::env::var("AUTOFJ_SPACE") {
-        Ok(_) => autofj_bench::runner::env_space(),
-        Err(_) => JoinFunctionSpace::reduced24(),
-    };
+    let space = env_space(JoinFunctionSpace::reduced24());
     let multi_threads: usize = std::env::var("AUTOFJ_BENCH_THREADS")
         .ok()
         .and_then(|s| s.parse().ok())

@@ -77,15 +77,17 @@ impl Reporter {
 }
 
 /// Write a serializable result object to `target/experiments/<name>.json`.
+/// Panics when the file cannot be written, so a run never reports a
+/// document it did not write.
 pub fn write_json<T: Serialize>(name: &str, value: &T) -> PathBuf {
     let dir =
         PathBuf::from(std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".to_string()))
             .join("experiments");
-    let _ = fs::create_dir_all(&dir);
     let path = dir.join(format!("{name}.json"));
-    if let Ok(json) = serde_json::to_string_pretty(value) {
-        let _ = fs::write(&path, json);
-    }
+    let json = serde_json::to_string_pretty(value).expect("the report serializes");
+    fs::create_dir_all(&dir)
+        .and_then(|()| fs::write(&path, json))
+        .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
     path
 }
 

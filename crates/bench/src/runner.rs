@@ -1,161 +1,92 @@
-//! Shared experiment runner: executes AutoFJ and every baseline on a task,
-//! applying the paper's evaluation protocol (adjusted recall at AutoFJ's
-//! precision, PR-AUC, PEPCC).
+//! Shared experiment runner: AutoFJ runs with their quality, run-time and
+//! PEPCC, and the environment knobs every binary reads.
 
-use autofj_baselines::{
-    ActiveLearning, DeepMatcherSub, Ecm, ExcelLike, FuzzyWuzzy, MagellanRf, PpJoin,
-    SupervisedMatcher, UnsupervisedMatcher, ZeroEr,
-};
 use autofj_block::BlockingStats;
 use autofj_core::{join_single_column_with_artifacts, AutoFjOptions, JoinResult};
-use autofj_datagen::{DomainSpec, ScenarioData, ScenarioSpec, SingleColumnTask};
-use autofj_eval::{
-    adjusted_recall, evaluate_assignment, pr_auc, upper_bound_recall, QualityReport,
-    ScoredPrediction,
-};
+use autofj_datagen::{BenchmarkScale, SingleColumnTask};
+use autofj_eval::{evaluate_assignment, QualityReport};
 use autofj_text::JoinFunctionSpace;
-use serde::Serialize;
+use std::str::FromStr;
 use std::time::Instant;
-
-/// Scores of one method on one task.
-#[derive(Debug, Clone, Serialize)]
-pub struct MethodScores {
-    /// Method name as used in the paper's tables.
-    pub method: String,
-    /// Precision of the reported output.
-    pub precision: f64,
-    /// Adjusted (absolute) recall, normalized by ground-truth size.
-    pub adjusted_recall: f64,
-    /// PR-AUC of the method's score ranking (0 for methods without scores).
-    pub pr_auc: f64,
-    /// Wall-clock seconds.
-    pub seconds: f64,
-    /// Worker threads the execution engine used for this measurement, so
-    /// recorded timings are comparable across benchmark runs.
-    pub threads: usize,
-}
-
-/// Everything measured on one task.
-#[derive(Debug, Clone, Serialize)]
-pub struct TaskOutcome {
-    /// Task name.
-    pub task: String,
-    /// `|L|` and `|R|`.
-    pub size: (usize, usize),
-    /// Upper bound of recall over the configuration space.
-    pub ubr: f64,
-    /// AutoFJ's actual precision and (relative) recall.
-    pub autofj_precision: f64,
-    /// AutoFJ's relative recall.
-    pub autofj_recall: f64,
-    /// Pearson correlation between estimated and actual precision over the
-    /// greedy iterations (PEPCC).
-    pub pepcc: f64,
-    /// AutoFJ wall-clock seconds.
-    pub autofj_seconds: f64,
-    /// Worker threads the execution engine used for this measurement.
-    pub threads: usize,
-    /// Baseline scores (adjusted recall computed at AutoFJ's precision).
-    pub baselines: Vec<MethodScores>,
-}
 
 /// The paper's default AutoFJ options (τ = 0.9, s = 50, β = 1.5).
 pub fn autofj_options() -> AutoFjOptions {
     AutoFjOptions::default()
 }
 
-/// Read the benchmark scale from `AUTOFJ_SCALE` (tiny | small | full).
-pub fn env_scale() -> autofj_datagen::BenchmarkScale {
-    match std::env::var("AUTOFJ_SCALE")
-        .unwrap_or_default()
-        .to_lowercase()
-        .as_str()
-    {
-        "tiny" => autofj_datagen::BenchmarkScale::Tiny,
-        "full" => autofj_datagen::BenchmarkScale::Full,
-        _ => autofj_datagen::BenchmarkScale::Small,
-    }
-}
-
-/// Read the task limit from `AUTOFJ_TASKS` (default: all).
-pub fn env_task_limit() -> usize {
-    std::env::var("AUTOFJ_TASKS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(usize::MAX)
-}
-
-/// Read the configuration-space size from `AUTOFJ_SPACE` (24 | 38 | 70 | 140).
-pub fn env_space() -> JoinFunctionSpace {
-    match std::env::var("AUTOFJ_SPACE")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-    {
-        Some(24) => JoinFunctionSpace::reduced24(),
-        Some(38) => JoinFunctionSpace::reduced38(),
-        Some(70) => JoinFunctionSpace::reduced70(),
-        _ => JoinFunctionSpace::full(),
-    }
-}
-
-/// The environment-driven setup shared by the `fig6*` robustness bins: the
-/// benchmark domain specs, the tasks they generate, and the configuration
-/// space.
-pub struct SweepSetup {
-    /// The selected benchmark domain specs (inputs to the scenario
-    /// constructors for bins that derive adversarial variants).
-    pub specs: Vec<DomainSpec>,
-    /// One generated task per spec.
-    pub tasks: Vec<SingleColumnTask>,
-    /// The `AUTOFJ_SPACE` configuration space.
-    pub space: autofj_text::JoinFunctionSpace,
-}
-
-/// Build the shared `fig6*` sweep harness: `benchmark_specs(AUTOFJ_SCALE)`
-/// capped at `min(AUTOFJ_TASKS, 12)` tasks, each generated through
-/// [`ScenarioSpec::perturbation`] so the experiment bins exercise the same
-/// registry code path the `robustness_matrix` gate runs.
-pub fn sweep_setup() -> SweepSetup {
-    let mut specs = autofj_datagen::benchmark_specs(env_scale());
-    let limit = env_task_limit().min(specs.len()).min(12);
-    specs.truncate(limit);
-    let tasks = specs
-        .iter()
-        .map(|s| expect_single(ScenarioSpec::perturbation(&s.name, s.clone()).generate()))
-        .collect();
-    SweepSetup {
-        specs,
-        tasks,
-        space: env_space(),
-    }
-}
-
-/// Unwrap the single-column payload of a scenario that can only generate one
-/// (every `fig6*` sweep point).
-pub fn expect_single(data: ScenarioData) -> SingleColumnTask {
-    match data {
-        ScenarioData::Single(task) => task,
-        ScenarioData::Multi(task) => {
-            panic!(
-                "expected a single-column scenario, got multi-column {}",
-                task.name
-            )
+/// Look a knob's `value` up (case-insensitively) in `accepted`: unset gives
+/// `default`, and a value not listed is an error naming the accepted ones.
+pub fn parse_knob<T: Clone>(
+    name: &str,
+    value: Option<&str>,
+    accepted: &[(&str, T)],
+    default: T,
+) -> Result<T, String> {
+    let Some(value) = value else {
+        return Ok(default);
+    };
+    let lower = value.to_lowercase();
+    match accepted.iter().find(|(key, _)| *key == lower) {
+        Some((_, choice)) => Ok(choice.clone()),
+        None => {
+            let keys: Vec<&str> = accepted.iter().map(|(key, _)| *key).collect();
+            Err(format!("{name}={value} is not one of: {}", keys.join(", ")))
         }
     }
 }
 
-/// Unwrap the multi-column payload of a scenario that can only generate one
-/// (every `table4*` sweep point).
-pub fn expect_multi(data: ScenarioData) -> autofj_datagen::MultiColumnTask {
-    match data {
-        ScenarioData::Multi(task) => task,
-        ScenarioData::Single(task) => {
-            panic!(
-                "expected a multi-column scenario, got single-column {}",
-                task.name
-            )
-        }
+/// Parse a numeric knob: unset gives `default`, anything that does not
+/// parse as a `T` is an error.
+pub fn parse_number<T: FromStr>(name: &str, value: Option<&str>, default: T) -> Result<T, String> {
+    match value {
+        None => Ok(default),
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("{name}={v} is not a valid number")),
     }
+}
+
+/// The benchmark scale named by `AUTOFJ_SCALE`: `tiny`, `small` (unset) or
+/// `full`.
+pub fn parse_scale(value: Option<&str>) -> Result<BenchmarkScale, String> {
+    let accepted = [
+        ("tiny", BenchmarkScale::Tiny),
+        ("small", BenchmarkScale::Small),
+        ("full", BenchmarkScale::Full),
+    ];
+    parse_knob("AUTOFJ_SCALE", value, &accepted, BenchmarkScale::Small)
+}
+
+/// The configuration space named by `AUTOFJ_SPACE`: `24`, `38`, `70` or
+/// `140` join functions; `default` when unset.
+pub fn parse_space(
+    value: Option<&str>,
+    default: JoinFunctionSpace,
+) -> Result<JoinFunctionSpace, String> {
+    let accepted = [
+        ("24", JoinFunctionSpace::reduced24()),
+        ("38", JoinFunctionSpace::reduced38()),
+        ("70", JoinFunctionSpace::reduced70()),
+        ("140", JoinFunctionSpace::full()),
+    ];
+    parse_knob("AUTOFJ_SPACE", value, &accepted, default)
+}
+
+/// The parsed or exit 2 with the error on stderr.
+pub fn or_exit<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
+}
+
+/// The `AUTOFJ_SPACE` configuration space, `default` when unset; exits on
+/// an unknown value.
+pub fn env_space(default: JoinFunctionSpace) -> JoinFunctionSpace {
+    or_exit(parse_space(
+        std::env::var("AUTOFJ_SPACE").ok().as_deref(),
+        default,
+    ))
 }
 
 /// Pearson correlation coefficient of two equally long series (`NaN`-safe:
@@ -204,152 +135,29 @@ pub fn run_autofj(
     options: &AutoFjOptions,
 ) -> (JoinResult, QualityReport, f64, f64) {
     let (result, quality, _, seconds) = run_autofj_with_stats(task, space, options);
-    // PEPCC: correlation between the estimated precision trace and the actual
-    // precision of the partial solution after each iteration.
-    let mut actual_trace = Vec::with_capacity(result.precision_trace.len());
-    if !result.precision_trace.is_empty() {
-        let max_ordinal = result.program.configs.len();
-        for upto in 1..=max_ordinal {
-            let partial: Vec<Option<usize>> = result
-                .pairs
-                .iter()
-                .filter(|p| p.config_index < upto)
-                .fold(vec![None; task.right.len()], |mut acc, p| {
-                    acc[p.right] = Some(p.left);
-                    acc
-                });
-            actual_trace.push(evaluate_assignment(&partial, &task.ground_truth).precision);
-        }
-    }
-    let pepcc = pearson(&result.precision_trace, &actual_trace);
+    let pepcc = pepcc(&result, &task.ground_truth);
     (result, quality, pepcc, seconds)
 }
 
-/// Evaluate an unsupervised baseline: adjusted recall at `target_precision`
-/// plus PR-AUC.
-pub fn run_unsupervised(
-    matcher: &dyn UnsupervisedMatcher,
-    task: &SingleColumnTask,
-    target_precision: f64,
-) -> MethodScores {
-    let start = Instant::now();
-    let preds = matcher.predict(&task.left, &task.right);
-    let seconds = start.elapsed().as_secs_f64();
-    score_predictions(matcher.name(), &preds, task, target_precision, seconds)
-}
-
-/// Evaluate a supervised baseline under the 50 %-labels protocol.
-pub fn run_supervised(
-    matcher: &dyn SupervisedMatcher,
-    task: &SingleColumnTask,
-    target_precision: f64,
-    seed: u64,
-) -> MethodScores {
-    let (train, _test) = autofj_baselines::train_test_split(task.right.len(), 0.5, seed);
-    let start = Instant::now();
-    let preds = matcher.fit_predict(&task.left, &task.right, &task.ground_truth, &train, seed);
-    let seconds = start.elapsed().as_secs_f64();
-    score_predictions(matcher.name(), &preds, task, target_precision, seconds)
-}
-
-fn score_predictions(
-    name: &str,
-    preds: &[ScoredPrediction],
-    task: &SingleColumnTask,
-    target_precision: f64,
-    seconds: f64,
-) -> MethodScores {
-    let ar = adjusted_recall(preds, &task.ground_truth, target_precision);
-    let auc = pr_auc(preds, &task.ground_truth);
-    MethodScores {
-        method: name.to_string(),
-        precision: ar.precision,
-        adjusted_recall: ar.recall_relative,
-        pr_auc: auc,
-        seconds,
-        threads: rayon::current_num_threads(),
-    }
-}
-
-/// Run AutoFJ plus every baseline on one task (the Table 2 protocol).
-/// `include_supervised` controls whether the slower supervised baselines run.
-pub fn run_full_comparison(
-    task: &SingleColumnTask,
-    space: &JoinFunctionSpace,
-    options: &AutoFjOptions,
-    include_supervised: bool,
-    include_ablations: bool,
-) -> TaskOutcome {
-    let (result, quality, pepcc, autofj_seconds) = run_autofj(task, space, options);
-    let target = quality.precision;
-    let mut baselines = Vec::new();
-
-    let excel = ExcelLike::default();
-    let fw = FuzzyWuzzy;
-    let zeroer = ZeroEr::default();
-    let ecm = Ecm::default();
-    let pp = PpJoin::default();
-    for m in [&excel as &dyn UnsupervisedMatcher, &fw, &zeroer, &ecm, &pp] {
-        baselines.push(run_unsupervised(m, task, target));
-    }
-    if include_supervised {
-        let magellan = MagellanRf::default();
-        let dm = DeepMatcherSub::default();
-        let al = ActiveLearning::default();
-        for m in [&magellan as &dyn SupervisedMatcher, &dm, &al] {
-            baselines.push(run_supervised(m, task, target, 0xC0FFEE));
+/// PEPCC: the correlation between the estimated precision trace and the
+/// actual precision of the partial solution after each greedy iteration.
+pub fn pepcc(result: &JoinResult, ground_truth: &[Option<usize>]) -> f64 {
+    let mut actual_trace = Vec::with_capacity(result.precision_trace.len());
+    if !result.precision_trace.is_empty() {
+        for upto in 1..=result.program.configs.len() {
+            let mut partial = vec![None; result.assignment.len()];
+            for p in result.pairs.iter().filter(|p| p.config_index < upto) {
+                partial[p.right] = Some(p.left);
+            }
+            actual_trace.push(evaluate_assignment(&partial, ground_truth).precision);
         }
     }
-    if include_ablations {
-        // AutoFJ-UC: single best configuration.
-        let uc_options = AutoFjOptions {
-            union_of_configurations: false,
-            ..options.clone()
-        };
-        let (_r, q, _c, s) = run_autofj(task, space, &uc_options);
-        baselines.push(MethodScores {
-            method: "AutoFJ-UC".to_string(),
-            precision: q.precision,
-            adjusted_recall: q.recall_relative,
-            pr_auc: 0.0,
-            seconds: s,
-            threads: rayon::current_num_threads(),
-        });
-        // AutoFJ-NR: no negative rules.
-        let nr_options = AutoFjOptions {
-            use_negative_rules: false,
-            ..options.clone()
-        };
-        let (_r, q, _c, s) = run_autofj(task, space, &nr_options);
-        baselines.push(MethodScores {
-            method: "AutoFJ-NR".to_string(),
-            precision: q.precision,
-            adjusted_recall: q.recall_relative,
-            pr_auc: 0.0,
-            seconds: s,
-            threads: rayon::current_num_threads(),
-        });
-    }
-
-    let ubr = upper_bound_recall(&task.left, &task.right, space, options, &task.ground_truth);
-    let _ = &result;
-    TaskOutcome {
-        task: task.name.clone(),
-        size: (task.left.len(), task.right.len()),
-        ubr,
-        autofj_precision: quality.precision,
-        autofj_recall: quality.recall_relative,
-        pepcc,
-        autofj_seconds,
-        threads: rayon::current_num_threads(),
-        baselines,
-    }
+    pearson(&result.precision_trace, &actual_trace)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use autofj_datagen::{benchmark_specs, BenchmarkScale};
 
     #[test]
     fn pearson_of_identical_series_is_one() {
@@ -359,24 +167,29 @@ mod tests {
     }
 
     #[test]
-    fn full_comparison_runs_on_a_tiny_task() {
-        let task = benchmark_specs(BenchmarkScale::Tiny)[36].generate(); // ShoppingMall (small)
-        let space = JoinFunctionSpace::reduced24();
-        let outcome = run_full_comparison(&task, &space, &autofj_options(), false, false);
-        assert_eq!(outcome.task, task.name);
-        assert!(outcome.autofj_precision >= 0.0 && outcome.autofj_precision <= 1.0);
-        assert_eq!(outcome.baselines.len(), 5);
-        for b in &outcome.baselines {
-            assert!((0.0..=1.0).contains(&b.adjusted_recall), "{b:?}");
-            assert!(b.threads >= 1);
-        }
-        assert!(outcome.ubr > 0.0);
-        assert_eq!(outcome.threads, rayon::current_num_threads());
+    fn knobs_default_when_unset() {
+        assert_eq!(parse_scale(None), Ok(BenchmarkScale::Small));
+        assert_eq!(parse_scale(Some("TINY")), Ok(BenchmarkScale::Tiny));
+        let full = parse_space(None, JoinFunctionSpace::full()).unwrap();
+        assert_eq!(full.len(), 140);
+        let reduced = parse_space(None, JoinFunctionSpace::reduced24()).unwrap();
+        assert_eq!(reduced.len(), 24);
+        assert_eq!(parse_space(Some("38"), full).unwrap().len(), 38);
+        assert_eq!(
+            parse_number("AUTOFJ_TASKS", None, usize::MAX),
+            Ok(usize::MAX)
+        );
+        assert_eq!(parse_number("AUTOFJ_TASKS", Some("7"), usize::MAX), Ok(7));
     }
 
     #[test]
-    fn env_helpers_have_sane_defaults() {
-        assert_eq!(env_task_limit(), usize::MAX);
-        assert_eq!(env_space().len(), 140);
+    fn unknown_knob_values_are_rejected_with_the_accepted_ones() {
+        let err = parse_space(Some("25"), JoinFunctionSpace::full()).unwrap_err();
+        assert_eq!(err, "AUTOFJ_SPACE=25 is not one of: 24, 38, 70, 140");
+        let err = parse_scale(Some("medum")).unwrap_err();
+        assert_eq!(err, "AUTOFJ_SCALE=medum is not one of: tiny, small, full");
+        assert!(parse_scale(Some("")).is_err());
+        let err = parse_number("AUTOFJ_MC_SCALE", Some("0,06"), 0.15).unwrap_err();
+        assert!(err.contains("AUTOFJ_MC_SCALE=0,06"), "{err}");
     }
 }

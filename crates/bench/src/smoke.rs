@@ -1,13 +1,15 @@
 //! Shared report schema and gate of the CI smoke benchmarks.
 //!
-//! Four binaries each measure one section of a [`BenchSmokeReport`]:
+//! Four runs each measure one section of a [`BenchSmokeReport`]:
 //! `bench_smoke` the batch pipeline (`tasks`, at 1 and N threads),
 //! `serve_bench` the snapshot round trip and online server (`serve`),
-//! `robustness_matrix` the stress suite (`scenarios`) and `fig6d_blocking`
-//! the blocking-factor sweep (`fig6d`).  The committed `BENCH_pr*.json`
-//! baseline at the repository root is the merged document.  Every binary
-//! ends in [`smoke`], which writes the report, runs the checks that need no
-//! baseline and diffs the measured section against the baseline.
+//! `robustness_matrix` the stress suite (`scenarios`) and the `paper`
+//! registry's `fig6d` entry the blocking-factor sweep (`fig6d`, written as
+//! `fig6d_blocking.json`).  The committed `BENCH_pr*.json` baseline at the
+//! repository root is the merged document.  Each run ends in [`check`]
+//! (the binaries through [`smoke`], which exits with its verdict): it
+//! writes the report, runs the checks that need no baseline and diffs the
+//! measured section against the baseline.
 //!
 //! The diff ([`gate`]) walks the two reports' `serde::Value` trees, and
 //! [`GATE_POLICY`] holds all of its policy.  Keys listed there as
@@ -454,7 +456,13 @@ fn render(value: &Value) -> String {
     }
 }
 
-/// The tail every gated binary ends in; exits 1 on any failure, else 0.
+/// The tail every gated binary ends in: [`check`], then exit 0 when it
+/// passed and 1 otherwise.
+pub fn smoke(stem: &str, report: BenchSmokeReport, section: &str) -> ! {
+    std::process::exit(if check(stem, report, section) { 0 } else { 1 })
+}
+
+/// Write a gated report and diff it; returns whether every check passed.
 ///
 /// It fills the report's host fields and its `identical_results`
 /// conjunction, then writes it to `target/experiments/<stem>.json` (copied
@@ -466,7 +474,7 @@ fn render(value: &Value) -> String {
 /// [`MIN_PARALLEL_EFFECTIVE`]) and diffs `section` against the baseline:
 /// `AUTOFJ_BENCH_BASELINE` when set (empty or `none`: no diff), else the
 /// newest `BENCH_pr<N>.json` in the working directory.
-pub fn smoke(stem: &str, mut report: BenchSmokeReport, section: &str) -> ! {
+pub fn check(stem: &str, mut report: BenchSmokeReport, section: &str) -> bool {
     report.host_parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
     report.peak_rss_bytes = peak_rss_bytes();
     report.identical_results = report.all_identical();
@@ -521,7 +529,7 @@ pub fn smoke(stem: &str, mut report: BenchSmokeReport, section: &str) -> ! {
     };
     if errors.is_empty() {
         println!("bench-gate: `{section}` passes against {against}");
-        std::process::exit(0);
+        return true;
     }
     eprintln!("ERROR: bench-gate: `{section}` fails against {against}:");
     for e in &errors {
@@ -531,7 +539,7 @@ pub fn smoke(stem: &str, mut report: BenchSmokeReport, section: &str) -> ! {
         "If the change is intentional, regenerate the baseline (README, \"Bench gate\") \
          and commit it."
     );
-    std::process::exit(1)
+    false
 }
 
 /// Replace `section` of the report at `into` with `report`'s.

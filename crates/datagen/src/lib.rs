@@ -17,7 +17,7 @@
 //! * [`adversarial`] — the robustness transformations of Figure 6 / Table 4(b).
 //! * [`scenario`] — the named scenario-robustness registry (deterministic
 //!   stress scenarios + committed data profiles) behind the
-//!   `robustness_matrix` bench gate and the `fig6*`/`table4*` bins.
+//!   `robustness_matrix` bench gate and the paper registry's sweeps.
 //! * [`perturb`] — the string-variation model.
 
 pub mod adversarial;
@@ -28,7 +28,7 @@ pub mod single_column;
 pub mod task;
 pub mod words;
 
-pub use multi_column::{generate_multi_column_benchmark, MultiColumnDataset};
+pub use multi_column::MultiColumnDataset;
 pub use perturb::{Perturbation, PerturbationMix};
 pub use scenario::{scenario_registry, ScenarioData, ScenarioKind, ScenarioSpec};
 pub use single_column::{

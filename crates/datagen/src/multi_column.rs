@@ -514,16 +514,6 @@ impl EntityGen {
     }
 }
 
-/// Generate all 8 multi-column tasks at the given row-count scale
-/// (`scale = 1.0` ≈ the paper's sizes; the harness default is 0.25).
-pub fn generate_multi_column_benchmark(scale: f64, seed: u64) -> Vec<MultiColumnTask> {
-    MultiColumnDataset::ALL
-        .iter()
-        .enumerate()
-        .map(|(i, d)| d.generate(scale, seed + i as u64))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -14,9 +14,10 @@
 //! [`scenario_registry`] names the committed matrix (zero-join, irrelevant
 //! injection at several rates, sparsified reference, the three perturbation
 //! mixes, Zipf-skewed token distributions that stress q-gram blocking, and a
-//! multi-column blend with random-column noise).  The `fig6*` / `table4*`
-//! experiment bins build their sweep points through the same constructors,
-//! so the CI matrix and the paper figures can never quietly diverge.
+//! multi-column blend with random-column noise).  The paper registry of
+//! `autofj-bench` builds every task of its tables and figures through the
+//! same constructors, so the CI matrix and the paper figures can never
+//! quietly diverge.
 
 use crate::adversarial::{
     add_irrelevant_records, add_random_columns, sparsify_reference, unrelated_pair,
