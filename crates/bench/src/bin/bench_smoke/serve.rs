@@ -1,4 +1,4 @@
-//! CI serve-smoke: snapshot persistence + online query-server benchmark.
+//! The `serve` section: snapshot persistence and the online query server.
 //!
 //! Learns a join program on the small smoke task (ShoppingMall, ~143×80),
 //! freezes it into an [`autofj_store::ServingState`], then measures:
@@ -8,22 +8,14 @@
 //!    byte-identically to the batch pipeline's `JoinResult` (the
 //!    `identical_results` quality flag, gated against the baseline).
 //! 2. **Online serving** — an in-process TCP [`autofj_serve::Server`] over
-//!    the loaded snapshot, driven by 1 and `AUTOFJ_BENCH_THREADS` (default
-//!    4) concurrent client connections issuing single-record `Join`
-//!    requests.  Each leg records throughput and p50/p99 latency
-//!    (informational; only the answers are gated).  A `JoinBatch` request
-//!    must return exactly the per-record answers.
-//!
-//! The report lands in `target/experiments/BENCH_serve.json` as a
-//! [`BenchSmokeReport`] whose `serve` section is filled (plus a copy at
-//! `AUTOFJ_BENCH_OUT`).  `AUTOFJ_BENCH_MERGE_INTO=<path>` instead merges the
-//! `serve` section into an existing report — that is how the committed
-//! `BENCH_pr*.json` trajectory entry gains its serve numbers.  The quality
-//! gate diffs the resolved baseline's `serve` section like `bench_smoke`
-//! diffs its `tasks`.
+//!    the loaded snapshot, driven by 1 and [`MULTI_THREADS`] concurrent
+//!    client connections issuing single-record `Join` requests.  Each leg
+//!    records throughput and p50/p99 latency (informational; only the
+//!    answers are gated).  A `JoinBatch` request must return exactly the
+//!    per-record answers.
 
 use autofj_bench::runner::autofj_options;
-use autofj_bench::smoke::{smoke, BenchSmokeReport, ServeBench, ServeRun};
+use autofj_bench::smoke::{ServeBench, ServeRun, MULTI_THREADS};
 use autofj_bench::Reporter;
 use autofj_core::JoinResult;
 use autofj_datagen::{benchmark_specs, BenchmarkScale};
@@ -149,26 +141,23 @@ fn client_leg(state: &ServingState, records: &[String], clients: usize) -> Serve
     }
 }
 
-fn main() {
-    let multi_threads: usize = std::env::var("AUTOFJ_BENCH_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n > 1)
-        .unwrap_or(4);
+/// Measure the `serve` section and print its table.
+pub fn measure() -> ServeBench {
     let space = JoinFunctionSpace::reduced24();
     let options = autofj_options();
 
-    // Index 36 is ShoppingMall — the same small task bench_smoke records.
+    // Index 36 is ShoppingMall — the same task as the `small` section.
     let task = benchmark_specs(BenchmarkScale::Small)[36].generate();
     eprintln!(
-        "serve-bench: learning {} ({}x{})...",
+        "bench-smoke: serve: learning {} ({}x{})...",
         task.name,
         task.left.len(),
         task.right.len()
     );
     let (state, result) = ServingState::learn(&task.left, &task.right, &space, &options);
 
-    let snap_path = std::env::temp_dir().join(format!("serve_bench_{}.afj", std::process::id()));
+    let snap_path =
+        std::env::temp_dir().join(format!("bench_smoke_serve_{}.afj", std::process::id()));
     let t = Instant::now();
     state.save(&snap_path).expect("save snapshot");
     let save_seconds = t.elapsed().as_secs_f64();
@@ -195,8 +184,8 @@ fn main() {
     let identical_results = batch_equals_result && batch_request_identical;
 
     let mut runs = Vec::new();
-    for clients in [1usize, multi_threads] {
-        eprintln!("serve-bench: {clients} client connection(s)...");
+    for clients in [1, MULTI_THREADS] {
+        eprintln!("bench-smoke: serve: {clients} client connection(s)...");
         runs.push(client_leg(&loaded, &task.right, clients));
     }
 
@@ -212,7 +201,7 @@ fn main() {
     };
 
     let mut table = Reporter::new(
-        "serve-bench: online joins over a loaded snapshot",
+        "bench-smoke: serve: online joins over a loaded snapshot",
         &[
             "Clients", "Requests", "Seconds", "Req/s", "p50 ms", "p99 ms",
         ],
@@ -237,9 +226,5 @@ fn main() {
         serve.identical_results
     );
 
-    let report = BenchSmokeReport {
-        serve: Some(serve),
-        ..Default::default()
-    };
-    smoke("BENCH_serve", report, "serve");
+    serve
 }

@@ -3,9 +3,9 @@
 //! `paper <entry>…` runs the named entries of
 //! [`autofj_bench::registry::ENTRIES`] in order: each prints its table and
 //! writes `target/experiments/<entry>.json`.  With no argument it lists the
-//! entries.  `fig6d` ends in the Figure 6(d) bench gate (the `fig6d`
-//! section of the committed `BENCH_pr*.json`), and the binary exits 1 when
-//! that gate fails; an unknown entry name exits 2 before anything runs.
+//! entries; an unknown entry name exits 2 before anything runs.  No entry
+//! is gated here: the bench gate over the `fig6d` sweep is `bench_smoke
+//! fig6d`.
 //!
 //! ```bash
 //! AUTOFJ_SCALE=tiny AUTOFJ_SPACE=24 cargo run --release -p autofj-bench --bin paper -- table2 fig7a
@@ -28,9 +28,7 @@ fn main() {
     }
     let entries: Vec<_> = names.iter().map(|n| or_exit(entry(n))).collect();
     let settings = or_exit(Settings::from_env());
-    let mut passed = true;
     for e in entries {
-        passed &= e.run(&settings);
+        e.run(&settings);
     }
-    std::process::exit(if passed { 0 } else { 1 })
 }

@@ -20,9 +20,10 @@
 //! * `AUTOFJ_SCALE` — `small` (default) or `medium`: which smoke task to
 //!   run; any other value exits 2.
 //! * `RAYON_NUM_THREADS` — worker threads of the execution engine.
-//! * `AUTOFJ_SPACE` — optional bigger configuration space (see `bench_smoke`).
+//! * `AUTOFJ_SPACE` — `24` (default), `38`, `70` or `140`: the configuration
+//!   space.
 
-use autofj_bench::runner::{autofj_options, env_space, or_exit, parse_knob, run_autofj};
+use autofj_bench::runner::{autofj_options, or_exit, parse_knob, parse_space, run_autofj};
 use autofj_bench::Reporter;
 use autofj_core::estimate::{FamilyWork, Precompute};
 use autofj_core::greedy::{run_greedy_with_stats, GreedyStats};
@@ -62,7 +63,10 @@ fn main() {
     } else {
         benchmark_specs(BenchmarkScale::Small)[36].generate()
     };
-    let space = env_space(JoinFunctionSpace::reduced24());
+    let space = or_exit(parse_space(
+        std::env::var("AUTOFJ_SPACE").ok().as_deref(),
+        JoinFunctionSpace::reduced24(),
+    ));
     let threads = rayon::current_num_threads();
     eprintln!(
         "profile-phases: {} ({}x{}), space {}, {} thread(s)",
@@ -76,7 +80,7 @@ fn main() {
     let options = autofj_options();
     timing::reset();
     rayon::reset_engine_stats();
-    let (result, quality, _pepcc, seconds) = run_autofj(&task, &space, &options);
+    let (result, quality, _, seconds) = run_autofj(&task, &space, &options);
     let phases = timing::snapshot();
     let engine = rayon::engine_stats();
 

@@ -10,29 +10,31 @@
 //! each table with the paper's row/column structure and writes a JSON copy
 //! under `target/experiments/`; `paper` alone lists the entries.
 //!
-//! Environment knobs (an unknown value exits with the accepted ones):
+//! Environment knobs of `paper` and `profile_phases` (an unknown value
+//! exits with the accepted ones):
 //!
 //! * `AUTOFJ_SCALE` — `tiny` | `small` (default) | `full`: row counts of the
-//!   generated benchmark.  For `bench_smoke` it instead selects the smoke
-//!   task: `small`, `medium` or `large`, all three when unset; for
-//!   `profile_phases`, `small` (default) or `medium`.
+//!   generated benchmark; for `profile_phases`, `small` (default) or
+//!   `medium`: which smoke task it profiles.
 //! * `AUTOFJ_TASKS` — limit on the number of single-column tasks (default:
 //!   all 50).
 //! * `AUTOFJ_SPACE` — `24` | `38` | `70` | `140`: configuration space (the
-//!   registry defaults to 140, the other binaries to 24).
+//!   registry defaults to 140, `profile_phases` to 24).
 //! * `AUTOFJ_MC_SCALE` — row-count scale of the multi-column datasets
 //!   (default 0.15).
 //! * `RAYON_NUM_THREADS` — worker threads of the execution engine; every
 //!   report records the count it was measured with.
 //!
-//! Four binaries are the CI perf + quality gates: `bench_smoke` times the
-//! pipeline on small, medium and large datagen tasks at 1 and
-//! `AUTOFJ_BENCH_THREADS` (default 4) threads, `serve_bench` the snapshot
-//! round trip and online server, `robustness_matrix` the scenario stress
-//! suite and `paper fig6d` the blocking-factor sweep.  Each fills one
-//! section of the `BENCH_*.json` trajectory report and ends in
-//! [`smoke::check`], which fails on drift from the newest committed baseline
-//! (timings stay informational; [`smoke::GATE_POLICY`] says which fields).
+//! One binary is the CI perf + quality gate: `bench_smoke [section…]`
+//! measures the sections of the `BENCH_*.json` trajectory report — the
+//! pipeline on the `small`, `medium` and `large` datagen tasks at 1 and 4
+//! threads, the snapshot round trip and online server (`serve`), the
+//! scenario stress suite (`scenarios`) and the blocking-factor sweep
+//! (`fig6d`) — and ends in [`smoke::check`], which fails on drift from the
+//! newest committed baseline (timings stay informational;
+//! [`smoke::GATE_POLICY`] says which fields).  It reads none of the knobs
+//! above: every gated setting is fixed by the baseline it is diffed
+//! against.
 
 pub mod registry;
 pub mod report;

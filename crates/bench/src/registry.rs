@@ -7,7 +7,8 @@
 //! is the level every baseline's adjusted recall is read at, then each other
 //! method a column names.  The cells become one printed table and one
 //! `target/experiments/<entry>.json` document ([`Report`]), which keeps every
-//! cell.  The `paper` binary selects entries by name.
+//! cell.  The `paper` binary selects entries by name; `bench_smoke`'s
+//! `fig6d` section runs the `fig6d` entry and gates its cells.
 //!
 //! Supervised baselines follow the Table 2 protocol everywhere: half of the
 //! right records are labelled, split and trained under [`SUPERVISED_SEED`].
@@ -15,9 +16,8 @@
 //! of [`PR_LADDER`] it is still joined at.
 
 use crate::runner::{
-    autofj_options, parse_number, parse_scale, parse_space, pearson, pepcc, run_autofj_with_stats,
+    autofj_options, parse_number, parse_scale, parse_space, pearson, pepcc, run_autofj,
 };
-use crate::smoke::{check, BenchSmokeReport, Fig6dPoint};
 use crate::{write_json, Reporter};
 use autofj_baselines::{
     train_test_split, ActiveLearning, DeepMatcherSub, ExcelLike, FuzzyWuzzy, MagellanRf, PpJoin,
@@ -51,7 +51,7 @@ pub const PR_LADDER: [f64; 6] = [0.95, 0.9, 0.8, 0.7, 0.6, 0.5];
 const DEFAULT_SIMILARITY: f64 = 0.6;
 
 /// Multi-column row-count scale when `AUTOFJ_MC_SCALE` is unset.
-const DEFAULT_MC_SCALE: f64 = 0.15;
+pub const DEFAULT_MC_SCALE: f64 = 0.15;
 
 /// The ten unrelated (left-domain, right-domain) pairs of Figure 6(b),
 /// indices into `benchmark_specs`, mirroring the paper's "Satellites joined
@@ -92,7 +92,6 @@ pub const ENTRIES: &[Entry] = {
                 One(AutoFj, Seconds),
             ],
             rows: Rows::Tasks,
-            gate: None,
         },
         Entry {
             name: "table4",
@@ -106,7 +105,6 @@ pub const ENTRIES: &[Entry] = {
                 One(AutoFj, Seconds),
             ],
             rows: Rows::Tasks,
-            gate: None,
         },
         Entry {
             name: "table4b",
@@ -118,7 +116,6 @@ pub const ENTRIES: &[Entry] = {
             }),
             columns: &[One(AutoFj, Recall), One(Excel, Recall), One(Al, Recall)],
             rows: Rows::TaskDelta,
-            gate: None,
         },
         Entry {
             name: "table5",
@@ -127,7 +124,6 @@ pub const ENTRIES: &[Entry] = {
             sweep: None,
             columns: &[One(AutoFj, PrAuc), Baselines(PrAuc)],
             rows: Rows::Tasks,
-            gate: None,
         },
         Entry {
             name: "table6",
@@ -139,7 +135,6 @@ pub const ENTRIES: &[Entry] = {
             }),
             columns: &[One(AutoFj, Precision), One(AutoFj, Recall)],
             rows: Rows::Tasks,
-            gate: None,
         },
         Entry {
             name: "table7",
@@ -148,7 +143,6 @@ pub const ENTRIES: &[Entry] = {
             sweep: None,
             columns: &[One(AutoFj, PrAuc), Baselines(PrAuc)],
             rows: Rows::Tasks,
-            gate: None,
         },
         Entry {
             name: "fig6a",
@@ -160,7 +154,6 @@ pub const ENTRIES: &[Entry] = {
             }),
             columns: &[One(AutoFj, Precision), One(AutoFj, Recall)],
             rows: Rows::Points,
-            gate: None,
         },
         Entry {
             name: "fig6b",
@@ -169,7 +162,6 @@ pub const ENTRIES: &[Entry] = {
             sweep: None,
             columns: &[One(AutoFj, JoinedShare), One(Excel, JoinedShare)],
             rows: Rows::Tasks,
-            gate: None,
         },
         Entry {
             name: "fig6c",
@@ -185,7 +177,6 @@ pub const ENTRIES: &[Entry] = {
                 One(Excel, Recall),
             ],
             rows: Rows::Points,
-            gate: None,
         },
         Entry {
             name: "fig6d",
@@ -202,7 +193,6 @@ pub const ENTRIES: &[Entry] = {
                 One(AutoFj, LrPairs),
             ],
             rows: Rows::Points,
-            gate: Some(fig6d_gate),
         },
         Entry {
             name: "fig7a",
@@ -218,7 +208,6 @@ pub const ENTRIES: &[Entry] = {
                 One(Excel, Recall),
             ],
             rows: Rows::Points,
-            gate: None,
         },
         Entry {
             name: "fig7b",
@@ -227,7 +216,6 @@ pub const ENTRIES: &[Entry] = {
             sweep: None,
             columns: &[One(AutoFj, Seconds), Baselines(Seconds)],
             rows: Rows::SizeBuckets,
-            gate: None,
         },
         Entry {
             name: "fig7cd",
@@ -246,7 +234,6 @@ pub const ENTRIES: &[Entry] = {
                 One(AutoFj, GreedySeconds),
             ],
             rows: Rows::Points,
-            gate: None,
         },
     ]
 };
@@ -314,8 +301,6 @@ pub struct Entry {
     pub columns: &'static [Col],
     /// How cells group into rows.
     pub rows: Rows,
-    /// A bench gate over the cells; it returns whether the gate passed.
-    pub gate: Option<fn(&[Cell]) -> bool>,
 }
 
 /// The tasks of an entry.
@@ -628,7 +613,7 @@ fn join(
     options: &AutoFjOptions,
 ) -> (JoinResult, QualityReport, BlockingStats, f64) {
     match data {
-        ScenarioData::Single(task) => run_autofj_with_stats(task, space, options),
+        ScenarioData::Single(task) => run_autofj(task, space, options),
         ScenarioData::Multi(task) => {
             let start = Instant::now();
             let result = join_multi_column(&task.left, &task.right, space, options);
@@ -793,14 +778,13 @@ impl Entry {
         cells
     }
 
-    /// Measure every cell, print the table, write the JSON document and run
-    /// the entry's gate.  Returns whether the gate (if any) passed.
-    pub fn run(&self, settings: &Settings) -> bool {
+    /// Measure every cell, print the table and write the JSON document.
+    pub fn run(&self, settings: &Settings) -> Report {
         let report = self.report(self.cells(settings));
         report.print();
         let path = write_json(self.name, &report);
         println!("JSON written to {}", path.display());
-        self.gate.is_none_or(|gate| gate(&report.cells))
+        report
     }
 
     /// Measure one task at one point.
@@ -1048,45 +1032,9 @@ impl Report {
     }
 }
 
-/// The Figure 6(d) gate: per β, quality averaged and candidate counts
-/// summed over the tasks, diffed against the `fig6d` section of the
-/// committed baseline by [`check`].
-fn fig6d_gate(cells: &[Cell]) -> bool {
-    let points = cells
-        .chunk_by(|a, b| a.point == b.point)
-        .map(|tasks| {
-            let n = tasks.len() as f64;
-            let mean =
-                |f: fn(&Score) -> f64| tasks.iter().map(|c| f(&c.scores[0])).sum::<f64>() / n;
-            let mut sum = BlockingStats::default();
-            for c in tasks.iter().map(|c| c.candidates) {
-                sum.lr_pairs += c.lr_pairs;
-                sum.ll_pairs += c.ll_pairs;
-                sum.per_probe_max = sum.per_probe_max.max(c.per_probe_max);
-                sum.scored_records += c.scored_records;
-                sum.postings_scanned += c.postings_scanned;
-                sum.postings_total += c.postings_total;
-            }
-            Fig6dPoint {
-                beta: tasks[0].point.expect("fig6d sweeps β"),
-                precision: mean(|s| s.precision),
-                recall: mean(|s| s.recall),
-                seconds: mean(|s| s.seconds),
-                candidates: sum.into(),
-            }
-        })
-        .collect();
-    let report = BenchSmokeReport {
-        fig6d: Some(points),
-        ..Default::default()
-    };
-    check("fig6d_blocking", report, "fig6d")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_autofj;
 
     fn tiny(task_limit: usize) -> Settings {
         Settings {

@@ -76,13 +76,18 @@ impl Reporter {
     }
 }
 
+/// The directory experiment documents go to: `target/experiments`, under a
+/// runtime `CARGO_TARGET_DIR` when set.
+pub(crate) fn experiments_dir() -> PathBuf {
+    PathBuf::from(std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".to_string()))
+        .join("experiments")
+}
+
 /// Write a serializable result object to `target/experiments/<name>.json`.
 /// Panics when the file cannot be written, so a run never reports a
 /// document it did not write.
 pub fn write_json<T: Serialize>(name: &str, value: &T) -> PathBuf {
-    let dir =
-        PathBuf::from(std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".to_string()))
-            .join("experiments");
+    let dir = experiments_dir();
     let path = dir.join(format!("{name}.json"));
     let json = serde_json::to_string_pretty(value).expect("the report serializes");
     fs::create_dir_all(&dir)

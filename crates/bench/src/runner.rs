@@ -1,5 +1,6 @@
-//! Shared experiment runner: AutoFJ runs with their quality, run-time and
-//! PEPCC, and the environment knobs every binary reads.
+//! Shared experiment runner: AutoFJ runs with their quality, blocking
+//! statistics and run-time, PEPCC, and the parsers of the environment knobs
+//! `paper` and `profile_phases` read.
 
 use autofj_block::BlockingStats;
 use autofj_core::{join_single_column_with_artifacts, AutoFjOptions, JoinResult};
@@ -80,15 +81,6 @@ pub fn or_exit<T>(parsed: Result<T, String>) -> T {
     })
 }
 
-/// The `AUTOFJ_SPACE` configuration space, `default` when unset; exits on
-/// an unknown value.
-pub fn env_space(default: JoinFunctionSpace) -> JoinFunctionSpace {
-    or_exit(parse_space(
-        std::env::var("AUTOFJ_SPACE").ok().as_deref(),
-        default,
-    ))
-}
-
 /// Pearson correlation coefficient of two equally long series (`NaN`-safe:
 /// returns 1.0 for constant or too-short series, like the paper's "NA" rows).
 pub fn pearson(a: &[f64], b: &[f64]) -> f64 {
@@ -114,7 +106,7 @@ pub fn pearson(a: &[f64], b: &[f64]) -> f64 {
 
 /// Run AutoFJ on a task: its result, quality, blocking candidate-set
 /// statistics (zero when nothing was blocked) and wall-clock seconds.
-pub fn run_autofj_with_stats(
+pub fn run_autofj(
     task: &SingleColumnTask,
     space: &JoinFunctionSpace,
     options: &AutoFjOptions,
@@ -126,17 +118,6 @@ pub fn run_autofj_with_stats(
     let seconds = start.elapsed().as_secs_f64();
     let quality = evaluate_assignment(&result.assignment, &task.ground_truth);
     (result, quality, stats, seconds)
-}
-
-/// Run AutoFJ on a task and compute its quality plus the PEPCC statistic.
-pub fn run_autofj(
-    task: &SingleColumnTask,
-    space: &JoinFunctionSpace,
-    options: &AutoFjOptions,
-) -> (JoinResult, QualityReport, f64, f64) {
-    let (result, quality, _, seconds) = run_autofj_with_stats(task, space, options);
-    let pepcc = pepcc(&result, &task.ground_truth);
-    (result, quality, pepcc, seconds)
 }
 
 /// PEPCC: the correlation between the estimated precision trace and the

@@ -1,15 +1,14 @@
-//! Shared report schema and gate of the CI smoke benchmarks.
+//! Shared report schema and gate of the `bench_smoke` binary.
 //!
-//! Four runs each measure one section of a [`BenchSmokeReport`]:
-//! `bench_smoke` the batch pipeline (`tasks`, at 1 and N threads),
-//! `serve_bench` the snapshot round trip and online server (`serve`),
-//! `robustness_matrix` the stress suite (`scenarios`) and the `paper`
-//! registry's `fig6d` entry the blocking-factor sweep (`fig6d`, written as
-//! `fig6d_blocking.json`).  The committed `BENCH_pr*.json` baseline at the
-//! repository root is the merged document.  Each run ends in [`check`]
-//! (the binaries through [`smoke`], which exits with its verdict): it
-//! writes the report, runs the checks that need no baseline and diffs the
-//! measured section against the baseline.
+//! One run of `bench_smoke` measures the sections of a [`BenchSmokeReport`]
+//! it is asked for: the batch pipeline per smoke task (`tasks`, at 1 and
+//! [`MULTI_THREADS`] threads), the snapshot round trip and online server
+//! (`serve`), the stress suite (`scenarios`) and the `paper` registry's
+//! Figure 6(d) blocking-factor sweep (`fig6d`).  The committed
+//! `BENCH_pr*.json` baseline at the repository root is the report of a run
+//! of every section.  The run ends in [`check`] (through [`smoke`], which
+//! exits with its verdict): it writes the report, runs the checks that need
+//! no baseline and diffs each measured section against the baseline.
 //!
 //! The diff ([`gate`]) walks the two reports' `serde::Value` trees, and
 //! [`GATE_POLICY`] holds all of its policy.  Keys listed there as
@@ -18,17 +17,22 @@
 //! entries by a field instead of by position.  Every other leaf gates:
 //! integers, bools and strings exactly, floats within [`GATE_REL_EPS`].
 
-use crate::{peak_rss_bytes, write_json};
+use crate::peak_rss_bytes;
+use crate::report::experiments_dir;
 use autofj_block::BlockingStats;
 use autofj_eval::DataProfile;
 use serde::{Deserialize, Serialize, Value};
 use std::path::{Path, PathBuf};
 
 /// Minimum modeled parallel speedup ([`effective_speedup`]) the medium task
-/// must reach at the default 4 worker threads.  This is the PR 6 bench gate;
-/// PR 5 only required the wall-clock ratio to exceed 1, which a core-starved
-/// host satisfies vacuously.
+/// must reach at [`MULTI_THREADS`] worker threads.  Requiring only a
+/// wall-clock ratio above 1 would pass vacuously on a core-starved host.
 pub const MIN_PARALLEL_EFFECTIVE: f64 = 2.5;
+
+/// Worker threads (and client connections) of every multi-thread leg.  The
+/// baseline's legs run at 1 and 4, and [`MIN_PARALLEL_EFFECTIVE`] is
+/// calibrated at 4 workers, so any other count could only fail the gate.
+pub const MULTI_THREADS: usize = 4;
 
 /// One timed pipeline execution at a fixed thread count.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -251,6 +255,22 @@ impl BenchSmokeReport {
             && self.serve.iter().all(|s| s.identical_results)
             && self.scenarios.iter().flatten().all(|s| s.identical_results)
     }
+
+    /// The sections this report measured, which are the ones [`check`]
+    /// diffs: `tasks` when it holds a task, and each optional section it
+    /// holds.
+    fn sections(&self) -> Vec<&'static str> {
+        let measured = [
+            ("tasks", !self.tasks.is_empty()),
+            ("serve", self.serve.is_some()),
+            ("scenarios", self.scenarios.is_some()),
+            ("fig6d", self.fig6d.is_some()),
+        ];
+        measured
+            .into_iter()
+            .filter_map(|(section, held)| held.then_some(section))
+            .collect()
+    }
 }
 
 /// Wall-clock ratio `base / test`, robust to near-zero timings: two ~0 s
@@ -456,25 +476,31 @@ fn render(value: &Value) -> String {
     }
 }
 
-/// The tail every gated binary ends in: [`check`], then exit 0 when it
-/// passed and 1 otherwise.
-pub fn smoke(stem: &str, report: BenchSmokeReport, section: &str) -> ! {
-    std::process::exit(if check(stem, report, section) { 0 } else { 1 })
+/// The tail of a gate run: [`check`] with the report written to
+/// `AUTOFJ_BENCH_OUT` when set, else `target/experiments/BENCH.json`, and
+/// diffed against `AUTOFJ_BENCH_BASELINE` when set (empty or `none`: no
+/// diff), else the newest `BENCH_pr<N>.json` in the working directory; then
+/// exit 0 when it passed and 1 otherwise.
+pub fn smoke(report: BenchSmokeReport) -> ! {
+    let out = std::env::var_os("AUTOFJ_BENCH_OUT")
+        .map_or_else(|| experiments_dir().join("BENCH.json"), PathBuf::from);
+    let explicit = std::env::var("AUTOFJ_BENCH_BASELINE").ok();
+    let baseline = resolve_baseline_in(explicit, Path::new("."));
+    let errors = check(report, &out, baseline.as_deref());
+    std::process::exit(if errors.is_empty() { 0 } else { 1 })
 }
 
-/// Write a gated report and diff it; returns whether every check passed.
+/// Write a gated report and diff it; returns every failed check, so an
+/// empty list means it passed.
 ///
 /// It fills the report's host fields and its `identical_results`
-/// conjunction, then writes it to `target/experiments/<stem>.json` (copied
-/// to `AUTOFJ_BENCH_OUT` when set) — or, with
-/// `AUTOFJ_BENCH_MERGE_INTO=<path>`, replaces `section` of the report at
-/// `<path>` instead, which is how a baseline gains the sections the other
-/// binaries measure.  Then it checks what needs no baseline (every
-/// `identical_results`; the medium task's `parallel_effective` against
-/// [`MIN_PARALLEL_EFFECTIVE`]) and diffs `section` against the baseline:
-/// `AUTOFJ_BENCH_BASELINE` when set (empty or `none`: no diff), else the
-/// newest `BENCH_pr<N>.json` in the working directory.
-pub fn check(stem: &str, mut report: BenchSmokeReport, section: &str) -> bool {
+/// conjunction, then writes it to `out`; a failed write fails the run,
+/// since that write is how a baseline is regenerated.  Then it checks what
+/// needs no baseline
+/// (every `identical_results`; the medium task's `parallel_effective`
+/// against [`MIN_PARALLEL_EFFECTIVE`]) and diffs each section the report
+/// holds against the report at `baseline`; `None` skips the diff.
+pub fn check(mut report: BenchSmokeReport, out: &Path, baseline: Option<&Path>) -> Vec<String> {
     report.host_parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
     report.peak_rss_bytes = peak_rss_bytes();
     report.identical_results = report.all_identical();
@@ -482,29 +508,24 @@ pub fn check(stem: &str, mut report: BenchSmokeReport, section: &str) -> bool {
         println!("peak RSS: {:.1} MiB", rss as f64 / (1024.0 * 1024.0));
     }
     let fresh = report.serialize_value();
-    assert!(
-        *field(&fresh, section) != ABSENT,
-        "the report has no `{section}` section"
-    );
-    if let Ok(into) = std::env::var("AUTOFJ_BENCH_MERGE_INTO") {
-        merge_section(Path::new(&into), &report, section);
-    } else {
-        let path = write_json(stem, &report);
-        println!("wrote {}", path.display());
-        if let Ok(out) = std::env::var("AUTOFJ_BENCH_OUT") {
-            match std::fs::copy(&path, &out) {
-                Ok(_) => println!("wrote {out}"),
-                Err(e) => eprintln!("could not copy report to {out}: {e}"),
-            }
-        }
+    let sections = report.sections();
+    let mut errors = Vec::new();
+    let json = serde_json::to_string_pretty(&report).expect("the report serializes");
+    let written = out
+        .parent()
+        .map_or(Ok(()), std::fs::create_dir_all)
+        .and_then(|()| std::fs::write(out, json));
+    match written {
+        Ok(()) => println!("wrote {}", out.display()),
+        Err(e) => errors.push(format!("cannot write the report to {}: {e}", out.display())),
     }
 
-    let mut errors = Vec::new();
     if !report.identical_results {
-        errors.push(format!(
-            "{section}: identical_results is false (the thread legs, or the served \
-             and batch answers, differ)"
-        ));
+        errors.push(
+            "identical_results is false (the thread legs, or the served and batch answers, \
+             differ)"
+                .to_string(),
+        );
     }
     // Only the medium task must parallelize: at ~40 ms of work, fork
     // overhead legitimately eats most of the small task's parallel win.
@@ -516,22 +537,27 @@ pub fn check(stem: &str, mut report: BenchSmokeReport, section: &str) -> bool {
             ));
         }
     }
-    let explicit = std::env::var("AUTOFJ_BENCH_BASELINE").ok();
-    let against = match resolve_baseline_in(explicit, Path::new(".")) {
+    let against = match baseline {
         Some(path) => {
-            match read_report(&path) {
-                Ok(baseline) => errors.extend(gate(&fresh, &baseline.serialize_value(), section)),
+            match read_report(path) {
+                Ok(baseline) => {
+                    let baseline = baseline.serialize_value();
+                    for section in &sections {
+                        errors.extend(gate(&fresh, &baseline, section));
+                    }
+                }
                 Err(e) => errors.push(e),
             }
             path.display().to_string()
         }
         None => "no baseline (AUTOFJ_BENCH_BASELINE=none or no BENCH_pr*.json)".to_string(),
     };
+    let sections = sections.join("`, `");
     if errors.is_empty() {
-        println!("bench-gate: `{section}` passes against {against}");
-        return true;
+        println!("bench-gate: `{sections}` passes against {against}");
+        return errors;
     }
-    eprintln!("ERROR: bench-gate: `{section}` fails against {against}:");
+    eprintln!("ERROR: bench-gate: `{sections}` fails against {against}:");
     for e in &errors {
         eprintln!("  - {e}");
     }
@@ -539,23 +565,7 @@ pub fn check(stem: &str, mut report: BenchSmokeReport, section: &str) -> bool {
         "If the change is intentional, regenerate the baseline (README, \"Bench gate\") \
          and commit it."
     );
-    false
-}
-
-/// Replace `section` of the report at `into` with `report`'s.
-fn merge_section(into: &Path, report: &BenchSmokeReport, section: &str) {
-    let mut merged = read_report(into).unwrap_or_else(|e| panic!("{e}"));
-    match section {
-        "tasks" => merged.tasks = report.tasks.clone(),
-        "serve" => merged.serve = report.serve.clone(),
-        "scenarios" => merged.scenarios = report.scenarios.clone(),
-        "fig6d" => merged.fig6d = report.fig6d.clone(),
-        _ => panic!("no report section named `{section}`"),
-    }
-    merged.identical_results = merged.all_identical();
-    let json = serde_json::to_string_pretty(&merged).expect("report serializes");
-    std::fs::write(into, json).unwrap_or_else(|e| panic!("cannot write {}: {e}", into.display()));
-    println!("merged `{section}` into {}", into.display());
+    errors
 }
 
 fn read_report(path: &Path) -> Result<BenchSmokeReport, String> {
@@ -696,7 +706,7 @@ mod tests {
 
     #[test]
     fn reports_without_serve_section_still_parse() {
-        // The per-binary reports carry one section each; the others read
+        // A run of some sections writes a report whose other sections read
         // back as absent.
         let old = r#"{"host_parallelism": 4, "tasks": [], "identical_results": true}"#;
         let report: BenchSmokeReport = serde_json::from_str(old).unwrap();
@@ -879,6 +889,75 @@ mod tests {
         renamed.scenario = "brand_new".to_string();
         let errors = diff_reports(&scenario_report(vec![renamed]), &base, "scenarios");
         assert_eq!(errors.len(), 2, "dropped + unknown: {errors:?}");
+    }
+
+    /// A scratch directory of this test process.
+    fn scratch(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("autofj-{name}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    #[test]
+    fn check_diffs_every_section_it_ran() {
+        let dir = scratch("check");
+        let fresh = BenchSmokeReport {
+            serve: Some(serve_bench(70, true)),
+            scenarios: Some(vec![scenario_bench(7, 0.25)]),
+            ..Default::default()
+        };
+        let baseline = |name: &str, serve_joined, scenario_joined| {
+            let report = BenchSmokeReport {
+                serve: Some(serve_bench(serve_joined, true)),
+                scenarios: Some(vec![scenario_bench(scenario_joined, 0.25)]),
+                ..Default::default()
+            };
+            let path = dir.join(name);
+            std::fs::write(&path, serde_json::to_string(&report).unwrap()).unwrap();
+            path
+        };
+        let out = dir.join("BENCH.json");
+        let same = baseline("same.json", 70, 7);
+        assert_eq!(check(fresh.clone(), &out, Some(&same)), [""; 0]);
+
+        // `serve` matches, yet a drifted `scenarios` leaf fails the run.
+        let scenarios_drifted = baseline("scenarios.json", 70, 6);
+        let errors = check(fresh.clone(), &out, Some(&scenarios_drifted));
+        assert_eq!(
+            errors,
+            [
+                "scenarios[scenario=irrelevant_50].runs[threads=1].joined: 7 != baseline 6",
+                "scenarios[scenario=irrelevant_50].runs[threads=4].joined: 7 != baseline 6",
+            ]
+        );
+        let drifted = baseline("serve.json", 71, 7);
+        let errors = check(fresh.clone(), &out, Some(&drifted));
+        assert_eq!(errors, ["serve.joined: 70 != baseline 71"]);
+
+        // A section that was not run is not diffed.
+        let serve_only = serve_report(serve_bench(70, true));
+        let errors = check(serve_only, &out, Some(&scenarios_drifted));
+        assert_eq!(errors, [""; 0]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_report_write_fails_the_run() {
+        let dir = scratch("write");
+        let report = serve_report(serve_bench(70, true));
+        let out = dir.join("reports").join("BENCH.serve.json");
+        assert_eq!(check(report.clone(), &out, None), [""; 0]);
+        assert!(read_report(&out).unwrap().serve.is_some());
+
+        // A regular file where the output's directory should be.
+        let blocked = dir.join("reports").join("BENCH.serve.json").join("x.json");
+        let errors = check(report, &blocked, None);
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert!(
+            errors[0].starts_with("cannot write the report to"),
+            "{errors:?}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //! * [`adversarial`] — the robustness transformations of Figure 6 / Table 4(b).
 //! * [`scenario`] — the named scenario-robustness registry (deterministic
 //!   stress scenarios + committed data profiles) behind the
-//!   `robustness_matrix` bench gate and the paper registry's sweeps.
+//!   `scenarios` section of the `bench_smoke` gate and the paper registry's
+//!   sweeps.
 //! * [`perturb`] — the string-variation model.
 
 pub mod adversarial;

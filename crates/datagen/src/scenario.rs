@@ -1,6 +1,6 @@
 //! The scenario-robustness registry: named, deterministic stress scenarios
-//! behind the paper's Figure 6 / Table 4(b) experiments and the
-//! `robustness_matrix` bench gate.
+//! behind the paper's Figure 6 / Table 4(b) experiments and the `scenarios`
+//! section of the `bench_smoke` gate.
 //!
 //! Every [`ScenarioSpec`] is fully determined by its parameters and seed —
 //! generating it twice (at any thread count) yields byte-identical tables —
@@ -443,7 +443,7 @@ fn generate_skewed_tokens(
 }
 
 /// The committed scenario matrix: the named stress scenarios the
-/// `robustness_matrix` bench bin runs and gates.  Sizes are pinned to the
+/// `bench_smoke` gate's `scenarios` section runs and gates.  Sizes are pinned to the
 /// `Small` benchmark scale (independent of `AUTOFJ_SCALE`) so the committed
 /// profiles and quality numbers mean the same thing everywhere.
 pub fn scenario_registry() -> Vec<ScenarioSpec> {

@@ -447,7 +447,7 @@ pub fn benchmark_specs(scale: BenchmarkScale) -> Vec<DomainSpec> {
 }
 
 /// The medium-scale (≥ 10k × 10k) smoke-benchmark task used by the
-/// `bench_smoke` binary's `medium` leg: large enough that the execution
+/// `bench_smoke` gate's `medium` section: large enough that the execution
 /// engine's parallelism has real work to amortize over (the committed small
 /// task is only ~143×80, where thread-pool overhead dominates), yet fully
 /// deterministic and generated on the fly in a few hundred milliseconds.

@@ -1,6 +1,6 @@
 //! Generator-determinism pins for the scenario-robustness registry.
 //!
-//! The `robustness_matrix` bench gate diffs committed data profiles against
+//! The `bench_smoke scenarios` gate diffs committed data profiles against
 //! freshly generated ones, which is only sound if generation is a pure
 //! function of the [`autofj_datagen::ScenarioSpec`]: the same spec + seed
 //! must produce byte-identical tables and an identical profile on every run

@@ -65,7 +65,7 @@ fn join_result_is_byte_identical_across_1_2_and_8_threads() {
 }
 
 /// End-to-end determinism on the medium-scale (≥ 10k×10k) datagen task that
-/// `bench_smoke` measures — the scale where the execution engine actually
+/// `bench_smoke medium` measures — the scale where the execution engine actually
 /// distributes meaningful work per chunk, so chunk-boundary bugs that a
 /// 143×80 task would never expose (uneven final chunks, per-worker scratch
 /// reuse in the blocker, interned-id summation order) get caught here.

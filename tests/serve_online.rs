@@ -62,7 +62,8 @@ fn with_server<R>(
     })
 }
 
-/// The small smoke task (ShoppingMall, ~143×80), shared with `bench_smoke`.
+/// The small smoke task (ShoppingMall, ~143×80), shared with the `small`
+/// and `serve` sections of `bench_smoke`.
 fn small_task() -> (Vec<String>, Vec<String>, String) {
     let task = benchmark_specs(BenchmarkScale::Small)[36].generate();
     (task.left, task.right, task.name)
