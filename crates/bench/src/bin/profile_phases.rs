@@ -4,12 +4,15 @@
 //! This is the interactive companion of the `phases` section that
 //! `bench_smoke` persists into `BENCH_*.json`: one run, one table, no gate —
 //! for answering "where do the seconds go?" before touching the code.
-//! Under the table it prints the pre-compute's kernel-group evaluations per
-//! kernel family ([`Precompute::work`]) and the greedy search's work
-//! counters ([`GreedyStats`]), both counted on a second, untimed learn of
-//! the same task.  A family's pairs/s divides its pairs by its
-//! `precompute/<family>` phase, which the pre-compute times on tables of
-//! 2048 or more right records (`-` otherwise).
+//! Under the table it prints the blocking probe's work counters (postings
+//! scanned of the dense walk's total and records verified, from the timed
+//! run's [`BlockingStats`], with postings/s over its `block` phase), then
+//! the pre-compute's kernel-group evaluations per kernel family
+//! ([`Precompute::work`]) and the greedy search's work counters
+//! ([`GreedyStats`]), both counted on a second, untimed learn of the same
+//! task.  A family's pairs/s divides its pairs by its `precompute/<family>`
+//! phase, which the pre-compute times on tables of 2048 or more right
+//! records (`-` otherwise).
 //!
 //! ```bash
 //! AUTOFJ_SCALE=medium RAYON_NUM_THREADS=1 \
@@ -25,6 +28,7 @@
 
 use autofj_bench::runner::{autofj_options, or_exit, parse_knob, parse_space, run_autofj};
 use autofj_bench::Reporter;
+use autofj_block::BlockingStats;
 use autofj_core::estimate::{FamilyWork, Precompute};
 use autofj_core::greedy::{run_greedy_with_stats, GreedyStats};
 use autofj_core::oracle::SingleColumnOracle;
@@ -48,6 +52,25 @@ fn work_counters(
     );
     let greedy = run_greedy_with_stats(&pre, options).1;
     (pre.work, greedy)
+}
+
+/// The `block work:` line: how much of the dense walk's postings the probe
+/// read, how many records it verified, and its postings rate.
+fn print_block_work(stats: &BlockingStats, seconds: f64) {
+    let rate = if seconds > 0.0 {
+        format!("{:.1} M", stats.postings_scanned as f64 / seconds / 1e6)
+    } else {
+        "-".to_string()
+    };
+    println!(
+        "block work: {} of {} postings scanned ({:.1}%), {} records verified, \
+         {} candidates kept ({rate} postings/s)",
+        stats.postings_scanned,
+        stats.postings_total,
+        100.0 * (1.0 - stats.reduction_ratio()),
+        stats.scored_records,
+        stats.lr_pairs + stats.ll_pairs,
+    );
 }
 
 fn main() {
@@ -80,7 +103,7 @@ fn main() {
     let options = autofj_options();
     timing::reset();
     rayon::reset_engine_stats();
-    let (result, quality, _, seconds) = run_autofj(&task, &space, &options);
+    let (result, quality, blocking, seconds) = run_autofj(&task, &space, &options);
     let phases = timing::snapshot();
     let engine = rayon::engine_stats();
 
@@ -114,6 +137,11 @@ fn main() {
         engine.parallel_work_seconds / engine.parallel_span_seconds.max(1e-9),
         threads,
     );
+    let block_seconds = phases
+        .iter()
+        .find(|p| p.phase == "block")
+        .map_or(0.0, |p| p.seconds);
+    print_block_work(&blocking, block_seconds);
     let (precompute, greedy) = work_counters(&task, &space, &options);
     let families: Vec<String> = precompute
         .iter()

@@ -9,7 +9,7 @@
 //! the steady-state hot path allocates nothing beyond the candidate lists it
 //! returns.
 //!
-//! # One exact probe: accumulate essential lists, verify by gather-sum
+//! # One exact probe: rarest lists first, a head-gram bound, gather-sum scores
 //!
 //! [`GramIndex::top_k`] is a MaxScore probe (Turtle & Flood, IP&M 1995; the
 //! essential/non-essential list split of Ding & Suel's Block-Max WAND,
@@ -21,33 +21,42 @@
 //!   prefix-sums their idf weights.  Every posting of a gram carries the
 //!   same weight, so the summed weight of any gram suffix bounds what a
 //!   record can gain from those grams.
-//! * **Warm-up.**  Every reference record posts its rarest `⌈len/4⌉` grams
-//!   into a second, much smaller CSR.  The probe walks only these prefix
-//!   postings and exactly scores the `k` records with the best partial
-//!   sums, so the heap holds `k` exact scores before any full list is read.
-//! * **Essential split.**  The frequent tail `ord[e..]` whose total weight
-//!   cannot reach the heap's worst score is *non-essential*: a record seen
-//!   only there can never enter the top-k.  The probe dense-accumulates
-//!   partial scores over the essential lists `ord[..e]` with plain adds,
-//!   exactly scores the `k` best partials first (raising the heap's worst),
-//!   then exactly scores any other touched record only while
-//!   `partial + weight(ord[e..])` can still reach the worst score.
+//! * **Rarest-list seed and walk.**  The probe dense-accumulates partial
+//!   sums over the full lists, rarest first.  Until the heap holds `k`
+//!   exact scores, every newly touched record is verified.  After that, a
+//!   record is verified as soon as its partial reaches the worst kept score
+//!   (its exact score is at least its partial, so it enters the heap), and
+//!   the worst rises while the walk goes on.  The frequent tail `ord[e..]`
+//!   whose total weight cannot reach the worst is *non-essential*: a record
+//!   seen only there can never enter the top-k, so the walk ends at `e`.
+//!   Each list is read at most once.
+//! * **Head-gram bitmap bound.**  The 128 most frequent grams of the index
+//!   (the top ranks) own one bit each, and every record carries the `u128`
+//!   mask of its head grams.  The probe's unwalked grams split into a head
+//!   mask and the rest (the tail).  A touched record the walk left
+//!   unverified is verified only if `partial + weight(tail) + Σ idf over
+//!   (probe head mask ∩ record mask)` can still reach the worst kept score.
+//!   Frequent grams are what most records share, so this bound is far
+//!   tighter than `partial + weight(unwalked)`; it is evaluated as the
+//!   latter less the head grams the record lacks, largest first, so most
+//!   pruned records stop after a few bits.
 //! * **Gather-sum verification.**  Before the probe, its idf values are
 //!   written into a per-scratch weight row indexed by gram id (zero
 //!   elsewhere).  A record's exact score is that row summed over the
 //!   record's ascending gram list (the CSR transpose).  Adding `+0.0` is
 //!   exact, so the sum is the same float sequence — matching grams in
 //!   ascending id order — that the dense walk adds, and the scores are
-//!   bit-identical.  When every list is essential (small tables, or `k`
-//!   near `|L|`), the accumulated sums are already those exact scores and
-//!   no record is re-scored.
+//!   bit-identical.  Gather-sums are the only scores the heap sees: the
+//!   partials add in rank order and only pick and prune records.
 //!
 //! Every pruning comparison inflates the bound by `1 + 1e-9` (plus a tiny
-//! absolute slack), so float rounding in the bound arithmetic can only
-//! weaken pruning, never change the result.  The dense walk is kept as a
-//! test oracle ([`GramIndex::top_k_unfiltered`]); property tests
-//! (`tests/properties.rs`) pin the two identical across tables, factors and
-//! thread counts.
+//! absolute slack), so float rounding in the bound arithmetic — including
+//! its summation order — can only weaken pruning, never change the result.
+//! Which records the walk verifies early only decides how soon the bounds
+//! tighten.
+//! The dense walk is kept as a test oracle
+//! ([`GramIndex::top_k_unfiltered`]); property tests (`tests/properties.rs`)
+//! pin the two identical across tables, factors and thread counts.
 //!
 //! # Sharded builds
 //!
@@ -84,11 +93,11 @@ pub struct BlockingStats {
     /// Largest candidate list kept by any single probe.
     pub per_probe_max: u64,
     /// Records exactly verified across all probes: the records whose exact
-    /// score was offered to the top-k heap — the candidate superset the
-    /// essential-list bound could not prune.
+    /// score was offered to the top-k heap: those the walk verified, plus
+    /// those the head-gram bound could not prune.
     pub scored_records: u64,
-    /// Posting entries actually walked: the prefix warm-up plus the
-    /// essential lists.
+    /// Posting entries actually walked: every list up to the essential
+    /// split, each at most once.
     pub postings_scanned: u64,
     /// Posting entries the dense walk would have read (Σ document frequency
     /// over every known probe gram).
@@ -97,8 +106,8 @@ pub struct BlockingStats {
 
 impl BlockingStats {
     /// Fraction of the dense postings traversal the probe skipped
-    /// (`1 − scanned/total`; 0 when nothing was probed or the warm-up plus
-    /// the essential lists read at least as much as the dense walk).
+    /// (`1 − scanned/total`; 0 when nothing was probed or every list was
+    /// walked).
     pub fn reduction_ratio(&self) -> f64 {
         if self.postings_total == 0 || self.postings_scanned >= self.postings_total {
             0.0
@@ -156,8 +165,8 @@ impl Default for Blocker {
 /// The CSR arrays are exposed (`from_parts` / part accessors) so the index
 /// can be serialized into a snapshot and rebuilt without re-tokenizing the
 /// reference table; the probe-side structures (frequency ranks, the CSR
-/// transpose and the per-record prefix postings) are pure functions of the
-/// CSR arrays and are re-derived on load, so a rebuilt index probes
+/// transpose and the head-gram masks) are pure functions of the CSR
+/// arrays and are re-derived on load, so a rebuilt index probes
 /// byte-identically.  [`Self::top_k`] is the public probe entry point the
 /// online query path shares with batch blocking.
 #[derive(Debug, Clone)]
@@ -177,11 +186,11 @@ pub struct GramIndex {
     /// walks.
     rec_offsets: Vec<u32>,
     rec_grams: Vec<u32>,
-    /// Prefix postings: for each gram, the records whose rarest `⌈len/4⌉`
-    /// grams include it (records ascending).  Σ lengths ≈ ¼ of the full
-    /// postings arena.
-    prefix_offsets: Vec<u32>,
-    prefix_postings: Vec<u32>,
+    /// Head-gram mask per record: bit `b` is set when the record holds the
+    /// gram of rank `num_grams − 1 − b` (the `b`-th most frequent).
+    head_masks: Vec<u128>,
+    /// idf weight of the gram owning each head bit.
+    head_idf: Vec<f64>,
 }
 
 /// A scored candidate in the bounded top-k heap.
@@ -315,34 +324,24 @@ impl ProbeScratch {
         self.admit_epoch[li as usize] == self.admit_cur
     }
 
-    /// Dense-accumulate weight `w` onto every record of `posts`.
+    /// Add weight `w` to record `li`'s accumulated sum and return the sum.
     #[inline]
-    fn accumulate(&mut self, posts: &[u32], w: f64) {
-        for &li in posts {
-            let l = li as usize;
-            if self.scores[l] == 0.0 {
-                self.touched.push(li);
-            }
-            self.scores[l] += w;
+    fn accumulate(&mut self, li: u32, w: f64) -> f64 {
+        let sum = &mut self.scores[li as usize];
+        if *sum == 0.0 {
+            self.touched.push(li);
         }
+        *sum += w;
+        *sum
     }
 
-    /// Reorder the touched list so that its first `k` entries are the
-    /// records with the best accumulated sums (index breaking ties, the
-    /// `exclude`d record ranked last).
-    fn select_best(&mut self, k: usize, exclude: Option<u32>) {
-        if self.touched.len() > k {
-            let scores = &self.scores;
-            self.touched.select_nth_unstable_by(k - 1, |&a, &b| {
-                (exclude == Some(a))
-                    .cmp(&(exclude == Some(b)))
-                    .then(
-                        scores[b as usize]
-                            .partial_cmp(&scores[a as usize])
-                            .unwrap_or(std::cmp::Ordering::Equal),
-                    )
-                    .then(a.cmp(&b))
-            });
+    /// The score a partial sum must reach to be verified during the walk:
+    /// the worst kept score once the heap holds `k`, `-∞` before.
+    #[inline]
+    fn admit_threshold(&self, k: usize) -> f64 {
+        match self.heap.peek() {
+            Some(worst) if self.heap.len() == k => worst.score,
+            _ => f64::NEG_INFINITY,
         }
     }
 
@@ -374,10 +373,11 @@ impl ProbeScratch {
 }
 
 /// Relative inflation applied to every pruning bound before it is compared
-/// (strictly) against an exact kept score.  Bounds are majorizing prefix-sum
-/// segments whose float rounding error is ~`m · 2⁻⁵²` relative (m = probe
-/// gram count, well under 1e-12); inflating by 1e-9 makes a wrongly-pruned
-/// candidate impossible while costing effectively no pruning power.
+/// (strictly) against an exact kept score.  Bounds are partial sums plus
+/// prefix-sum segments, less at most 128 head weights, so their float
+/// rounding error is ~`(m + 128) · 2⁻⁵²` of the probe's total weight (m =
+/// probe gram count); inflating by 1e-9 makes a wrongly-pruned candidate
+/// impossible while costing effectively no pruning power.
 const FILTER_INFL: f64 = 1.0 + 1e-9;
 /// Absolute slack added alongside [`FILTER_INFL`], covering cancellation in
 /// prefix-sum differences when the remaining suffix weight is tiny.
@@ -390,12 +390,9 @@ fn bound_reaches(bound: f64, worst: f64) -> bool {
     bound * FILTER_INFL + FILTER_SLACK >= worst
 }
 
-/// Rarest-prefix size of a record with `len` grams (`⌈len/4⌉`, 0 for empty
-/// records — which never appear in postings anyway).
-#[inline]
-fn prefix_len(len: usize) -> usize {
-    len.div_ceil(4)
-}
+/// Number of head grams: the most frequent grams of an index, one bit each
+/// of a record's `u128` head mask.
+const HEAD_BITS: usize = 128;
 
 impl GramIndex {
     /// Rows per shard of the partitioned index build: small enough that a
@@ -535,7 +532,7 @@ impl GramIndex {
     }
 
     /// Derive the probe-side structures (frequency ranks, CSR transpose,
-    /// prefix postings) from a finished CSR.  Everything here is a
+    /// head-gram masks) from a finished CSR.  Everything here is a
     /// deterministic function of the inputs, so an index rebuilt from
     /// serialized parts probes identically to the one that was serialized.
     fn finalize(offsets: Vec<u32>, postings: Vec<u32>, idf: Vec<f64>, num_left: usize) -> Self {
@@ -573,52 +570,16 @@ impl GramIndex {
             }
         }
 
-        // Per-record prefix grams: the `⌈len/4⌉` rarest grams of each
-        // record, flattened record-major (`prefix_len` makes the per-record
-        // boundaries recomputable, so one flat buffer suffices).
-        let mut prefix_counts = vec![0u32; num_grams];
-        let mut chosen: Vec<u32> = Vec::with_capacity(postings.len().div_ceil(4) + num_left);
-        let mut sel: Vec<u32> = Vec::new();
-        for li in 0..num_left {
-            let grams = &rec_grams[rec_offsets[li] as usize..rec_offsets[li + 1] as usize];
-            let p = prefix_len(grams.len());
-            if p == 0 {
-                continue;
+        // Head masks: the `HEAD_BITS` top ranks own one bit each, the most
+        // frequent gram bit 0.
+        let head = num_grams.min(HEAD_BITS);
+        let mut head_masks = vec![0u128; num_left];
+        let mut head_idf = Vec::with_capacity(head);
+        for (bit, &g) in by_rarity.iter().rev().take(head).enumerate() {
+            head_idf.push(idf[g as usize]);
+            for &li in &postings[offsets[g as usize] as usize..offsets[g as usize + 1] as usize] {
+                head_masks[li as usize] |= 1u128 << bit;
             }
-            if p == grams.len() {
-                for &g in grams {
-                    prefix_counts[g as usize] += 1;
-                    chosen.push(g);
-                }
-            } else {
-                sel.clear();
-                sel.extend_from_slice(grams);
-                sel.select_nth_unstable_by_key(p - 1, |&g| rank[g as usize]);
-                for &g in &sel[..p] {
-                    prefix_counts[g as usize] += 1;
-                    chosen.push(g);
-                }
-            }
-        }
-        let mut prefix_offsets = Vec::with_capacity(num_grams + 1);
-        let mut acc = 0u32;
-        prefix_offsets.push(0);
-        for &c in &prefix_counts {
-            acc += c;
-            prefix_offsets.push(acc);
-        }
-        let mut prefix_postings = vec![0u32; acc as usize];
-        let mut cursor: Vec<u32> = prefix_offsets[..num_grams].to_vec();
-        let mut pos = 0usize;
-        for li in 0..num_left {
-            let len = (rec_offsets[li + 1] - rec_offsets[li]) as usize;
-            let p = prefix_len(len);
-            for &g in &chosen[pos..pos + p] {
-                let slot = &mut cursor[g as usize];
-                prefix_postings[*slot as usize] = li as u32;
-                *slot += 1;
-            }
-            pos += p;
         }
 
         Self {
@@ -629,8 +590,8 @@ impl GramIndex {
             rank,
             rec_offsets,
             rec_grams,
-            prefix_offsets,
-            prefix_postings,
+            head_masks,
+            head_idf,
         }
     }
 
@@ -663,12 +624,6 @@ impl GramIndex {
     fn postings_of(&self, gram: u32) -> &[u32] {
         let g = gram as usize;
         &self.postings[self.offsets[g] as usize..self.offsets[g + 1] as usize]
-    }
-
-    #[inline]
-    fn prefix_postings_of(&self, gram: u32) -> &[u32] {
-        let g = gram as usize;
-        &self.prefix_postings[self.prefix_offsets[g] as usize..self.prefix_offsets[g + 1] as usize]
     }
 
     /// Exact blocking score of reference record `li`: the gather-sum weight
@@ -765,78 +720,55 @@ impl GramIndex {
             scratch.psum.push(prev + w);
         }
 
-        // Warm-up: walk only the prefix postings and verify the k records
-        // with the best partial sums.  Partials only pick records — every
-        // admitted record is verified exactly — so this phase can never
-        // change the result, only fill the heap before the full lists.
         scratch.begin();
         scratch.begin_admit();
         scratch.heap.clear();
-        for i in 0..m {
-            let g = scratch.ord[i].1;
-            let posts = self.prefix_postings_of(g);
-            scratch.stats.postings_scanned += posts.len() as u64;
-            scratch.accumulate(posts, self.idf[g as usize]);
+        // The excluded record counts as admitted, so it is never verified.
+        if let Some(stamp) = exclude.and_then(|x| scratch.admit_epoch.get_mut(x as usize)) {
+            *stamp = scratch.admit_cur;
         }
-        scratch.select_best(k, exclude);
-        for i in 0..scratch.touched.len().min(k) {
-            let li = scratch.touched[i];
-            if exclude != Some(li) {
+
+        // Seed and walk: the full lists, rarest first (see `walk`).  Once the
+        // heap is full, `ord[e..]` is the longest suffix whose total weight
+        // cannot reach the worst kept score: a record sharing only those
+        // grams with the probe cannot enter the top-k, so the walk ends at
+        // `e`.  The worst only grows, so `e` only shrinks.
+        let mut i = 0;
+        let mut e = m;
+        while i < e {
+            self.walk(scratch, i, k, trace);
+            i += 1;
+            if scratch.heap.len() == k {
+                let worst = scratch.heap.peek().expect("heap is full").score;
+                while e > i && !bound_reaches(scratch.psum[m] - scratch.psum[e - 1], worst) {
+                    e -= 1;
+                }
+            }
+        }
+
+        // Bound every touched record the walk left unverified by its partial
+        // plus what the unwalked grams `ord[i..]` can add: the whole weight
+        // `rest`, less the head grams the record does not hold.  Such a
+        // record was touched after the heap filled, so the heap is full.
+        let rest = scratch.psum[m] - scratch.psum[i];
+        let head_from = (self.idf.len() - self.head_idf.len()) as u32;
+        let head_mask = scratch.ord[i..]
+            .iter()
+            .filter(|&&(rank, _)| rank >= head_from)
+            .fold(0u128, |mask, &(rank, _)| {
+                mask | 1 << (self.idf.len() as u32 - 1 - rank)
+            });
+        for j in 0..scratch.touched.len() {
+            let li = scratch.touched[j];
+            if scratch.admitted(li) {
+                continue;
+            }
+            let worst = scratch.heap.peek().expect("heap is full").score;
+            let bound = scratch.scores[li as usize] + rest;
+            let missing = head_mask & !self.head_masks[li as usize];
+            if self.head_bound_reaches(bound, missing, worst) {
                 let score = self.gather_score(li, &scratch.weights);
                 scratch.admit(li, score, k, trace);
-            }
-        }
-
-        // Essential split: `ord[e..]` is the longest rank-ordered suffix
-        // whose total weight cannot reach the worst kept score, so a record
-        // sharing only those grams with the probe cannot enter the top-k.
-        // Until the heap is full every list is essential.
-        let e = match scratch.heap.peek() {
-            Some(worst) if scratch.heap.len() == k => (0..m)
-                .find(|&e| !bound_reaches(scratch.psum[m] - scratch.psum[e], worst.score))
-                .unwrap_or(m),
-            _ => m,
-        };
-        let rest = scratch.psum[m] - scratch.psum[e];
-
-        // Accumulate the essential lists in ascending gram-id order — the
-        // dense walk's order — so that when every list is essential the
-        // sums already are the exact scores.
-        let cut = scratch.ord.get(e).map_or(u32::MAX, |&(rank, _)| rank);
-        scratch.begin();
-        for &g in probe {
-            if (g as usize) < self.idf.len() && self.rank[g as usize] < cut {
-                let posts = self.postings_of(g);
-                scratch.stats.postings_scanned += posts.len() as u64;
-                scratch.accumulate(posts, self.idf[g as usize]);
-            }
-        }
-
-        if e == m {
-            for i in 0..scratch.touched.len() {
-                let li = scratch.touched[i];
-                if exclude != Some(li) && !scratch.admitted(li) {
-                    let score = scratch.scores[li as usize];
-                    scratch.admit(li, score, k, trace);
-                }
-            }
-        } else {
-            // The heap is full (the split needs a worst score).  Verify the
-            // best partials first, so the worst kept score nears its final
-            // value, then every other record whose partial plus the
-            // non-essential weight can still reach it.  A pruned record
-            // stays pruned: its bound is fixed and the worst only grows.
-            scratch.select_best(k, exclude);
-            for i in 0..scratch.touched.len() {
-                let li = scratch.touched[i];
-                if exclude == Some(li) || scratch.admitted(li) {
-                    continue;
-                }
-                let worst = scratch.heap.peek().expect("heap is full").score;
-                if bound_reaches(scratch.scores[li as usize] + rest, worst) {
-                    let score = self.gather_score(li, &scratch.weights);
-                    scratch.admit(li, score, k, trace);
-                }
             }
         }
 
@@ -846,6 +778,48 @@ impl GramIndex {
         self.drain_top_k(scratch)
     }
 
+    /// Walk the full postings of the `i`-th rank-ordered probe gram into the
+    /// accumulator.  Until the heap holds `k` exact scores, every newly
+    /// touched record is verified; after that, a record is verified as soon
+    /// as its partial sum reaches the worst kept score (its exact score is
+    /// at least its partial), which raises the worst while the walk goes on.
+    /// Which records are verified here only decides how soon the bounds
+    /// tighten, never the result.
+    #[inline]
+    fn walk(
+        &self,
+        scratch: &mut ProbeScratch,
+        i: usize,
+        k: usize,
+        trace: &mut Option<&mut Vec<u32>>,
+    ) {
+        let g = scratch.ord[i].1;
+        let posts = self.postings_of(g);
+        let w = self.idf[g as usize];
+        scratch.stats.postings_scanned += posts.len() as u64;
+        let mut worst = scratch.admit_threshold(k);
+        for &li in posts {
+            if scratch.accumulate(li, w) >= worst && !scratch.admitted(li) {
+                let score = self.gather_score(li, &scratch.weights);
+                scratch.admit(li, score, k, trace);
+                worst = scratch.admit_threshold(k);
+            }
+        }
+    }
+
+    /// Whether a record whose bound over every unwalked gram is `bound`
+    /// could still reach `worst` once the head grams in `missing` (those it
+    /// does not hold) are taken off.  The largest weights go first, so a
+    /// record that falls short usually does so after a few bits.
+    #[inline]
+    fn head_bound_reaches(&self, mut bound: f64, mut missing: u128, worst: f64) -> bool {
+        while missing != 0 && bound_reaches(bound, worst) {
+            let bit = 127 - missing.leading_zeros();
+            bound -= self.head_idf[bit as usize];
+            missing ^= 1 << bit;
+        }
+        bound_reaches(bound, worst)
+    }
     /// The dense walk: the full postings of every probe gram in ascending id
     /// order, dense-accumulated, the touched set bounded-heaped.  Kept only
     /// as the executable specification of [`Self::top_k`], which property
@@ -868,7 +842,9 @@ impl GramIndex {
                 let posts = self.postings_of(g);
                 scratch.stats.postings_scanned += posts.len() as u64;
                 scratch.stats.postings_total += posts.len() as u64;
-                scratch.accumulate(posts, self.idf[g as usize]);
+                for &li in posts {
+                    scratch.accumulate(li, self.idf[g as usize]);
+                }
             }
         }
         scratch.heap.clear();
@@ -1354,6 +1330,8 @@ mod tests {
         assert!(s.scored_records <= oracle.scored_records);
         assert_eq!(s.postings_total, oracle.postings_total);
         assert_eq!(oracle.postings_scanned, oracle.postings_total);
+        // Each list is walked at most once.
+        assert!(s.postings_scanned <= s.postings_total);
         assert!((0.0..=1.0).contains(&s.reduction_ratio()));
     }
 
@@ -1386,6 +1364,64 @@ mod tests {
                         left.len()
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn probes_whose_unwalked_grams_are_all_tail_grams_match_the_dense_walk() {
+        // 160 filler grams sit in four records of five, so they take every
+        // head bit; the fifth record holds no head gram at all.  Probes made
+        // of content grams only leave nothing but tail grams unwalked.
+        const CONTENT: u32 = 48;
+        const FILLER: u32 = 160;
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut draw = move |n: u32| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ((state >> 33) % u64::from(n)) as u32
+        };
+        // Content grams skew toward low ids, so their frequencies differ.
+        let mut content_set = |len: usize| {
+            let mut set: Vec<u32> = (0..len).map(|_| draw(CONTENT).min(draw(CONTENT))).collect();
+            set.sort_unstable();
+            set.dedup();
+            set
+        };
+        let sets: Vec<Vec<u32>> = (0..400)
+            .map(|l| {
+                let mut set = content_set(12);
+                if l % 5 != 0 {
+                    set.extend(CONTENT..CONTENT + FILLER);
+                }
+                set
+            })
+            .collect();
+        let probes: Vec<Vec<u32>> = (0..60).map(|p| content_set(6 + p % 14)).collect();
+        let index = GramIndex::from_id_sets(&sets, (CONTENT + FILLER) as usize);
+        let head_from = index.num_grams() - index.head_idf.len();
+        assert!(probes
+            .iter()
+            .flatten()
+            .all(|&g| (index.rank[g as usize] as usize) < head_from));
+        let mut a = ProbeScratch::new(index.num_left());
+        let mut b = ProbeScratch::new(index.num_left());
+        for k in [1usize, 4, 20, 60] {
+            for probe in &probes {
+                assert_eq!(
+                    index.top_k(probe, k, None, &mut a),
+                    index.top_k_unfiltered(probe, k, None, &mut b),
+                    "k={k}, probe {probe:?}"
+                );
+            }
+            for (l, probe) in sets.iter().enumerate().step_by(5) {
+                let exclude = Some(l as u32);
+                assert_eq!(
+                    index.top_k(probe, k, exclude, &mut a),
+                    index.top_k_unfiltered(probe, k, exclude, &mut b),
+                    "k={k}, left {l}"
+                );
             }
         }
     }

@@ -13,10 +13,13 @@
 //! considers) and the `L–L` candidate pairs (what the precision estimation
 //! and negative-rule learning consider).
 
-//! The hot path ([`index`]) runs on interned `u32` gram ids with dense,
-//! scratch-reusing probe scoring and bounded-heap top-k; [`mod@reference`]
-//! keeps the simple string-path implementation as an executable
-//! specification that property tests compare against.
+//! The hot path ([`index`]) runs on interned `u32` gram ids: one exact
+//! top-k probe walks the probe's full postings lists rarest-first into a
+//! scratch-reusing dense accumulator, prunes the touched records with a
+//! bitmap bound over the index's 128 most frequent grams, and scores the
+//! survivors by gather-sum into a bounded heap.  [`mod@reference`] keeps
+//! the simple string-path implementation as an executable specification
+//! that property tests compare against.
 
 pub mod index;
 pub mod reference;

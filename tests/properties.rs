@@ -105,26 +105,29 @@ fn rule_id_sets(col: &PreparedColumn) -> Vec<&[u32]> {
         .collect()
 }
 
-/// Gram vocabulary of the Zipf-skewed tables (prime, so the id scramble in
-/// [`zipf_gram_set`] is a permutation).
-const ZIPF_VOCAB: u32 = 601;
+/// Gram vocabularies of the Zipf-skewed tables: one below the probe's
+/// 128-gram head width (every gram owns a head bit) and one well above it.
+/// Both are coprime to 7919, so the id scramble in [`zipf_gram_set`] is a
+/// permutation.
+const ZIPF_VOCABS: [u32; 2] = [64, 601];
 /// Resolution of the uniform draws [`zipf_gram_set`] maps onto grams.
 const ZIPF_DRAWS: u32 = 1 << 20;
 
-/// Map uniform draws in `0..ZIPF_DRAWS` to a sorted, deduplicated gram set
-/// whose frequencies follow a Zipf-like law: `u ↦ ⌊(V + 1)^u⌋ − 1` makes
-/// rank `r` about `1/(r + 1)` likely.  Ranks are scrambled onto gram ids so
-/// that the probe's rarest-first order differs from id order.
-fn zipf_gram_set(draws: &[u32]) -> Vec<u32> {
-    let v = f64::from(ZIPF_VOCAB);
+/// Map uniform draws in `0..ZIPF_DRAWS` to a sorted, deduplicated set over
+/// `vocab` grams whose frequencies follow a Zipf-like law: `u ↦ ⌊(V +
+/// 1)^u⌋ − 1` makes rank `r` about `1/(r + 1)` likely.  Ranks are scrambled
+/// onto gram ids so that the probe's rarest-first order differs from id
+/// order.
+fn zipf_gram_set(draws: &[u32], vocab: u32) -> Vec<u32> {
+    let v = f64::from(vocab);
     let mut set: Vec<u32> = draws
         .iter()
         .map(|&d| {
             let u = f64::from(d) / f64::from(ZIPF_DRAWS);
             let rank = ((v + 1.0).powf(u).floor() as u32)
                 .saturating_sub(1)
-                .min(ZIPF_VOCAB - 1);
-            (rank * 7919) % ZIPF_VOCAB
+                .min(vocab - 1);
+            (rank * 7919) % vocab
         })
         .collect();
     set.sort_unstable();
@@ -385,10 +388,11 @@ proptest! {
     /// The MaxScore probe is exact where its essential split bites: on
     /// tables of 100–400 records with 15–40 grams each drawn from a
     /// Zipf-skewed gram distribution (a few grams in most records, a long
-    /// rare tail), with duplicated records (index tie-breaks) and `k` from 1
-    /// to beyond `|L|`, every probe — each record with and without itself
-    /// excluded, plus a fresh one — returns the dense walk's top-k, and the
-    /// records it verified cover that top-k.
+    /// rare tail) over a vocabulary below or above the head width, with
+    /// duplicated records (index tie-breaks) and `k` from 1 to beyond `|L|`,
+    /// every probe — each record with and without itself excluded, plus a
+    /// fresh one — returns the dense walk's top-k, and the records it
+    /// verified cover that top-k.
     #[test]
     fn maxscore_probe_is_exact_on_skewed_tables(
         raw in proptest::collection::vec(
@@ -396,18 +400,20 @@ proptest! {
         raw_probe in proptest::collection::vec(0u32..ZIPF_DRAWS, 15..41),
         duplicates in proptest::collection::vec((0usize..1000, 0usize..1000), 0..40),
         k in 1usize..450,
+        vocab_pick in 0usize..2,
     ) {
-        let mut sets: Vec<Vec<u32>> = raw.iter().map(|r| zipf_gram_set(r)).collect();
+        let vocab = ZIPF_VOCABS[vocab_pick];
+        let mut sets: Vec<Vec<u32>> = raw.iter().map(|r| zipf_gram_set(r, vocab)).collect();
         for &(from, to) in &duplicates {
             let from = from % sets.len();
             let to = to % sets.len();
             sets[to] = sets[from].clone();
         }
-        let index = GramIndex::from_id_sets(&sets, ZIPF_VOCAB as usize);
+        let index = GramIndex::from_id_sets(&sets, vocab as usize);
         let mut scratch = ProbeScratch::new(sets.len());
         let mut oracle_scratch = ProbeScratch::new(sets.len());
         let mut scored = Vec::new();
-        let fresh = zipf_gram_set(&raw_probe);
+        let fresh = zipf_gram_set(&raw_probe, vocab);
         let probes = sets
             .iter()
             .enumerate()
