@@ -10,7 +10,11 @@
 //!   β = 0.25), once at 1 worker thread and once at [`MULTI_THREADS`].  The
 //!   report's `tasks` keeps each run's quality, phase timings and CPU-clock
 //!   work/span counters, from which `parallel_effective` models the
-//!   multi-thread leg on a host with one core per worker.
+//!   multi-thread leg on a host with one core per worker.  Under each task
+//!   the binary prints the multi-thread leg's profile, read off the
+//!   [`Trace`] that leg captured: the phase table with shares, the engine's
+//!   work/span balance, and the `block work:`, `precompute work:` and
+//!   `greedy work:` counter lines (see [`print_profile`]).
 //! * `serve` — the snapshot round trip and online server ([`serve`]).
 //! * `scenarios` — the stress suite at 1 and [`MULTI_THREADS`] threads
 //!   ([`scenarios`]).
@@ -40,7 +44,8 @@ use autofj_bench::smoke::{
 };
 use autofj_bench::Reporter;
 use autofj_block::BlockingStats;
-use autofj_core::{timing, AutoFjOptions, JoinResult};
+use autofj_core::trace::{self, Phase, Trace};
+use autofj_core::{AutoFjOptions, JoinResult};
 use autofj_datagen::{
     benchmark_specs, large_spec, medium_smoke_spec, BenchmarkScale, SingleColumnTask,
 };
@@ -112,10 +117,10 @@ fn bench_task(
     }
 
     let (legs, identical_results) = thread_legs(|threads| {
-        timing::reset();
         rayon::reset_engine_stats();
         let cpu_before = rayon::process_cpu_nanos();
-        let (result, quality, stats, seconds) = run_autofj(task, &space, options);
+        let ((result, quality, stats, seconds), trace) =
+            trace::capture(|| run_autofj(task, &space, options));
         let cpu_seconds = rayon::process_cpu_nanos().saturating_sub(cpu_before) as f64 * 1e-9;
         let engine = rayon::engine_stats();
         let run = BenchRun {
@@ -128,11 +133,16 @@ fn bench_task(
             estimated_precision: result.estimated_precision,
             actual_precision: quality.precision,
             actual_recall: quality.recall_relative,
-            phases: timing::snapshot(),
+            phases: trace.phases(),
         };
-        (result, (run, stats))
+        (result, (run, stats, trace, engine))
     });
-    let (runs, candidates): (Vec<BenchRun>, Vec<BlockingStats>) = legs.into_iter().unzip();
+    let (run, stats, trace, engine) = legs.last().expect("a multi-thread leg");
+    print_profile(&task.name, run, stats, trace, engine);
+    let (runs, candidates): (Vec<BenchRun>, Vec<BlockingStats>) = legs
+        .into_iter()
+        .map(|(run, stats, ..)| (run, stats))
+        .unzip();
 
     let speedup = wall_ratio(runs[0].seconds, runs[1].seconds);
     let multi = &runs[1];
@@ -158,6 +168,100 @@ fn bench_task(
         candidates: candidates[0].into(),
         profile,
     }
+}
+
+/// Print one leg's profile from its trace: seconds, share of the run and
+/// entries per phase, the engine's parallel work against its critical path,
+/// then the three work-counter lines.  `block work:` is the probe's postings
+/// scanned of the dense walk's total, records verified and candidates kept,
+/// with postings/s over `block`; `precompute work:` is the kernel-group
+/// evaluations per family ([`Trace::precompute_work`]) with pairs/s over the
+/// family's `precompute/<family>` span; `greedy work:` is the greedy
+/// search's rounds, round-1 coverage and histogram updates
+/// ([`Trace::greedy`]).
+fn print_profile(
+    task: &str,
+    run: &BenchRun,
+    blocking: &BlockingStats,
+    trace: &Trace,
+    engine: &rayon::EngineStats,
+) {
+    let seconds = run.seconds.max(1e-9);
+    let mut table = Reporter::new(
+        &format!("{task} at {} thread(s): wall-clock per phase", run.threads),
+        &["Phase", "Seconds", "Share", "Entries"],
+    );
+    for p in &run.phases {
+        table.add_row(vec![
+            p.phase.clone(),
+            format!("{:.3}", p.seconds),
+            format!("{:.1}%", 100.0 * p.seconds / seconds),
+            p.entries.to_string(),
+        ]);
+    }
+    table.print();
+    // The family spans nest inside `precompute`, so they are not added.
+    let covered: f64 = run
+        .phases
+        .iter()
+        .filter(|p| !p.phase.starts_with("precompute/"))
+        .map(|p| p.seconds)
+        .sum();
+    println!(
+        "total {:.3}s (phases cover {:.1}%)",
+        run.seconds,
+        100.0 * covered / seconds
+    );
+    println!(
+        "engine: parallel work {:.3}s over {} region(s), critical path {:.3}s \
+         (balance {:.2}x at {} worker(s))",
+        engine.parallel_work_seconds,
+        engine.parallel_regions,
+        engine.parallel_span_seconds,
+        engine.parallel_work_seconds / engine.parallel_span_seconds.max(1e-9),
+        run.threads,
+    );
+    let rate = |count: u64, phase: Phase| {
+        let s = trace.phase(phase).seconds;
+        if s > 0.0 {
+            format!("{:.2} M", count as f64 / s / 1e6)
+        } else {
+            "-".to_string()
+        }
+    };
+    println!(
+        "block work: {} of {} postings scanned ({:.1}%), {} records verified, \
+         {} candidates kept ({} postings/s)",
+        blocking.postings_scanned,
+        blocking.postings_total,
+        100.0 * (1.0 - blocking.reduction_ratio()),
+        blocking.scored_records,
+        blocking.lr_pairs + blocking.ll_pairs,
+        rate(blocking.postings_scanned, Phase::Block),
+    );
+    let families: Vec<String> = (trace.precompute_work.iter())
+        .map(|&(family, work)| {
+            format!(
+                "{} {} L-R + {} L-L pairs ({} pairs/s)",
+                family.label(),
+                work.lr_pairs,
+                work.ll_pairs,
+                rate(work.lr_pairs + work.ll_pairs, Phase::of_family(family)),
+            )
+        })
+        .collect();
+    println!("precompute work: {}", families.join("; "));
+    let greedy = &trace.greedy;
+    let after_round_one: u64 = greedy.updates_per_round.iter().sum();
+    println!(
+        "greedy work: {} round(s), round-1 coverage {}, {} histogram update(s) after \
+         round 1 (at most {} in one round), {} in all",
+        greedy.rounds,
+        greedy.round_one_coverage,
+        after_round_one,
+        greedy.updates_per_round.iter().max().unwrap_or(&0),
+        greedy.round_one_coverage + after_round_one,
+    );
 }
 
 /// Measure the smoke task of `scale`: `small`, `medium` or `large`.
@@ -218,16 +322,6 @@ fn print_tasks(tasks: &[TaskBench]) {
              parallel_effective {:.2}x, identical results: {}",
             t.task, t.speedup, t.parallel_effective, t.identical_results
         );
-        if let Some(multi) = t.runs.last() {
-            for p in &multi.phases {
-                if p.seconds >= 0.001 {
-                    println!(
-                        "  {:<22} {:>9.3}s  ({} entries)",
-                        p.phase, p.seconds, p.entries
-                    );
-                }
-            }
-        }
         let c = &t.candidates;
         println!(
             "  candidates: {} L-R + {} L-L pairs (max {}/probe), scored {}, \

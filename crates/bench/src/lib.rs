@@ -10,16 +10,15 @@
 //! each table with the paper's row/column structure and writes a JSON copy
 //! under `target/experiments/`; `paper` alone lists the entries.
 //!
-//! Environment knobs of `paper` and `profile_phases` (an unknown value
-//! exits with the accepted ones):
+//! Environment knobs of `paper` (an unknown value exits with the accepted
+//! ones):
 //!
 //! * `AUTOFJ_SCALE` — `tiny` | `small` (default) | `full`: row counts of the
-//!   generated benchmark; for `profile_phases`, `small` (default) or
-//!   `medium`: which smoke task it profiles.
+//!   generated benchmark.
 //! * `AUTOFJ_TASKS` — limit on the number of single-column tasks (default:
 //!   all 50).
-//! * `AUTOFJ_SPACE` — `24` | `38` | `70` | `140`: configuration space (the
-//!   registry defaults to 140, `profile_phases` to 24).
+//! * `AUTOFJ_SPACE` — `24` | `38` | `70` | `140`: configuration space
+//!   (default 140).
 //! * `AUTOFJ_MC_SCALE` — row-count scale of the multi-column datasets
 //!   (default 0.15).
 //! * `RAYON_NUM_THREADS` — worker threads of the execution engine; every
@@ -32,9 +31,10 @@
 //! scenario stress suite (`scenarios`) and the blocking-factor sweep
 //! (`fig6d`) — and ends in [`smoke::check`], which fails on drift from the
 //! newest committed baseline (timings stay informational;
-//! [`smoke::GATE_POLICY`] says which fields).  It reads none of the knobs
-//! above: every gated setting is fixed by the baseline it is diffed
-//! against.
+//! [`smoke::GATE_POLICY`] says which fields).  Under each task it prints
+//! the phase profile and work counters of the run's own
+//! `autofj_core::trace::Trace`.  It reads none of the knobs above: every
+//! gated setting is fixed by the baseline it is diffed against.
 
 pub mod registry;
 pub mod report;

@@ -25,7 +25,8 @@ use autofj_baselines::{
 };
 use autofj_block::BlockingStats;
 use autofj_core::multi_column::join_multi_column;
-use autofj_core::{timing, AutoFjOptions, JoinResult};
+use autofj_core::trace::{self, Phase};
+use autofj_core::{AutoFjOptions, JoinResult};
 use autofj_datagen::{
     benchmark_specs, BenchmarkScale, MultiColumnDataset, ScenarioData, ScenarioSpec,
     SingleColumnTask,
@@ -804,16 +805,10 @@ impl Entry {
                 Knob::Irrelevant | Knob::Removed | Knob::RandomColumns => {}
             }
         }
-        timing::reset();
-        let (result, quality, candidates, seconds) = join(data, &space, &options);
-        let phases = timing::snapshot();
-        let phase_seconds = |of: fn(&str) -> bool| -> f64 {
-            phases
-                .iter()
-                .filter(|p| of(&p.phase))
-                .map(|p| p.seconds)
-                .sum()
-        };
+        let ((result, quality, candidates, seconds), trace) =
+            trace::capture(|| join(data, &space, &options));
+        let phase_seconds =
+            |phases: &[Phase]| -> f64 { phases.iter().map(|&p| trace.phase(p).seconds).sum() };
         let columns = self.columns();
         let asks = |field: Field| columns.contains(&(Method::AutoFj, field));
 
@@ -865,12 +860,17 @@ impl Entry {
             scores,
             pepcc: pepcc(&result, data.ground_truth()),
             ubr,
-            precompute_seconds: phase_seconds(|p| {
-                matches!(p, "prepare" | "block" | "negative_rules" | "precompute")
-            }),
-            greedy_seconds: phase_seconds(|p| {
-                p.starts_with("greedy_round/") || p == "conflict_resolve"
-            }),
+            precompute_seconds: phase_seconds(&[
+                Phase::Prepare,
+                Phase::Block,
+                Phase::NegativeRules,
+                Phase::Precompute,
+            ]),
+            greedy_seconds: phase_seconds(&[
+                Phase::GreedyScore,
+                Phase::GreedyArgmax,
+                Phase::ConflictResolve,
+            ]),
             candidates,
             program: result
                 .program

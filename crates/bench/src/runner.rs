@@ -1,6 +1,6 @@
 //! Shared experiment runner: AutoFJ runs with their quality, blocking
 //! statistics and run-time, PEPCC, and the parsers of the environment knobs
-//! `paper` and `profile_phases` read.
+//! `paper` reads.
 
 use autofj_block::BlockingStats;
 use autofj_core::{join_single_column_with_artifacts, AutoFjOptions, JoinResult};
@@ -17,7 +17,7 @@ pub fn autofj_options() -> AutoFjOptions {
 
 /// Look a knob's `value` up (case-insensitively) in `accepted`: unset gives
 /// `default`, and a value not listed is an error naming the accepted ones.
-pub fn parse_knob<T: Clone>(
+fn parse_knob<T: Clone>(
     name: &str,
     value: Option<&str>,
     accepted: &[(&str, T)],

@@ -56,10 +56,12 @@ pub struct BenchRun {
     pub actual_precision: f64,
     /// Recall against the generated ground truth.
     pub actual_recall: f64,
-    /// Wall-clock per pipeline phase (prepare, block, negative_rules,
-    /// precompute, greedy_round/score, greedy_round/argmax,
-    /// conflict_resolve, assemble).
-    pub phases: Vec<autofj_core::timing::PhaseTiming>,
+    /// Wall-clock seconds and entries of every pipeline phase of the run's
+    /// trace, in pipeline order (`autofj_core::trace::ALL_PHASES`: prepare,
+    /// block, negative_rules, precompute and its five `precompute/<family>`
+    /// spans, greedy_round/score, greedy_round/argmax, conflict_resolve,
+    /// assemble).
+    pub phases: Vec<autofj_core::trace::PhaseTiming>,
 }
 
 /// Measurements of one task across thread counts.

@@ -13,7 +13,7 @@
 
 use crate::negative_rules::InternedRuleSet;
 use crate::options::AutoFjOptions;
-use crate::timing::{self, Phase};
+use crate::trace::{self, Phase};
 use autofj_block::BlockingOutput;
 use autofj_text::prepared::scheme_index;
 use autofj_text::{PreparedColumn, Preprocessing, Tokenization};
@@ -52,7 +52,7 @@ pub fn candidate_stage(
     options: &AutoFjOptions,
 ) -> Candidates {
     let blocking = {
-        let _t = timing::scoped(Phase::Block);
+        let _t = trace::scoped(Phase::Block);
         options.blocker().block_prepared(col, num_left)
     };
     if !options.use_negative_rules {
@@ -62,7 +62,7 @@ pub fn candidate_stage(
             filtered: None,
         };
     }
-    let _t = timing::scoped(Phase::NegativeRules);
+    let _t = trace::scoped(Phase::NegativeRules);
     let si = scheme_index(Preprocessing::LowerStemRemovePunct, Tokenization::Space);
     let word_sets: Vec<&[u32]> = col
         .records()

@@ -34,7 +34,7 @@
 
 use crate::options::BallMode;
 use crate::oracle::{DistanceOracle, EvalGroup};
-use crate::timing::{self, Phase};
+use crate::trace::{self, Phase};
 use autofj_text::kernel::KernelFamily;
 use rayon::prelude::*;
 
@@ -233,30 +233,40 @@ fn build_group_stats<O: DistanceOracle>(
         }
     }
 
-    // Union of left records that are someone's nearest under any member,
-    // with per-member wanted flags so members only pay for their own rows.
-    let num_left = oracle.num_left();
-    let mut wanted: Vec<Vec<bool>> = vec![vec![false; k]; num_left];
-    for (m, nearest) in nearest_per.iter().enumerate() {
-        for n in nearest.iter().flatten() {
-            wanted[n.0 as usize][m] = true;
-        }
-    }
-    let keys: Vec<u32> = (0..num_left as u32)
-        .filter(|&l| wanted[l as usize].iter().any(|&w| w))
+    // The left records that are someone's nearest under any member, each
+    // with its per-member wanted flags (`k` per key) so members only pay for
+    // their own rows.  Built from the nearest lists alone, so the cost
+    // follows the wanted lefts, not the size of the left table.
+    let mut wanted: Vec<(u32, u32)> = nearest_per
+        .iter()
+        .enumerate()
+        .flat_map(|(m, nearest)| nearest.iter().flatten().map(move |n| (n.0, m as u32)))
         .collect();
-    let neighbourhoods: Vec<Vec<Vec<f32>>> = keys
-        .par_iter()
+    wanted.sort_unstable();
+    wanted.dedup();
+    let mut keys: Vec<u32> = Vec::new();
+    let mut flags: Vec<bool> = Vec::new();
+    for (l, m) in wanted {
+        if keys.last() != Some(&l) {
+            keys.push(l);
+            flags.resize(flags.len() + k, false);
+        }
+        flags[(keys.len() - 1) * k + m as usize] = true;
+    }
+    let neighbourhoods: Vec<Vec<Vec<f32>>> = (0..keys.len())
+        .into_par_iter()
         .with_min_len(16)
-        .map(|&l| {
-            let l = l as usize;
+        .map(|i| {
+            let l = keys[i] as usize;
             let mut out: Vec<Vec<f32>> = vec![Vec::new(); k];
             if let Some(cands) = ll_candidates.get(l) {
-                oracle.group_ll_distances(group, l, cands, &wanted[l], &mut out);
+                let wanted = &flags[i * k..(i + 1) * k];
+                oracle.group_ll_distances(group, l, cands, wanted, &mut out);
             }
             out
         })
         .collect();
+    let num_left = oracle.num_left();
     let mut ll_per: Vec<Vec<Vec<f32>>> = (0..k).map(|_| vec![Vec::new(); num_left]).collect();
     for (&l, nb) in keys.iter().zip(neighbourhoods) {
         for (m, v) in nb.into_iter().enumerate() {
@@ -285,17 +295,6 @@ fn build_group_stats<O: DistanceOracle>(
         })
         .collect();
     (stats, work)
-}
-
-/// The nested timing phase attributing pre-compute time to a kernel family.
-fn family_phase(family: KernelFamily) -> Phase {
-    match family {
-        KernelFamily::Edit => Phase::PrecomputeEdit,
-        KernelFamily::Jaro => Phase::PrecomputeJaro,
-        KernelFamily::Set => Phase::PrecomputeSet,
-        KernelFamily::Hybrid => Phase::PrecomputeHybrid,
-        KernelFamily::Embed => Phase::PrecomputeEmbed,
-    }
 }
 
 /// Pick up to `num_thresholds` candidate thresholds from the distribution of
@@ -350,46 +349,30 @@ impl Precompute {
     /// distances of a tokenization scheme reading one merge walk) are built
     /// together, then scattered back into function order.
     ///
-    /// Two parallelization strategies produce the same result; which one is
-    /// faster depends on the table size.  On large tables the work *within*
-    /// one group dominates and groups have wildly different unit costs (an
-    /// edit-distance bit-vector sweep vs an interned-set merge walk), so a
-    /// chunk-of-groups split leaves most workers idle behind the chunk that
-    /// drew the char-based kernels; building groups one after another with
-    /// record-parallel inner loops keeps every chunk the same shape — and
-    /// lets each group's wall time be attributed to its kernel family
-    /// (`precompute/edit`, `precompute/set`, ...).  On small tables the inner
-    /// loops are too short to amortize a fork, so the group-level split wins
-    /// (no family breakdown there — the spans would overlap).  Both orders
-    /// compute every group independently and scatter in function order, so
-    /// the choice (and the thread count) never changes a byte of the output.
+    /// Groups are built one after another, each with record-parallel inner
+    /// loops: within a group the work is uniform, while groups have wildly
+    /// different unit costs (an edit-distance bit-vector sweep vs an
+    /// interned-set merge walk), so splitting records keeps every chunk the
+    /// same shape where splitting groups would leave workers idle behind the
+    /// chunk that drew the char-based kernels.  Each group's wall time is
+    /// its kernel family's `precompute/<family>` span in the capturing
+    /// [`trace`].  Every group is computed independently and scattered in
+    /// function order, so the thread count never changes a byte of the
+    /// output.
     pub fn build<O: DistanceOracle>(
         oracle: &O,
         lr_candidates: &[Vec<usize>],
         ll_candidates: &[Vec<usize>],
         num_thresholds: usize,
     ) -> Self {
-        /// Below this many right records the per-group inner loops are too
-        /// short to be worth forking, so groups are built in parallel
-        /// instead (the pre-PR6 strategy).
-        const INNER_PARALLEL_MIN_RIGHTS: usize = 2048;
         let groups = oracle.eval_groups();
-        let built: Vec<(Vec<FunctionStats>, FamilyWork)> = if oracle.num_right()
-            >= INNER_PARALLEL_MIN_RIGHTS
-        {
-            groups
-                .iter()
-                .map(|g| {
-                    let _t = g.family.map(|fam| timing::scoped(family_phase(fam)));
-                    build_group_stats(g, oracle, lr_candidates, ll_candidates, num_thresholds)
-                })
-                .collect()
-        } else {
-            groups
-                .par_iter()
-                .map(|g| build_group_stats(g, oracle, lr_candidates, ll_candidates, num_thresholds))
-                .collect()
-        };
+        let built: Vec<(Vec<FunctionStats>, FamilyWork)> = groups
+            .iter()
+            .map(|g| {
+                let _t = g.family.map(|fam| trace::scoped(Phase::of_family(fam)));
+                build_group_stats(g, oracle, lr_candidates, ll_candidates, num_thresholds)
+            })
+            .collect();
         let mut functions: Vec<Option<FunctionStats>> =
             (0..oracle.num_functions()).map(|_| None).collect();
         let mut work: Vec<(KernelFamily, FamilyWork)> = Vec::new();

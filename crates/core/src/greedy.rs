@@ -34,7 +34,7 @@
 
 use crate::estimate::{ball_count_sorted, inverse_ball_count, Precompute};
 use crate::options::{AutoFjOptions, BallMode};
-use crate::timing::{self, Phase};
+use crate::trace::{self, Phase};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -332,7 +332,7 @@ impl<'a> Search<'a> {
     /// Rebuild every candidate's histogram from the assignment, in parallel
     /// over candidates.
     fn rescore_all(&mut self) {
-        let _t = timing::scoped(Phase::GreedyScore);
+        let _t = trace::scoped(Phase::GreedyScore);
         let this = &*self;
         let hists: Vec<Histogram> = (0..this.candidates.len())
             .into_par_iter()
@@ -346,7 +346,7 @@ impl<'a> Search<'a> {
     /// Move each changed right record's contribution to every alive
     /// candidate covering it from what the record held to what it holds.
     fn update(&mut self, changes: &[(u32, Held)]) {
-        let _t = timing::scoped(Phase::GreedyScore);
+        let _t = trace::scoped(Phase::GreedyScore);
         let pre = self.pre;
         let mut dirty = vec![false; self.candidates.len()];
         let mut updates = 0u64;
@@ -383,7 +383,7 @@ impl<'a> Search<'a> {
     /// keeps the quotient defined: a zero-join round never passes on a
     /// phantom precision of 1.
     fn select(&self, tau: f64) -> Option<usize> {
-        let _t = timing::scoped(Phase::GreedyArgmax);
+        let _t = trace::scoped(Phase::GreedyArgmax);
         let Delta { tp, fp } = self.solution.delta(&self.weights);
         let ci = first_max(
             (self.deltas.iter().enumerate())
@@ -397,7 +397,7 @@ impl<'a> Search<'a> {
     /// Select candidate `ci`: offer its coverage to the assignment under the
     /// §3.1 rule, and return what every record that changed held before.
     fn apply(&mut self, ci: usize) -> Vec<(u32, Held)> {
-        let _t = timing::scoped(Phase::ConflictResolve);
+        let _t = trace::scoped(Phase::ConflictResolve);
         let pre = self.pre;
         let c = self.candidates[ci];
         let stats = &pre.functions[c.function];

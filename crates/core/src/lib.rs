@@ -35,7 +35,7 @@ pub mod oracle;
 pub mod program;
 pub mod single;
 pub mod table;
-pub mod timing;
+pub mod trace;
 
 pub use candidates::{candidate_stage, Candidates};
 pub use negative_rules::InternedRuleSet;

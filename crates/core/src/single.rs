@@ -5,12 +5,12 @@
 
 use crate::candidates::{candidate_stage, Candidates};
 use crate::estimate::Precompute;
-use crate::greedy::{run_greedy, GreedyOutcome};
+use crate::greedy::{run_greedy, run_greedy_with_stats, GreedyOutcome};
 use crate::negative_rules::InternedRuleSet;
 use crate::options::AutoFjOptions;
 use crate::oracle::{DistanceOracle, SingleColumnOracle};
 use crate::program::{Config, JoinProgram, JoinResult, JoinedPair};
-use crate::timing::{self, Phase};
+use crate::trace::{self, Phase};
 use autofj_block::BlockingOutput;
 use autofj_text::JoinFunctionSpace;
 
@@ -69,7 +69,7 @@ pub fn join_single_column_with_artifacts(
     // embeddings); the same column feeds blocking, negative rules and every
     // distance evaluation below.
     let oracle = {
-        let _t = timing::scoped(Phase::Prepare);
+        let _t = trace::scoped(Phase::Prepare);
         SingleColumnOracle::build(space.functions(), left, right)
     };
     // Lines 1–2: blocking over L–L and L–R on the interned 3-gram sets, then
@@ -79,7 +79,7 @@ pub fn join_single_column_with_artifacts(
 
     // Lines 3–4: distances + precision pre-computation.
     let pre = {
-        let _t = timing::scoped(Phase::Precompute);
+        let _t = trace::scoped(Phase::Precompute);
         Precompute::build(
             &oracle,
             candidates.lr_candidates(),
@@ -90,9 +90,13 @@ pub fn join_single_column_with_artifacts(
 
     // Lines 5–14: greedy union-of-configurations search (the greedy module
     // times its own score / argmax / conflict-resolve sub-phases).
-    let outcome = run_greedy(&pre, options);
+    let (outcome, greedy) = run_greedy_with_stats(&pre, options);
+    trace::record(|t| {
+        t.precompute_work = pre.work;
+        t.greedy = greedy;
+    });
     let result = {
-        let _t = timing::scoped(Phase::Assemble);
+        let _t = trace::scoped(Phase::Assemble);
         assemble_result(space, &outcome, columns, weights)
     };
     let Candidates {
