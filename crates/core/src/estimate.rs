@@ -4,10 +4,12 @@
 //! candidate pairs:
 //!
 //! * the nearest reference record of every right record and its distance
-//!   (this is `J_C(r)` for any threshold that admits the pair, Eq. 1), and
-//! * for every reference record that is someone's nearest neighbour, the
-//!   sorted distances to its blocked reference neighbours (the "2d-ball"
-//!   structure of Figure 4).
+//!   (this is `J_C(r)` for any threshold that admits the pair, Eq. 1),
+//!   ranked by ascending distance, and
+//! * for every ranked pair, the number of reference records inside its ball
+//!   (the "2d-ball" structure of Figure 4), counted over its reference
+//!   record's sorted distances to its blocked reference neighbours, which
+//!   are dropped once counted.
 //!
 //! The per-pair precision estimate is the multiplicative inverse of the
 //! number of reference records inside the ball (Eq. 8/9): a clean ball means
@@ -20,34 +22,35 @@
 //! `C = ⟨f, θ⟩` is **frozen at pre-compute time**: the coverage of `C` (the
 //! prefix of [`FunctionStats::sorted_rights`] with distance ≤ θ) and the
 //! whole ball count `n` of each covered pair, whose precision is `1/(1+n)`
-//! ([`FunctionStats::ball_counts`] for the `2θ` ball; the pair's own `2d`
-//! ball under [`BallMode::PairDistance`]).  Neither depends on the evolving
-//! assignment.  A candidate's marginal TP/FP against the current assignment
-//! is therefore a sum of per-right contributions, each a pure function of
-//! `(n, assignment[r])`, which the greedy search keeps as an integer
-//! histogram over `n`.  When a round changes right record `r`, only the
-//! candidates whose threshold reaches `d_f(r)` cover it, and each subtracts
-//! `r`'s old contribution and adds its new one.  Integer counts make that
-//! exact: an updated histogram equals one rebuilt from scratch, so the TP/FP
-//! read off it are the same bits; see `greedy` and the
-//! `run_greedy_reference` equivalence tests.
+//! ([`FunctionStats::theta_balls`] for the `2θ` ball,
+//! [`FunctionStats::pair_balls`] for the pair's own `2d` ball under
+//! [`BallMode::PairDistance`](crate::options::BallMode::PairDistance)).
+//! Neither depends on the evolving assignment.  A candidate's marginal
+//! TP/FP against the current assignment is therefore a sum of per-right
+//! contributions, each a pure function of `(n, assignment[r])`, which the
+//! greedy search keeps as an integer histogram over `n`.  When a round
+//! changes right record `r`, only the candidates whose threshold reaches
+//! `d_f(r)` cover it, and each subtracts `r`'s old contribution and adds its
+//! new one.  Integer counts make that exact: an updated histogram equals one
+//! rebuilt from scratch, so the TP/FP read off it are the same bits; see
+//! `greedy` and the `run_greedy_reference` equivalence tests.
 
-use crate::options::BallMode;
 use crate::oracle::{DistanceOracle, EvalGroup};
 use crate::trace::{self, Phase};
 use autofj_text::kernel::KernelFamily;
 use rayon::prelude::*;
 
 /// Tolerance for neighbours sitting exactly on the ball boundary; see
-/// [`FunctionStats::precision_at_rank`].
+/// [`ball_cutoff`].
 const BOUNDARY_EPS: f64 = 1e-6;
 
 /// The effective cutoff below which a sorted L–L reference distance counts as
-/// inside a ball of the given `radius`: `radius - ε`, floored at `ε/2` so a
-/// non-positive radius still counts exact-zero neighbours only.  Shared by
-/// [`FunctionStats::from_raw`] and [`FunctionStats::precision_at_rank`], and
-/// public so the snapshot store can derive bit-identical ball-count tables
-/// when serving the learned program online.
+/// inside a ball of the given `radius`: `radius - ε`, so a neighbour exactly
+/// on the boundary (`d < w/2 ⇒ 2d < w`, the paper's argument) is not
+/// counted, floored at `ε/2` so a zero-radius ball still counts exact
+/// duplicates (an exactly-duplicated categorical value must not look safe).
+/// Every ball table of [`FunctionStats`] counts through here; public so the
+/// snapshot store derives bit-identical counts when serving online.
 pub fn ball_cutoff(radius: f64) -> f64 {
     (radius - BOUNDARY_EPS).max(0.5 * BOUNDARY_EPS)
 }
@@ -64,8 +67,8 @@ pub fn ball_count_sorted(sorted_distances: &[f32], radius: f64) -> usize {
 /// The per-pair precision estimate of Eq. 8/9 for a pair whose reference
 /// record has the sorted L–L distances `sorted_distances`: the inverse of one
 /// plus the number of reference neighbours inside the ball of `radius`
-/// ([`ball_count_sorted`]).  [`FunctionStats::precision_at_rank`] and the
-/// snapshot store's query path both estimate through here.
+/// ([`ball_count_sorted`]).  The snapshot store's query path estimates
+/// through here, the greedy search from the same counts.
 pub fn ball_precision(sorted_distances: &[f32], radius: f64) -> f64 {
     inverse_ball_count(ball_count_sorted(sorted_distances, radius))
 }
@@ -76,87 +79,84 @@ pub(crate) fn inverse_ball_count(neighbours: usize) -> f64 {
     1.0 / (1.0 + neighbours as f64)
 }
 
-/// Pre-computed statistics for one join function.
+/// Pre-computed statistics for one join function: its covered pairs, each
+/// keyed by its rank, and their ball counts.
 #[derive(Debug, Clone)]
 pub struct FunctionStats {
-    /// For every right record: its nearest left candidate and distance, or
-    /// `None` when blocking / negative rules left no candidate.
-    pub nearest: Vec<Option<(u32, f32)>>,
-    /// Right records that have a nearest candidate, sorted by ascending
-    /// distance (ties broken by right index for determinism).
+    /// Right records that have a nearest candidate (blocking or negative
+    /// rules may leave none) and its distance, sorted by ascending distance
+    /// (ties broken by right index for determinism).  A pair's position here
+    /// is its rank.
     pub sorted_rights: Vec<(u32, f32)>,
-    /// The nearest left record of each entry of `sorted_rights` (same order),
-    /// so the greedy search's hot loop skips the `nearest` indirection.
+    /// The nearest left record of each entry of `sorted_rights` (same order).
     pub lefts: Vec<u32>,
-    /// Indexed by left record: the ascending distances to its blocked left
-    /// neighbours, populated only for left records appearing as someone's
-    /// nearest neighbour (all other entries stay empty — an empty
-    /// neighbourhood and an absent one both count zero ball neighbours).
-    pub ll_sorted: Vec<Vec<f32>>,
+    /// Indexed by right record: its rank, or `None` when it has no nearest
+    /// candidate.
+    pub rank_of: Vec<Option<u32>>,
     /// Candidate thresholds for this function, ascending and deduplicated.
     pub thresholds: Vec<f32>,
-    /// `ball_counts[t][l]`: number of reference neighbours of left record `l`
-    /// inside the `2·thresholds[t]` ball — the [`BallMode::ConfigTheta`]
-    /// cutoff depends only on the threshold and the left record, so the
-    /// greedy search's per-pair precision becomes one table lookup instead
-    /// of a binary search over `ll_sorted` per rank.
-    pub ball_counts: Vec<Vec<u32>>,
+    /// `theta_balls[t][rank]`: reference neighbours inside the
+    /// `2·thresholds[t]` ball of the pair at `rank` (Eq. 9).  Threshold `t`
+    /// covers a prefix of the ranks, so row `t` has
+    /// [`Self::joined_count`]`(thresholds[t])` entries and the table holds
+    /// exactly the function's round-1 coverage.
+    pub theta_balls: Vec<Vec<u32>>,
+    /// `pair_balls[rank]`: reference neighbours inside the pair's own `2·d`
+    /// ball (Eq. 8), one count for every threshold `θ ≥ d`.
+    pub pair_balls: Vec<u32>,
 }
 
 impl FunctionStats {
-    /// Sort the joined right records of a `nearest` table by ascending
-    /// distance (ties broken by right index for determinism).
-    fn sort_rights(nearest: &[Option<(u32, f32)>]) -> Vec<(u32, f32)> {
-        let mut sorted_rights: Vec<(u32, f32)> = nearest
-            .iter()
-            .enumerate()
-            .filter_map(|(r, n)| n.map(|(_, d)| (r as u32, d)))
+    /// Rank the joined pairs of a `nearest` table (indexed by right record)
+    /// and size the ball tables for the thresholds `pick` chooses from the
+    /// ranked pairs.  Every count is zero until [`fill_balls`] sets it.
+    fn ranked(
+        nearest: &[Option<(u32, f32)>],
+        pick: impl FnOnce(&[(u32, f32)]) -> Vec<f32>,
+    ) -> Self {
+        let mut pairs: Vec<(u32, u32, f32)> = (nearest.iter().enumerate())
+            .filter_map(|(r, n)| n.map(|(l, d)| (r as u32, l, d)))
             .collect();
-        sorted_rights.sort_unstable_by(|a, b| {
-            a.1.partial_cmp(&b.1)
+        pairs.sort_unstable_by(|a, b| {
+            a.2.partial_cmp(&b.2)
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(a.0.cmp(&b.0))
         });
-        sorted_rights
-    }
-
-    /// Assemble statistics from their raw parts, computing the derived
-    /// `lefts` and `ball_counts` tables.  Used by the group build and by
-    /// tests that hand-craft degenerate inputs.
-    pub fn from_raw(
-        nearest: Vec<Option<(u32, f32)>>,
-        sorted_rights: Vec<(u32, f32)>,
-        ll_sorted: Vec<Vec<f32>>,
-        thresholds: Vec<f32>,
-    ) -> Self {
-        let lefts: Vec<u32> = sorted_rights
-            .iter()
-            .map(|&(r, _)| {
-                nearest[r as usize]
-                    .expect("sorted right record has a nearest")
-                    .0
-            })
-            .collect();
-        // Integer counts collected in threshold order: deterministic at any
-        // thread count.  The cutoff formula must match `precision_at_rank`
-        // exactly so the table lookup stays bit-identical to the search.
-        let ball_counts: Vec<Vec<u32>> = thresholds
-            .par_iter()
-            .map(|&theta| {
-                ll_sorted
-                    .iter()
-                    .map(|n| ball_count_sorted(n, 2.0 * theta as f64) as u32)
-                    .collect()
-            })
+        let sorted_rights: Vec<(u32, f32)> = pairs.iter().map(|&(r, _, d)| (r, d)).collect();
+        let mut rank_of = vec![None; nearest.len()];
+        for (rank, &(r, _)) in sorted_rights.iter().enumerate() {
+            rank_of[r as usize] = Some(rank as u32);
+        }
+        let thresholds = pick(&sorted_rights);
+        let theta_balls = (thresholds.iter())
+            .map(|&theta| vec![0; sorted_rights.partition_point(|&(_, d)| d <= theta)])
             .collect();
         Self {
-            nearest,
+            lefts: pairs.iter().map(|&(_, l, _)| l).collect(),
+            pair_balls: vec![0; sorted_rights.len()],
             sorted_rights,
-            lefts,
-            ll_sorted,
+            rank_of,
             thresholds,
-            ball_counts,
+            theta_balls,
         }
+    }
+
+    /// Statistics of one function from its `nearest` table (indexed by
+    /// right record), the ascending `thresholds`, and the sorted
+    /// neighbourhood of each reference record (`neighbourhood(l)`).  The
+    /// counts come from the same code as [`Precompute::build`]'s; used by
+    /// tests that hand-craft degenerate inputs.
+    pub fn from_raw<'a>(
+        nearest: &[Option<(u32, f32)>],
+        thresholds: Vec<f32>,
+        neighbourhood: impl Fn(u32) -> &'a [f32] + Sync,
+    ) -> Self {
+        let mut stats = [Self::ranked(nearest, |_| thresholds)];
+        fill_balls(&mut stats, |l, _, rows| {
+            rows[0].extend_from_slice(neighbourhood(l as u32))
+        });
+        let [stats] = stats;
+        stats
     }
 
     /// Number of right records joined under threshold `theta` (i.e. whose
@@ -165,36 +165,79 @@ impl FunctionStats {
         self.sorted_rights.partition_point(|&(_, d)| d <= theta)
     }
 
-    /// The per-pair precision estimate for the right record at `rank` within
-    /// [`Self::sorted_rights`], under threshold `theta`.
-    ///
-    /// With [`BallMode::ConfigTheta`] the ball radius is `2θ` (Eq. 9); with
-    /// [`BallMode::PairDistance`] it is `2·f(l, r)` (Eq. 8).  Neighbours are
-    /// counted strictly inside the ball (with a small tolerance): the paper's
-    /// geometric argument is that `d < w/2 ⇒ 2d < w`, so a reference
-    /// neighbour sitting *exactly* on the boundary (`w = 2d`, e.g. "one token
-    /// added" vs "one token substituted" under Jaccard) does not contradict
-    /// the safety of the join and must not be counted.  The one exception is
-    /// a degenerate zero-radius ball: reference records at distance ≈ 0 from
-    /// `l` are indistinguishable alternatives for `r` and are always counted,
-    /// otherwise an exactly-duplicated (e.g. categorical) value would look
-    /// perfectly safe.
-    pub fn precision_at_rank(&self, rank: usize, theta: f32, mode: BallMode) -> f64 {
-        let (r, d) = self.sorted_rights[rank];
-        let l = self.nearest[r as usize]
-            .expect("rank refers to a joined right record")
-            .0;
-        let radius = match mode {
-            BallMode::ConfigTheta => 2.0 * theta as f64,
-            BallMode::PairDistance => 2.0 * d as f64,
-        };
-        ball_precision(&self.ll_sorted[l as usize], radius)
+    /// Append the ball counts of the pair at `rank`, whose reference record
+    /// has the sorted neighbourhood `row`: its `2d` ball, then the `2θ` ball
+    /// of every threshold covering it, ascending.
+    fn count_balls(&self, rank: usize, row: &[f32], out: &mut Vec<u32>) {
+        let d = self.sorted_rights[rank].1;
+        out.push(ball_count_sorted(row, 2.0 * d as f64) as u32);
+        let covering = self.thresholds.partition_point(|&theta| theta < d);
+        out.extend(
+            (self.thresholds[covering..].iter())
+                .map(|&theta| ball_count_sorted(row, 2.0 * theta as f64) as u32),
+        );
     }
 
-    /// The nearest left record and distance of right record `r`, if any.
-    pub fn nearest_of(&self, r: usize) -> Option<(u32, f32)> {
-        self.nearest[r]
+    /// Store the counts [`Self::count_balls`] appended for `rank` at the
+    /// head of `counts`; return how many it took.
+    fn set_balls(&mut self, rank: usize, counts: &[u32]) -> usize {
+        let d = self.sorted_rights[rank].1;
+        let covering = self.thresholds.partition_point(|&theta| theta < d);
+        self.pair_balls[rank] = counts[0];
+        for (row, &n) in self.theta_balls[covering..].iter_mut().zip(&counts[1..]) {
+            row[rank] = n;
+        }
+        1 + self.thresholds.len() - covering
     }
+}
+
+/// Fill the ball tables of every member `stats[m]` of one group, and return
+/// the wanted left records: those that are some member's nearest, ascending.
+///
+/// One parallel region over the wanted lefts: `walk(l, wanted, rows)` pushes
+/// the sorted neighbourhood of left `l` under each wanted member `m` into
+/// `rows[m]` (empty rows on entry), and every pair of every member whose
+/// nearest is `l` is counted against it before the rows are dropped.  The
+/// counts are integers, scattered in left order afterwards, so the tables
+/// are the same at any thread count.
+fn fill_balls(
+    stats: &mut [FunctionStats],
+    walk: impl Fn(usize, &[bool], &mut [Vec<f32>]) + Sync,
+) -> Vec<u32> {
+    let k = stats.len();
+    // Every (left, member, rank) pair, grouped by left.
+    let mut pairs: Vec<(u32, u32, u32)> = (stats.iter().enumerate())
+        .flat_map(|(m, s)| {
+            (s.lefts.iter().enumerate()).map(move |(rank, &l)| (l, m as u32, rank as u32))
+        })
+        .collect();
+    pairs.sort_unstable();
+    let by_left: Vec<&[(u32, u32, u32)]> = pairs.chunk_by(|a, b| a.0 == b.0).collect();
+    let counted: &[FunctionStats] = stats;
+    let counts: Vec<Vec<u32>> = (0..by_left.len())
+        .into_par_iter()
+        .with_min_len(16)
+        .map(|i| {
+            let mut wanted = vec![false; k];
+            for &(_, m, _) in by_left[i] {
+                wanted[m as usize] = true;
+            }
+            let mut rows: Vec<Vec<f32>> = vec![Vec::new(); k];
+            walk(by_left[i][0].0 as usize, &wanted, &mut rows);
+            let mut out = Vec::new();
+            for &(_, m, rank) in by_left[i] {
+                counted[m as usize].count_balls(rank as usize, &rows[m as usize], &mut out);
+            }
+            out
+        })
+        .collect();
+    for (group, counts) in by_left.iter().zip(&counts) {
+        let mut at = 0;
+        for &(_, m, rank) in *group {
+            at += stats[m as usize].set_balls(rank as usize, &counts[at..]);
+        }
+    }
+    by_left.iter().map(|group| group[0].0).collect()
 }
 
 /// Build the statistics of every member of one [`EvalGroup`] together,
@@ -202,11 +245,12 @@ impl FunctionStats {
 /// distances of a scheme).
 ///
 /// The nearest scan is the oracle's [`DistanceOracle::group_nearest`] fold,
-/// run as a parallel map over right records; the neighbourhood scan is a
-/// parallel map over the union of needed left records.  Results are
-/// collected in input order, and no floating-point accumulation crosses a
-/// chunk boundary, so every member's output is the same at any thread
-/// count.  The group's evaluation counts come back beside the statistics.
+/// run as a parallel map over right records; the ball counts come from
+/// [`fill_balls`] over the oracle's [`DistanceOracle::group_ll_distances`]
+/// walks.  Results are collected in input order, and no floating-point
+/// accumulation crosses a chunk boundary, so every member's output is the
+/// same at any thread count.  The group's evaluation counts come back
+/// beside the statistics.
 fn build_group_stats<O: DistanceOracle>(
     group: &EvalGroup,
     oracle: &O,
@@ -225,75 +269,28 @@ fn build_group_stats<O: DistanceOracle>(
             out
         })
         .collect();
-    let mut nearest_per: Vec<Vec<Option<(u32, f32)>>> =
-        (0..k).map(|_| Vec::with_capacity(num_rows)).collect();
-    for row in rows {
-        for (m, v) in row.into_iter().enumerate() {
-            nearest_per[m].push(v);
-        }
-    }
-
-    // The left records that are someone's nearest under any member, each
-    // with its per-member wanted flags (`k` per key) so members only pay for
-    // their own rows.  Built from the nearest lists alone, so the cost
-    // follows the wanted lefts, not the size of the left table.
-    let mut wanted: Vec<(u32, u32)> = nearest_per
-        .iter()
-        .enumerate()
-        .flat_map(|(m, nearest)| nearest.iter().flatten().map(move |n| (n.0, m as u32)))
-        .collect();
-    wanted.sort_unstable();
-    wanted.dedup();
-    let mut keys: Vec<u32> = Vec::new();
-    let mut flags: Vec<bool> = Vec::new();
-    for (l, m) in wanted {
-        if keys.last() != Some(&l) {
-            keys.push(l);
-            flags.resize(flags.len() + k, false);
-        }
-        flags[(keys.len() - 1) * k + m as usize] = true;
-    }
-    let neighbourhoods: Vec<Vec<Vec<f32>>> = (0..keys.len())
-        .into_par_iter()
-        .with_min_len(16)
-        .map(|i| {
-            let l = keys[i] as usize;
-            let mut out: Vec<Vec<f32>> = vec![Vec::new(); k];
-            if let Some(cands) = ll_candidates.get(l) {
-                let wanted = &flags[i * k..(i + 1) * k];
-                oracle.group_ll_distances(group, l, cands, wanted, &mut out);
-            }
-            out
+    let mut stats: Vec<FunctionStats> = (0..k)
+        .map(|m| {
+            let nearest: Vec<Option<(u32, f32)>> = rows.iter().map(|row| row[m]).collect();
+            FunctionStats::ranked(&nearest, |sorted| pick_thresholds(sorted, num_thresholds))
         })
         .collect();
-    let num_left = oracle.num_left();
-    let mut ll_per: Vec<Vec<Vec<f32>>> = (0..k).map(|_| vec![Vec::new(); num_left]).collect();
-    for (&l, nb) in keys.iter().zip(neighbourhoods) {
-        for (m, v) in nb.into_iter().enumerate() {
-            ll_per[m][l as usize] = v;
+    let wanted_lefts = fill_balls(&mut stats, |l, wanted, out| {
+        if let Some(cands) = ll_candidates.get(l) {
+            oracle.group_ll_distances(group, l, cands, wanted, out);
         }
-    }
+    });
     let work = FamilyWork {
         lr_pairs: lr_candidates[..num_rows]
             .iter()
             .map(|c| c.len() as u64)
             .sum(),
-        ll_pairs: keys
+        ll_pairs: wanted_lefts
             .iter()
             .filter_map(|&l| ll_candidates.get(l as usize))
             .map(|c| c.len() as u64)
             .sum(),
     };
-
-    let stats = nearest_per
-        .into_iter()
-        .zip(ll_per)
-        .map(|(nearest, ll_sorted)| {
-            let sorted_rights = FunctionStats::sort_rights(&nearest);
-            let thresholds = pick_thresholds(&sorted_rights, num_thresholds);
-            FunctionStats::from_raw(nearest, sorted_rights, ll_sorted, thresholds)
-        })
-        .collect();
     (stats, work)
 }
 
@@ -405,7 +402,7 @@ impl Precompute {
     ///
     /// Used by tests that need hand-crafted degenerate inputs (zero-join
     /// rounds, overlapping candidate coverage) without driving a full
-    /// oracle, and by future callers that persist and reload statistics.
+    /// oracle.
     pub fn from_parts(functions: Vec<FunctionStats>, num_right: usize) -> Self {
         Self {
             functions,
@@ -474,9 +471,16 @@ mod tests {
         let oracle = SingleColumnOracle::build(&fns, &left, &right);
         let (lr, ll) = all_candidates(left.len(), right.len());
         let stats = Precompute::build(&oracle, &lr, &ll, 10).functions.remove(0);
-        let (l, d) = stats.nearest_of(0).unwrap();
+        assert_eq!(stats.rank_of, [Some(0)]);
+        let (l, d) = (stats.lefts[0], stats.sorted_rights[0].1);
         assert_eq!(left[l as usize], "2007 lsu tigers football team");
         assert!(d > 0.0 && d < 0.3);
+    }
+
+    /// The `2θ` precision of the pair at `rank` under threshold `theta`.
+    fn theta_precision(stats: &FunctionStats, rank: usize, theta: f32) -> f64 {
+        let t = stats.thresholds.iter().position(|&x| x == theta).unwrap();
+        inverse_ball_count(stats.theta_balls[t][rank] as usize)
     }
 
     #[test]
@@ -493,18 +497,10 @@ mod tests {
         let oracle = SingleColumnOracle::build(&fns, &left, &right);
         let (lr, ll) = all_candidates(left.len(), right.len());
         let stats = Precompute::build(&oracle, &lr, &ll, 25).functions.remove(0);
-        // Locate each right record's rank.
-        let rank_of = |r: u32| {
-            stats
-                .sorted_rights
-                .iter()
-                .position(|&(ri, _)| ri == r)
-                .unwrap()
-        };
-        let theta_small = stats.sorted_rights[rank_of(0)].1;
-        let p_safe = stats.precision_at_rank(rank_of(0), theta_small, BallMode::ConfigTheta);
-        let theta_big = stats.sorted_rights[rank_of(1)].1;
-        let p_crowded = stats.precision_at_rank(rank_of(1), theta_big, BallMode::ConfigTheta);
+        let (safe, crowded) = (stats.rank_of[0].unwrap(), stats.rank_of[1].unwrap());
+        let (safe, crowded) = (safe as usize, crowded as usize);
+        let p_safe = theta_precision(&stats, safe, stats.sorted_rights[safe].1);
+        let p_crowded = theta_precision(&stats, crowded, stats.sorted_rights[crowded].1);
         assert!(p_safe > p_crowded, "safe {p_safe} vs crowded {p_crowded}");
         assert!(p_safe > 0.9);
         assert!(p_crowded < 0.5);
@@ -519,11 +515,58 @@ mod tests {
         let (lr, ll) = all_candidates(left.len(), right.len());
         let stats = Precompute::build(&oracle, &lr, &ll, 25).functions.remove(0);
         let theta = *stats.thresholds.last().unwrap();
-        let p_theta = stats.precision_at_rank(0, theta, BallMode::ConfigTheta);
-        let p_pair = stats.precision_at_rank(0, theta, BallMode::PairDistance);
+        let p_theta = theta_precision(&stats, 0, theta);
+        let p_pair = inverse_ball_count(stats.pair_balls[0] as usize);
         // The pair-distance ball (2d) is never larger than the config ball (2θ)
         // for θ ≥ d, so its precision estimate is never smaller.
         assert!(p_pair >= p_theta);
+    }
+
+    #[test]
+    fn ball_tables_count_every_covered_pair_against_its_neighbourhood() {
+        let left = grid_left();
+        let right: Vec<String> = (left.iter().enumerate())
+            .map(|(i, s)| match i % 3 {
+                0 => format!("{s} x"),
+                1 => s.replacen("football", "futbol", 1),
+                _ => s.split_whitespace().skip(1).collect::<Vec<_>>().join(" "),
+            })
+            .collect();
+        // Jaccard and Cosine share one walk: two members of one group.
+        let mut fns = jaccard_space();
+        fns.push(JoinFunction::set_based(
+            Preprocessing::Lower,
+            Tokenization::Space,
+            TokenWeighting::Equal,
+            DistanceFunction::Cosine,
+        ));
+        let oracle = SingleColumnOracle::build(&fns, &left, &right);
+        let (lr, ll) = all_candidates(left.len(), right.len());
+        let pre = Precompute::build(&oracle, &lr, &ll, 10);
+        let group = &oracle.eval_groups()[0];
+        assert_eq!(group.members, [0, 1]);
+        for (m, stats) in pre.functions.iter().enumerate() {
+            assert_eq!(stats.pair_balls.len(), stats.sorted_rights.len());
+            for (t, &theta) in stats.thresholds.iter().enumerate() {
+                assert_eq!(stats.theta_balls[t].len(), stats.joined_count(theta));
+            }
+            for (rank, (&(_, d), &l)) in stats.sorted_rights.iter().zip(&stats.lefts).enumerate() {
+                let mut rows = vec![Vec::new(); 2];
+                let mut wanted = [false; 2];
+                wanted[m] = true;
+                let l = l as usize;
+                oracle.group_ll_distances(group, l, &ll[l], &wanted, &mut rows);
+                let row = &rows[m];
+                let n = ball_count_sorted(row, 2.0 * d as f64) as u32;
+                assert_eq!(stats.pair_balls[rank], n, "function {m} rank {rank}");
+                for (t, &theta) in stats.thresholds.iter().enumerate() {
+                    if theta >= d {
+                        let n = ball_count_sorted(row, 2.0 * theta as f64) as u32;
+                        assert_eq!(stats.theta_balls[t][rank], n, "function {m} θ {theta}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -579,8 +622,7 @@ mod tests {
             // Only the lefts that are some member's nearest are walked.
             let mut wanted: Vec<u32> = fs
                 .iter()
-                .flat_map(|&f| (0..right.len()).filter_map(move |r| functions[f].nearest_of(r)))
-                .map(|(l, _)| l)
+                .flat_map(|&f| functions[f].lefts.iter().copied())
                 .collect();
             wanted.sort_unstable();
             wanted.dedup();
@@ -634,7 +676,7 @@ mod tests {
         let oracle = SingleColumnOracle::build(&fns, &left, &right);
         let (lr, ll) = all_candidates(left.len(), right.len());
         let stats = Precompute::build(&oracle, &lr, &ll, 10).functions.remove(0);
-        let p = stats.precision_at_rank(0, stats.sorted_rights[0].1, BallMode::ConfigTheta);
+        let p = theta_precision(&stats, 0, stats.sorted_rights[0].1);
         assert!(p <= 0.5, "duplicated categorical value got precision {p}");
     }
 
@@ -647,7 +689,7 @@ mod tests {
         let lr = vec![vec![]]; // blocking (or negative rules) removed everything
         let ll = vec![vec![]; left.len()];
         let stats = Precompute::build(&oracle, &lr, &ll, 10).functions.remove(0);
-        assert!(stats.nearest_of(0).is_none());
+        assert_eq!(stats.rank_of, [None]);
         assert!(stats.sorted_rights.is_empty());
     }
 }

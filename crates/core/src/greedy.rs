@@ -32,7 +32,7 @@
 //! another left can revive a candidate that agreed with the old left, so
 //! unselected candidates are only skipped while `Δtp ≤ 0`, never dropped.
 
-use crate::estimate::{ball_count_sorted, inverse_ball_count, Precompute};
+use crate::estimate::{inverse_ball_count, Precompute};
 use crate::options::{AutoFjOptions, BallMode};
 use crate::trace::{self, Phase};
 use rayon::prelude::*;
@@ -219,14 +219,12 @@ pub fn candidate_configs(pre: &Precompute) -> Vec<CandidateConfig> {
 struct Search<'a> {
     pre: &'a Precompute,
     candidates: Vec<CandidateConfig>,
-    /// Under [`BallMode::PairDistance`], `pair_balls[f][r]` is the ball
-    /// count of right `r`'s pair under `f` (the `2·d` ball depends only on
-    /// the pair, so one count serves every `θ ≥ d`).  `None` under
-    /// [`BallMode::ConfigTheta`], whose counts are `ball_counts[t][l]`.
-    pair_balls: Option<Vec<Vec<u32>>>,
-    /// `(1/(1+n), n/(1+n))` for every ball count `n` of any pair; its
-    /// length is every histogram's, since a replacement's `n_old` may come
-    /// from another function.
+    /// Which ball table of each `FunctionStats` the per-pair counts come
+    /// from: `theta_balls` (the `2θ` ball) or `pair_balls` (the pair's `2d`).
+    ball_mode: BallMode,
+    /// `(1/(1+n), n/(1+n))` for every ball count `n` of any covered pair in
+    /// that table; its length is every histogram's, since a replacement's
+    /// `n_old` may come from another function.
     weights: Vec<(f64, f64)>,
     /// Not yet selected.  Selected candidates are marked, never removed, so
     /// candidate order (and with it first-wins tie-breaking) is fixed.
@@ -246,27 +244,11 @@ impl<'a> Search<'a> {
     /// An empty solution with every candidate's round-1 histogram built.
     fn new(pre: &'a Precompute, ball_mode: BallMode) -> Self {
         let candidates = candidate_configs(pre);
-        let pair_balls: Option<Vec<Vec<u32>>> = (ball_mode == BallMode::PairDistance).then(|| {
-            (pre.functions.par_iter())
-                .map(|s| {
-                    let mut balls = vec![0; pre.num_right()];
-                    for (&(r, d), &l) in s.sorted_rights.iter().zip(&s.lefts) {
-                        let n = ball_count_sorted(&s.ll_sorted[l as usize], 2.0 * d as f64);
-                        balls[r as usize] = n as u32;
-                    }
-                    balls
-                })
-                .collect()
-        });
-        let max_ball = match &pair_balls {
-            Some(pb) => pb.iter().flatten().max(),
-            None => (pre.functions.iter())
-                .flat_map(|s| {
-                    s.ball_counts
-                        .iter()
-                        .flat_map(|row| s.lefts.iter().map(|&l| &row[l as usize]))
-                })
+        let max_ball = match ball_mode {
+            BallMode::ConfigTheta => (pre.functions.iter())
+                .flat_map(|s| s.theta_balls.iter().flatten())
                 .max(),
+            BallMode::PairDistance => pre.functions.iter().flat_map(|s| &s.pair_balls).max(),
         };
         let width = 1 + max_ball.copied().unwrap_or(0) as usize;
         let num = candidates.len();
@@ -276,7 +258,7 @@ impl<'a> Search<'a> {
         let mut search = Search {
             pre,
             candidates,
-            pair_balls,
+            ball_mode,
             weights: (0..width)
                 .map(|n| (inverse_ball_count(n), n as f64 / (1.0 + n as f64)))
                 .collect(),
@@ -300,13 +282,14 @@ impl<'a> Search<'a> {
         search
     }
 
-    /// The ball count of right `r` joined to left `l` under the `t`-th
-    /// threshold of function `f`, with its precision `1/(1+n)`.
+    /// The ball count of function `f`'s pair at `rank` under its `t`-th
+    /// threshold, with its precision `1/(1+n)`.
     #[inline]
-    fn ball(&self, f: usize, t: usize, r: u32, l: u32) -> (u32, f64) {
-        let n = match &self.pair_balls {
-            Some(pb) => pb[f][r as usize],
-            None => self.pre.functions[f].ball_counts[t][l as usize],
+    fn ball(&self, f: usize, t: usize, rank: usize) -> (u32, f64) {
+        let stats = &self.pre.functions[f];
+        let n = match self.ball_mode {
+            BallMode::ConfigTheta => stats.theta_balls[t][rank],
+            BallMode::PairDistance => stats.pair_balls[rank],
         };
         (n, self.weights[n as usize].0)
     }
@@ -321,9 +304,8 @@ impl<'a> Search<'a> {
             joins: 0,
         };
         for rank in 0..stats.joined_count(c.threshold) {
-            let (right, l) = (stats.sorted_rights[rank].0, stats.lefts[rank]);
-            let ball = self.ball(c.function, c.threshold_idx, right, l);
-            let r = right as usize;
+            let (r, l) = (stats.sorted_rights[rank].0 as usize, stats.lefts[rank]);
+            let ball = self.ball(c.function, c.threshold_idx, rank);
             h.offer((self.assignment[r], self.balls[r]), l, ball, 1);
         }
         h
@@ -354,15 +336,17 @@ impl<'a> Search<'a> {
             let r = right as usize;
             let now = (self.assignment[r], self.balls[r]);
             for (f, stats) in pre.functions.iter().enumerate() {
-                let Some((l, d)) = stats.nearest[r] else {
+                let Some(rank) = stats.rank_of[r] else {
                     continue;
                 };
+                let rank = rank as usize;
+                let (l, d) = (stats.lefts[rank], stats.sorted_rights[rank].1);
                 let covering = stats.thresholds.partition_point(|&theta| theta < d);
                 let first = self.candidates.partition_point(|c| c.function < f);
                 for t in covering..stats.thresholds.len() {
                     let ci = first + t;
                     if self.alive[ci] {
-                        let ball = self.ball(f, t, right, l);
+                        let ball = self.ball(f, t, rank);
                         self.hists[ci].offer(was, l, ball, -1);
                         self.hists[ci].offer(now, l, ball, 1);
                         dirty[ci] = true;
@@ -406,7 +390,7 @@ impl<'a> Search<'a> {
         for rank in 0..stats.joined_count(c.threshold) {
             let (right, distance) = stats.sorted_rights[rank];
             let (r, left) = (right as usize, stats.lefts[rank]);
-            let (n, precision) = self.ball(c.function, c.threshold_idx, right, left);
+            let (n, precision) = self.ball(c.function, c.threshold_idx, rank);
             let was = (self.assignment[r], self.balls[r]);
             if self.solution.offer(was, left, (n, precision), 1) != Offer::Keep {
                 changes.push((right, was));
@@ -723,7 +707,6 @@ mod tests {
     /// `ball_neighbours` puts distances into a left record's neighbourhood.
     fn crafted_stats(
         num_right: usize,
-        num_left: usize,
         joins: &[(u32, u32, f32)],
         thresholds: Vec<f32>,
         ball_neighbours: &[(u32, Vec<f32>)],
@@ -732,17 +715,11 @@ mod tests {
         for &(r, l, d) in joins {
             nearest[r as usize] = Some((l, d));
         }
-        let mut sorted_rights: Vec<(u32, f32)> = joins.iter().map(|&(r, _, d)| (r, d)).collect();
-        sorted_rights.sort_unstable_by(|a, b| {
-            a.1.partial_cmp(&b.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.0.cmp(&b.0))
-        });
-        let mut ll_sorted = vec![Vec::new(); num_left];
-        for (l, v) in ball_neighbours {
-            ll_sorted[*l as usize] = v.clone();
-        }
-        crate::estimate::FunctionStats::from_raw(nearest, sorted_rights, ll_sorted, thresholds)
+        crate::estimate::FunctionStats::from_raw(&nearest, thresholds, |l| {
+            (ball_neighbours.iter())
+                .find(|(x, _)| *x == l)
+                .map_or(&[][..], |(_, v)| v)
+        })
     }
 
     #[test]
@@ -752,8 +729,8 @@ mod tests {
         // left record.  Once A is selected, right 1 no longer contributes to
         // B's marginal delta — a stale score for B would keep claiming
         // tp = 2 and over-select it.
-        let f_a = crafted_stats(3, 6, &[(0, 0, 0.1), (1, 0, 0.2)], vec![0.2], &[]);
-        let f_b = crafted_stats(3, 6, &[(1, 0, 0.15), (2, 5, 0.1)], vec![0.15], &[]);
+        let f_a = crafted_stats(3, &[(0, 0, 0.1), (1, 0, 0.2)], vec![0.2], &[]);
+        let f_b = crafted_stats(3, &[(1, 0, 0.15), (2, 5, 0.1)], vec![0.15], &[]);
         let pre = Precompute::from_parts(vec![f_a, f_b], 3);
         let (a, b) = (0, 1);
 
@@ -769,13 +746,19 @@ mod tests {
         );
         assert_eq!(after, 1.0, "only right 2 still contributes");
 
-        // The full searches agree on the final program (and with each other).
-        let options = AutoFjOptions::default();
-        let inc = run_greedy(&pre, &options);
-        let refr = run_greedy_reference(&pre, &options);
-        assert_bit_identical(&inc, &refr);
-        assert_eq!(inc.selected.len(), 2);
-        assert_eq!(inc.tp, 3.0, "right 1 counted once, not twice");
+        // The full searches agree on the final program (and with each other)
+        // in both ball modes: no pair has a ball neighbour, so the two agree.
+        for ball_mode in [BallMode::ConfigTheta, BallMode::PairDistance] {
+            let options = AutoFjOptions {
+                ball_mode,
+                ..Default::default()
+            };
+            let inc = run_greedy(&pre, &options);
+            let refr = run_greedy_reference(&pre, &options);
+            assert_bit_identical(&inc, &refr);
+            assert_eq!(inc.selected.len(), 2);
+            assert_eq!(inc.tp, 3.0, "right 1 counted once, not twice");
+        }
     }
 
     /// The spec of a histogram's figures: candidate `ci`'s marginal change
@@ -787,7 +770,7 @@ mod tests {
         for rank in 0..stats.joined_count(c.threshold) {
             let r = stats.sorted_rights[rank].0;
             let l = stats.lefts[rank];
-            let p = 1.0 / (1.0 + search.ball(c.function, c.threshold_idx, r, l).0 as f64);
+            let p = 1.0 / (1.0 + search.ball(c.function, c.threshold_idx, rank).0 as f64);
             match offer(search.assignment[r as usize].as_ref(), l, p) {
                 Offer::Keep => {}
                 Offer::Join => {
@@ -841,20 +824,13 @@ mod tests {
         // right 1 (left 3; p = 1 and 1/2).
         let f_a = crafted_stats(
             2,
-            4,
             &[(0, 0, 0.1), (1, 3, 0.3)],
             vec![0.1, 0.3],
             &[(0, vec![0.05, 0.1, 0.5]), (3, vec![0.2])],
         );
-        let f_b = crafted_stats(2, 4, &[(0, 1, 0.1)], vec![0.1], &[(1, vec![0.05])]);
-        let f_c = crafted_stats(
-            2,
-            4,
-            &[(0, 2, 0.1), (1, 3, 0.2)],
-            vec![0.2],
-            &[(3, vec![0.1])],
-        );
-        let f_d = crafted_stats(2, 4, &[(0, 0, 0.1), (1, 3, 0.1)], vec![0.1], &[]);
+        let f_b = crafted_stats(2, &[(0, 1, 0.1)], vec![0.1], &[(1, vec![0.05])]);
+        let f_c = crafted_stats(2, &[(0, 2, 0.1), (1, 3, 0.2)], vec![0.2], &[(3, vec![0.1])]);
+        let f_d = crafted_stats(2, &[(0, 0, 0.1), (1, 3, 0.1)], vec![0.1], &[]);
         let pre = Precompute::from_parts(vec![f_a, f_b, f_c, f_d], 2);
         // Candidates: A@0.1, A@0.3, B, C, D.  The ball counts agree in both
         // modes except A@0.3's pair with right 0, whose `2d` ball (d = 0.1)
@@ -864,6 +840,13 @@ mod tests {
             (BallMode::ConfigTheta, &[0, 1, 0, 1][..]),
             (BallMode::PairDistance, &[0, 1, 1][..]),
         ] {
+            let options = AutoFjOptions {
+                ball_mode: ball,
+                precision_target: 0.0,
+                ..Default::default()
+            };
+            let inc = run_greedy(&pre, &options);
+            assert_bit_identical(&inc, &run_greedy_reference(&pre, &options));
             let mut search = Search::new(&pre, ball);
             assert_histograms_exact(&search);
             assert_eq!(search.hists[1].counts, a_wide, "{ball:?}: A@0.3");
@@ -900,8 +883,8 @@ mod tests {
         // Round 2 selects ⟨1, 0.15⟩, which changes right 2, covered by no
         // alive candidate: 0 updates.  ⟨0, 0.1⟩ then adds nothing, so the
         // search stops.
-        let f_0 = crafted_stats(3, 6, &[(0, 0, 0.1), (1, 0, 0.2)], vec![0.1, 0.2], &[]);
-        let f_1 = crafted_stats(3, 6, &[(1, 0, 0.15), (2, 5, 0.1)], vec![0.15], &[]);
+        let f_0 = crafted_stats(3, &[(0, 0, 0.1), (1, 0, 0.2)], vec![0.1, 0.2], &[]);
+        let f_1 = crafted_stats(3, &[(1, 0, 0.15), (2, 5, 0.1)], vec![0.15], &[]);
         let pre = Precompute::from_parts(vec![f_0, f_1], 3);
         let (out, stats) = run_greedy_with_stats(&pre, &AutoFjOptions::default());
         assert_eq!(out.selected.len(), 2);
@@ -913,6 +896,9 @@ mod tests {
                 updates_per_round: vec![2, 0],
             }
         );
+        // The `2θ` ball tables hold exactly the round-1 coverage.
+        let entries = pre.functions.iter().flat_map(|s| &s.theta_balls);
+        assert_eq!(entries.map(Vec::len).sum::<usize>(), 5);
     }
 
     #[test]
@@ -959,20 +945,23 @@ mod tests {
         // round is simply never accepted (no divide-by-zero "precision 1.0"
         // that would pass any target), and the search terminates immediately
         // instead of looping on a candidate that changes nothing.
-        let stats = crafted_stats(4, 2, &[], vec![0.5], &[]);
+        let stats = crafted_stats(4, &[], vec![0.5], &[]);
         let pre = Precompute::from_parts(vec![stats], 4);
-        let options = AutoFjOptions {
-            max_iterations: 10_000,
-            ..Default::default()
-        };
-        let out = run_greedy(&pre, &options);
-        assert!(out.selected.is_empty());
-        assert_eq!(out.tp, 0.0);
-        assert_eq!(out.fp, 0.0);
-        assert_eq!(out.estimated_precision(), 1.0);
-        assert!(out.precision_trace.is_empty());
-        let refr = run_greedy_reference(&pre, &options);
-        assert_bit_identical(&out, &refr);
+        for ball_mode in [BallMode::ConfigTheta, BallMode::PairDistance] {
+            let options = AutoFjOptions {
+                max_iterations: 10_000,
+                ball_mode,
+                ..Default::default()
+            };
+            let out = run_greedy(&pre, &options);
+            assert!(out.selected.is_empty());
+            assert_eq!(out.tp, 0.0);
+            assert_eq!(out.fp, 0.0);
+            assert_eq!(out.estimated_precision(), 1.0);
+            assert!(out.precision_trace.is_empty());
+            let refr = run_greedy_reference(&pre, &options);
+            assert_bit_identical(&out, &refr);
+        }
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! blocking guarantees, estimator bounds and metric bounds.
 
 use autofj::block::{block_reference, Blocker, GramIndex, ProbeScratch};
+use autofj::core::estimate::{ball_count_sorted, ball_cutoff, FunctionStats};
 use autofj::core::negative_rules::reference::NegativeRuleSet;
 use autofj::core::oracle::{DistanceOracle, MultiColumnDistanceCache, WeightedColumnsOracle};
 use autofj::core::{candidate_stage, AutoFjOptions, AutoFuzzyJoin, InternedRuleSet, Table};
@@ -577,6 +578,84 @@ proptest! {
                     names[l],
                     record
                 );
+            }
+        }
+    }
+
+    /// The ball tables of `FunctionStats` against their spec: right records
+    /// ranked by (distance, right index), the rank index inverting that
+    /// order, row `t` of `theta_balls` as long as threshold `t`'s coverage,
+    /// and every count equal to `ball_count_sorted` over the pair's
+    /// neighbourhood at `2θ` (`theta_balls`) or `2d` (`pair_balls`).
+    /// Neighbourhoods hold distances on each threshold's and each pair's
+    /// ball cutoff, one ulp either side of it, and duplicates at 0.
+    #[test]
+    fn ball_tables_match_ball_count_spec(
+        nearest in proptest::collection::vec(
+            proptest::option::of((0u32..6, 0u32..10)),
+            0..14,
+        ),
+        theta_steps in proptest::collection::vec(0u32..12, 0..6),
+        picks in proptest::collection::vec(proptest::collection::vec(0usize..1000, 0..10), 6..7),
+    ) {
+        let step = |k: u32| k as f32 * 0.1;
+        let nearest: Vec<Option<(u32, f32)>> =
+            nearest.iter().map(|n| n.map(|(l, k)| (l, step(k)))).collect();
+        let mut thresholds: Vec<f32> = theta_steps.iter().map(|&k| step(k)).collect();
+        thresholds.sort_by(f32::total_cmp);
+        thresholds.dedup();
+        // Every ball radius the tables count at, each straddled by a row
+        // entry on its cutoff and one ulp either side.
+        let radii = (thresholds.iter())
+            .chain(nearest.iter().flatten().map(|(_, d)| d))
+            .map(|&x| 2.0 * x as f64);
+        let mut pool = vec![0.0f32, 0.0, 0.35];
+        for radius in radii {
+            let c = ball_cutoff(radius) as f32;
+            pool.extend([c.next_down(), c, c.next_up()]);
+        }
+        let rows: Vec<Vec<f32>> = (picks.iter())
+            .map(|p| {
+                let mut row: Vec<f32> = p.iter().map(|&i| pool[i % pool.len()]).collect();
+                row.sort_by(f32::total_cmp);
+                row
+            })
+            .collect();
+        let stats = FunctionStats::from_raw(&nearest, thresholds.clone(), |l| &rows[l as usize]);
+
+        let mut spec: Vec<(u32, u32, f32)> = (nearest.iter().enumerate())
+            .filter_map(|(r, n)| n.map(|(l, d)| (r as u32, l, d)))
+            .collect();
+        spec.sort_by(|a, b| a.2.total_cmp(&b.2).then(a.0.cmp(&b.0)));
+        let ranked: Vec<(u32, u32, f32)> = (stats.sorted_rights.iter().zip(&stats.lefts))
+            .map(|(&(r, d), &l)| (r, l, d))
+            .collect();
+        prop_assert_eq!(&ranked, &spec);
+        prop_assert_eq!(&stats.thresholds, &thresholds);
+        prop_assert_eq!(stats.rank_of.len(), nearest.len());
+        for (r, rank) in stats.rank_of.iter().enumerate() {
+            match rank {
+                Some(rank) => prop_assert_eq!(stats.sorted_rights[*rank as usize].0, r as u32),
+                None => prop_assert!(nearest[r].is_none()),
+            }
+        }
+
+        prop_assert_eq!(stats.theta_balls.len(), thresholds.len());
+        prop_assert_eq!(stats.pair_balls.len(), spec.len());
+        for (t, &theta) in thresholds.iter().enumerate() {
+            prop_assert_eq!(stats.theta_balls[t].len(), stats.joined_count(theta));
+            prop_assert_eq!(
+                stats.theta_balls[t].len(),
+                spec.iter().filter(|&&(_, _, d)| d <= theta).count()
+            );
+        }
+        for (rank, &(_, l, d)) in spec.iter().enumerate() {
+            let row = &rows[l as usize];
+            let n = ball_count_sorted(row, 2.0 * d as f64) as u32;
+            prop_assert_eq!(stats.pair_balls[rank], n);
+            for (t, &theta) in thresholds.iter().enumerate().filter(|&(_, &x)| x >= d) {
+                let n = ball_count_sorted(row, 2.0 * theta as f64) as u32;
+                prop_assert_eq!(stats.theta_balls[t][rank], n);
             }
         }
     }
