@@ -162,13 +162,13 @@ impl Default for Blocker {
 /// holds the left-record indices containing gram `g`, in ascending order
 /// (records are scanned in order at build time).
 ///
-/// The CSR arrays are exposed (`from_parts` / part accessors) so the index
-/// can be serialized into a snapshot and rebuilt without re-tokenizing the
-/// reference table; the probe-side structures (frequency ranks, the CSR
-/// transpose and the head-gram masks) are pure functions of the CSR
-/// arrays and are re-derived on load, so a rebuilt index probes
-/// byte-identically.  [`Self::top_k`] is the public probe entry point the
-/// online query path shares with batch blocking.
+/// The probe-side structures (frequency ranks, the CSR transpose and the
+/// head-gram masks) are pure functions of the CSR arrays.  Batch blocking
+/// and the serving state build their index with one constructor,
+/// [`Self::over_column`], so a snapshot persists none of it: loading one
+/// re-derives the index from the raw records.  [`Self::top_k`] is the
+/// public probe entry point the online query path shares with batch
+/// blocking.
 #[derive(Debug, Clone)]
 pub struct GramIndex {
     offsets: Vec<u32>,
@@ -412,6 +412,19 @@ impl GramIndex {
         Self::from_id_sets_sharded(left_sets, num_grams, Self::BUILD_SHARD_ROWS)
     }
 
+    /// The index over the `(lower-case, 3-gram)` sets of the first
+    /// `num_left` records of `col`, with the column's whole gram vocabulary
+    /// as universe: query-only grams get empty postings.  Batch blocking and
+    /// the serving state (freeze and snapshot load) all build their index
+    /// here.
+    pub fn over_column(col: &PreparedColumn, num_left: usize) -> Self {
+        let si = scheme_index(Preprocessing::Lower, Tokenization::Gram3);
+        let left_sets: Vec<&[u32]> = (0..num_left)
+            .map(|i| col.record(i).token_sets[si].as_slice())
+            .collect();
+        Self::from_id_sets(&left_sets, col.vocab_by_scheme(si).len())
+    }
+
     /// [`Self::from_id_sets`] with an explicit shard size — exposed so tests
     /// can pin that any partitioning merges to the same index.
     #[doc(hidden)]
@@ -491,50 +504,8 @@ impl GramIndex {
         Self::finalize(offsets, postings, idf, left_sets.len())
     }
 
-    /// Rebuild an index from its serialized CSR parts (see the part
-    /// accessors).  The result behaves exactly like the index the parts came
-    /// from — the probe-side structures are pure functions of the CSR arrays
-    /// and are re-derived here.
-    ///
-    /// # Panics
-    /// Panics if the parts are mutually inconsistent (offset table shape,
-    /// posting count, or a posting out of `num_left` range) or an idf weight
-    /// is not positive and finite.
-    pub fn from_parts(
-        offsets: Vec<u32>,
-        postings: Vec<u32>,
-        idf: Vec<f64>,
-        num_left: usize,
-    ) -> Self {
-        assert!(
-            !offsets.is_empty() && offsets.len() == idf.len() + 1,
-            "offset table must have one entry per gram plus a terminator"
-        );
-        assert_eq!(offsets[0], 0, "offset table must start at 0");
-        assert!(
-            offsets.windows(2).all(|w| w[0] <= w[1]),
-            "offset table must be non-decreasing"
-        );
-        assert_eq!(
-            *offsets.last().unwrap() as usize,
-            postings.len(),
-            "offset terminator must equal the posting count"
-        );
-        assert!(
-            postings.iter().all(|&li| (li as usize) < num_left.max(1)),
-            "postings must index into the reference table"
-        );
-        assert!(
-            idf.iter().all(|w| w.is_finite() && *w > 0.0),
-            "idf weights must be positive and finite"
-        );
-        Self::finalize(offsets, postings, idf, num_left)
-    }
-
     /// Derive the probe-side structures (frequency ranks, CSR transpose,
-    /// head-gram masks) from a finished CSR.  Everything here is a
-    /// deterministic function of the inputs, so an index rebuilt from
-    /// serialized parts probes identically to the one that was serialized.
+    /// head-gram masks) from a finished CSR.
     fn finalize(offsets: Vec<u32>, postings: Vec<u32>, idf: Vec<f64>, num_left: usize) -> Self {
         let num_grams = idf.len();
         // Global frequency order — the PPJoin token ordering on gram ids:
@@ -593,21 +564,6 @@ impl GramIndex {
             head_masks,
             head_idf,
         }
-    }
-
-    /// CSR offsets: `postings_of(g) = postings[offsets[g]..offsets[g + 1]]`.
-    pub fn offsets(&self) -> &[u32] {
-        &self.offsets
-    }
-
-    /// The flat postings arena.
-    pub fn postings(&self) -> &[u32] {
-        &self.postings
-    }
-
-    /// Reference-side idf weight per gram id.
-    pub fn idf(&self) -> &[f64] {
-        &self.idf
     }
 
     /// Number of reference records the index was built over.
@@ -956,17 +912,17 @@ impl Blocker {
             "num_left ({num_left}) exceeds column length ({})",
             col.len()
         );
+        let index = GramIndex::over_column(col, num_left);
         let si = scheme_index(Preprocessing::Lower, Tokenization::Gram3);
         let sets: Vec<&[u32]> = (0..col.len())
             .map(|i| col.record(i).token_sets[si].as_slice())
             .collect();
-        let num_grams = col.vocab(Preprocessing::Lower, Tokenization::Gram3).len();
-        self.block_id_sets(&sets[..num_left], &sets[num_left..], num_grams)
+        self.probe_index(&index, &sets[..num_left], &sets[num_left..])
     }
 
     /// Run blocking directly over interned gram-id sets (each sorted and
-    /// deduplicated, ids `< num_grams`).  [`Self::block_prepared`] delegates
-    /// here; the property tests drive it directly.
+    /// deduplicated, ids `< num_grams`), the same probes
+    /// [`Self::block_prepared`] runs; the property tests drive it directly.
     pub fn block_id_sets<S1: AsRef<[u32]> + Sync, S2: AsRef<[u32]> + Sync>(
         &self,
         left_sets: &[S1],
@@ -974,9 +930,20 @@ impl Blocker {
         num_grams: usize,
     ) -> BlockingOutput {
         let index = GramIndex::from_id_sets(left_sets, num_grams);
+        self.probe_index(&index, left_sets, right_sets)
+    }
+
+    /// Probe `index`, built over `left_sets`, with every right set and every
+    /// left set (excluding itself) for the L–R and L–L candidate lists.
+    fn probe_index<S1: AsRef<[u32]> + Sync, S2: AsRef<[u32]> + Sync>(
+        &self,
+        index: &GramIndex,
+        left_sets: &[S1],
+        right_sets: &[S2],
+    ) -> BlockingOutput {
         let k = self.candidates_per_record(left_sets.len());
-        let (left_candidates_of_right, lr) = probe_chunks(&index, right_sets, k, |_| None);
-        let (left_candidates_of_left, ll) = probe_chunks(&index, left_sets, k, |i| Some(i as u32));
+        let (left_candidates_of_right, lr) = probe_chunks(index, right_sets, k, |_| None);
+        let (left_candidates_of_left, ll) = probe_chunks(index, left_sets, k, |i| Some(i as u32));
         let stats = BlockingStats {
             lr_pairs: lr.kept_pairs,
             ll_pairs: ll.kept_pairs,
@@ -1126,26 +1093,6 @@ mod tests {
     }
 
     #[test]
-    fn index_round_trips_through_parts() {
-        let sets: Vec<Vec<u32>> = vec![vec![0, 1, 2], vec![1, 3], vec![0, 3, 4]];
-        let index = GramIndex::from_id_sets(&sets, 5);
-        let rebuilt = GramIndex::from_parts(
-            index.offsets().to_vec(),
-            index.postings().to_vec(),
-            index.idf().to_vec(),
-            index.num_left(),
-        );
-        let mut a = ProbeScratch::new(index.num_left());
-        let mut b = ProbeScratch::new(rebuilt.num_left());
-        for probe in &sets {
-            assert_eq!(
-                index.top_k(probe, 2, None, &mut a),
-                rebuilt.top_k(probe, 2, None, &mut b)
-            );
-        }
-    }
-
-    #[test]
     fn out_of_range_probe_grams_score_like_empty_postings() {
         let sets: Vec<Vec<u32>> = vec![vec![0, 1], vec![1, 2]];
         // Index built over a 3-gram vocabulary; the same index built over a
@@ -1160,12 +1107,6 @@ mod tests {
             narrow.top_k(&probe, 2, None, &mut a),
             wide.top_k(&probe, 2, None, &mut b)
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "offset terminator")]
-    fn inconsistent_parts_are_rejected() {
-        let _ = GramIndex::from_parts(vec![0, 2], vec![0], vec![1.0], 1);
     }
 
     #[test]
@@ -1278,9 +1219,9 @@ mod tests {
         let whole = GramIndex::from_id_sets_sharded(&left_sets, num_grams, usize::MAX);
         for shard_rows in [1usize, 2, 7, 64] {
             let sharded = GramIndex::from_id_sets_sharded(&left_sets, num_grams, shard_rows);
-            assert_eq!(whole.offsets(), sharded.offsets(), "shard={shard_rows}");
-            assert_eq!(whole.postings(), sharded.postings(), "shard={shard_rows}");
-            assert_eq!(whole.idf(), sharded.idf(), "shard={shard_rows}");
+            assert_eq!(whole.offsets, sharded.offsets, "shard={shard_rows}");
+            assert_eq!(whole.postings, sharded.postings, "shard={shard_rows}");
+            assert_eq!(whole.idf, sharded.idf, "shard={shard_rows}");
         }
     }
 
@@ -1423,29 +1364,6 @@ mod tests {
                     "k={k}, left {l}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn rebuilt_index_probes_like_the_original_with_filters() {
-        // from_parts must re-derive the probe structures: probe answers of
-        // a rebuilt index match the original even where pruning kicks in.
-        let left = teams();
-        let (left_sets, _, num_grams) = id_sets(&left, &[]);
-        let index = GramIndex::from_id_sets(&left_sets, num_grams);
-        let rebuilt = GramIndex::from_parts(
-            index.offsets().to_vec(),
-            index.postings().to_vec(),
-            index.idf().to_vec(),
-            index.num_left(),
-        );
-        let mut a = ProbeScratch::new(index.num_left());
-        let mut b = ProbeScratch::new(rebuilt.num_left());
-        for (i, probe) in left_sets.iter().enumerate() {
-            assert_eq!(
-                index.top_k(probe, 7, Some(i as u32), &mut a),
-                rebuilt.top_k(probe, 7, Some(i as u32), &mut b)
-            );
         }
     }
 }

@@ -40,13 +40,24 @@ fn space_by_name(name: &str) -> Result<JoinFunctionSpace, String> {
     }
 }
 
-/// Split `args` into `--flag value` options and positional arguments.
-fn parse_flags(args: &[String]) -> Result<(HashMap<String, String>, Vec<String>), String> {
+/// Split `args` into `--flag value` options and positional arguments,
+/// refusing any flag not in `known`.
+fn parse_flags(
+    args: &[String],
+    known: &[&str],
+) -> Result<(HashMap<String, String>, Vec<String>), String> {
     let mut flags = HashMap::new();
     let mut positional = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         if let Some(name) = arg.strip_prefix("--") {
+            if !known.contains(&name) {
+                let expected: Vec<String> = known.iter().map(|k| format!("--{k}")).collect();
+                return Err(format!(
+                    "unknown flag --{name} (expected {})",
+                    expected.join(", ")
+                ));
+            }
             let value = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
             flags.insert(name.to_string(), value.clone());
         } else {
@@ -57,7 +68,7 @@ fn parse_flags(args: &[String]) -> Result<(HashMap<String, String>, Vec<String>)
 }
 
 fn cmd_build(args: &[String]) -> Result<(), String> {
-    let (flags, _) = parse_flags(args)?;
+    let (flags, _) = parse_flags(args, &["left", "right", "out", "space", "tau"])?;
     let left_path = flags.get("left").ok_or("build needs --left <file>")?;
     let right_path = flags.get("right").ok_or("build needs --right <file>")?;
     let out = flags.get("out").ok_or("build needs --out <snapshot>")?;
@@ -66,6 +77,9 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
     if let Some(tau) = flags.get("tau") {
         options.precision_target = tau.parse().map_err(|e| format!("bad --tau {tau:?}: {e}"))?;
     }
+    options
+        .validate()
+        .map_err(|e| format!("bad options: {e}"))?;
     let left = read_lines(left_path)?;
     let right = read_lines(right_path)?;
     let (state, result) = ServingState::learn(&left, &right, &space, &options);
@@ -85,7 +99,7 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let (flags, _) = parse_flags(args)?;
+    let (flags, _) = parse_flags(args, &["snapshot", "addr", "threads"])?;
     let snapshot = flags
         .get("snapshot")
         .ok_or("serve needs --snapshot <file>")?;
@@ -98,6 +112,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         .map(|t| t.parse().map_err(|e| format!("bad --threads {t:?}: {e}")))
         .transpose()?
         .unwrap_or(4);
+    if threads == 0 {
+        return Err("--threads must be at least 1".to_string());
+    }
     let state = ServingState::load(Path::new(snapshot))
         .map_err(|e| format!("cannot load snapshot: {e}"))?;
     let server = Server::bind(&addr, state).map_err(|e| format!("cannot bind {addr}: {e}"))?;
@@ -109,7 +126,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_query(args: &[String]) -> Result<(), String> {
-    let (flags, records) = parse_flags(args)?;
+    let (flags, records) = parse_flags(args, &["addr"])?;
     let addr = flags.get("addr").ok_or("query needs --addr <host:port>")?;
     if records.is_empty() {
         return Err("query needs at least one record argument".to_string());

@@ -29,7 +29,15 @@ use std::path::Path;
 pub const MAGIC: [u8; 8] = *b"AFJSNAP\0";
 
 /// Current format version.  Readers refuse anything newer.
-pub const FORMAT_VERSION: u32 = 1;
+///
+/// Version 2 keeps what the learn decided (the selected configurations, the
+/// negative rules, the ball rows and the L–L candidate lists) and the raw
+/// records; load re-derives the prepared column and the blocking index from
+/// the records.  Version-1 files also carry `VOCABS`, `TOKSETS` and `GRIDX`
+/// (the vocabularies, the per-record token sets and the blocking index's
+/// CSR arrays).  The reader finds sections by tag and never reads those
+/// three, so both versions load through the same code.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Fixed header length in bytes.
 pub const HEADER_LEN: usize = 40;
@@ -42,14 +50,9 @@ pub type SectionTag = [u8; 8];
 
 /// Typed manifest (JSON): program, functions, configs, quality numbers.
 pub const SEC_META: SectionTag = *b"META\0\0\0\0";
-/// Raw record strings, left table first.
+/// Raw record strings, left table first: load rebuilds the prepared column
+/// and the blocking index from them.
 pub const SEC_RAWS: SectionTag = *b"RAWS\0\0\0\0";
-/// The eight per-scheme vocabularies (tokens, doc freqs, doc counts).
-pub const SEC_VOCABS: SectionTag = *b"VOCABS\0\0";
-/// Per-record interned token-id sets for all eight schemes.
-pub const SEC_TOKSETS: SectionTag = *b"TOKSETS\0";
-/// The blocking `GramIndex` CSR arrays (offsets, postings, idf).
-pub const SEC_GRIDX: SectionTag = *b"GRIDX\0\0\0";
 /// Learned negative rules as sorted id pairs.
 pub const SEC_RULES: SectionTag = *b"RULES\0\0\0";
 /// Scalar configuration: table sizes, blocking `k`, flags, quality numbers
@@ -205,14 +208,6 @@ pub fn put_f32_slice(buf: &mut Vec<u8>, v: &[f32]) {
     put_u64(buf, v.len() as u64);
     for &x in v {
         put_f32(buf, x);
-    }
-}
-
-/// Append a length-prefixed `f64` slice (bit patterns).
-pub fn put_f64_slice(buf: &mut Vec<u8>, v: &[f64]) {
-    put_u64(buf, v.len() as u64);
-    for &x in v {
-        put_f64(buf, x);
     }
 }
 
@@ -504,7 +499,7 @@ mod tests {
         put_str(&mut meta, "hello snapshot");
         let mut raws = Vec::new();
         put_u32_slice(&mut raws, &[1, 2, 3, 40_000]);
-        put_f64_slice(&mut raws, &[0.5, -1.25]);
+        put_f32_slice(&mut raws, &[0.5, -1.25]);
         let mut w = SnapshotWriter::new();
         w.add_section(SEC_META, meta);
         w.add_section(SEC_RAWS, raws);
@@ -526,7 +521,7 @@ mod tests {
             raws.read_vec(u32::from_le_bytes).unwrap(),
             vec![1, 2, 3, 40_000]
         );
-        assert_eq!(raws.read_vec(f64::from_le_bytes).unwrap(), vec![0.5, -1.25]);
+        assert_eq!(raws.read_vec(f32::from_le_bytes).unwrap(), vec![0.5, -1.25]);
         raws.expect_end().unwrap();
         std::fs::remove_file(&path).ok();
     }

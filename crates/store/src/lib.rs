@@ -5,15 +5,17 @@
 //!
 //! A snapshot is a single versioned, checksummed binary file (magic
 //! [`MAGIC`], version [`FORMAT_VERSION`], a section table, then the section
-//! bodies) holding the prepared column (raw strings, interned token sets,
-//! vocabularies), the blocking index, the learned negative rules, the
-//! per-function ball-distance rows behind the precision estimate, and the
-//! selected configurations.  [`ServingState::load`] reads the file once,
-//! validates the header, the section table and the whole-payload FNV-1a
-//! checksum before decoding, reconstructs the column **without
-//! re-tokenizing**, and yields a state whose answers are byte-identical to
-//! the batch pipeline that learned the program.  A damaged or hostile file
-//! is a [`StoreError`], never a panic.
+//! bodies).  It keeps what the learn decided: the selected configurations,
+//! the learned negative rules, the per-function ball-distance rows behind
+//! the precision estimate, the blocked reference-side candidate lists and
+//! the quality estimates, plus the raw record strings.
+//! [`ServingState::load`] reads the file once and validates the header, the
+//! section table and the whole-payload FNV-1a checksum before decoding.  It
+//! then re-derives what is a pure function of the raw records, the prepared
+//! column and the blocking index, with the constructors the learn itself
+//! runs, and yields a state whose answers are byte-identical to the batch
+//! pipeline that learned the program.  A damaged or hostile file is a
+//! [`StoreError`], never a panic.
 //!
 //! ```
 //! use autofj_core::{AutoFjOptions, join_single_column};

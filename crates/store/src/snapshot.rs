@@ -5,12 +5,9 @@
 //! fuzzy-join lookup **byte-identically** to the batch pipeline that learned
 //! the program:
 //!
-//! * the [`PreparedColumn`] over `left ++ right` (raw strings, interned token
-//!   sets and vocabularies are persisted; pre-processed strings, character
-//!   vectors and embeddings are recomputed deterministically on load — no
-//!   re-tokenization, no vocabulary re-interning),
-//! * the blocking [`GramIndex`] CSR arrays and the per-probe candidate count
-//!   `k`, frozen at learn time,
+//! * the [`PreparedColumn`] over `left ++ right`,
+//! * the blocking [`GramIndex`] over the reference records and the
+//!   per-probe candidate count `k`, frozen at learn time,
 //! * the learned negative rules (when enabled),
 //! * per selected join function, the sorted L–L "ball" distance rows that
 //!   drive the per-pair precision estimate (Eq. 8/9), and
@@ -40,11 +37,19 @@
 //! record returns the same bytes [`autofj_core::join_single_column`] put in
 //! its [`JoinResult`].  The kernel-group plan is derived from the selected
 //! functions once per state and is not persisted.
+//!
+//! A snapshot keeps what the learn decided: the selected configurations,
+//! the negative rules, the ball rows, the blocked L–L candidate lists and the
+//! quality estimates, plus the raw records.  What is a pure function of the
+//! raw records is not stored: [`ServingState::load`] rebuilds the column
+//! with [`PreparedColumn::build`] and the index with
+//! [`GramIndex::over_column`], the constructors the learn itself runs.  The
+//! column is byte-identical to the saved one, appended records included,
+//! because `build(a)` followed by `append_records(b)` equals `build(a ++ b)`.
 
 use crate::format::{
-    put_f32, put_f32_slice, put_f64, put_f64_slice, put_str, put_u32, put_u32_slice, put_u64,
-    Cursor, Snapshot, SnapshotWriter, StoreError, SEC_CONF, SEC_GRIDX, SEC_LLCAND, SEC_LLDIST,
-    SEC_META, SEC_RAWS, SEC_RULES, SEC_TOKSETS, SEC_VOCABS,
+    put_f32, put_f32_slice, put_f64, put_str, put_u32, put_u32_slice, put_u64, Cursor, Snapshot,
+    SnapshotWriter, StoreError, SEC_CONF, SEC_LLCAND, SEC_LLDIST, SEC_META, SEC_RAWS, SEC_RULES,
 };
 use autofj_block::{BlockingOutput, GramIndex, ProbeScratch};
 use autofj_core::estimate::{ball_cutoff, ball_precision};
@@ -54,8 +59,7 @@ use autofj_core::{
     Config, InternedRuleSet, JoinProgram, JoinResult, PipelineArtifacts,
 };
 use autofj_text::kernel::{plan_kernel_groups, KernelGroup};
-use autofj_text::prepared::{scheme_index, NUM_SCHEMES};
-use autofj_text::vocab::Vocab;
+use autofj_text::prepared::scheme_index;
 use autofj_text::{
     JoinFunction, JoinFunctionSpace, PreparedColumn, PreparedRecord, Preprocessing, TokenWeighting,
     Tokenization,
@@ -130,7 +134,8 @@ pub struct ServingState {
     num_right: usize,
     /// Blocking candidates kept per probe, frozen at learn time.
     k: usize,
-    /// Inverted 3-gram index over the reference records only.
+    /// Inverted 3-gram index over the reference records only: derived,
+    /// never persisted.
     index: GramIndex,
     rules: Option<InternedRuleSet>,
     ball_pair_distance: bool,
@@ -371,7 +376,7 @@ impl ServingState {
             |_| true,
         );
         Self {
-            index: Self::build_index(&column, num_left),
+            index: GramIndex::over_column(&column, num_left),
             num_right: column.len() - num_left,
             column,
             num_left,
@@ -386,17 +391,6 @@ impl ServingState {
             estimated_precision,
             estimated_recall,
         }
-    }
-
-    /// The blocking index over the reference records, with the full column
-    /// vocabulary as gram universe (query-only grams get empty postings,
-    /// exactly like batch blocking).
-    fn build_index(column: &PreparedColumn, num_left: usize) -> GramIndex {
-        let si = scheme_index(Preprocessing::Lower, Tokenization::Gram3);
-        let left_sets: Vec<&[u32]> = (0..num_left)
-            .map(|i| column.record(i).token_sets[si].as_slice())
-            .collect();
-        GramIndex::from_id_sets(&left_sets, column.vocab_by_scheme(si).len())
     }
 
     /// Number of reference records.
@@ -626,34 +620,6 @@ impl ServingState {
         }
         writer.add_section(SEC_RAWS, raws);
 
-        let mut vocabs = Vec::new();
-        for si in 0..NUM_SCHEMES {
-            let v = self.column.vocab_by_scheme(si);
-            put_u32(&mut vocabs, v.num_docs());
-            put_u64(&mut vocabs, v.len() as u64);
-            for id in 0..v.len() as u32 {
-                put_str(&mut vocabs, v.token(id));
-                put_u32(&mut vocabs, v.doc_freq(id));
-            }
-        }
-        writer.add_section(SEC_VOCABS, vocabs);
-
-        let mut toksets = Vec::new();
-        put_u64(&mut toksets, self.column.len() as u64);
-        for i in 0..self.column.len() {
-            for si in 0..NUM_SCHEMES {
-                put_u32_slice(&mut toksets, &self.column.record(i).token_sets[si]);
-            }
-        }
-        writer.add_section(SEC_TOKSETS, toksets);
-
-        let mut gridx = Vec::new();
-        put_u64(&mut gridx, self.index.num_left() as u64);
-        put_u32_slice(&mut gridx, self.index.offsets());
-        put_u32_slice(&mut gridx, self.index.postings());
-        put_f64_slice(&mut gridx, self.index.idf());
-        writer.add_section(SEC_GRIDX, gridx);
-
         let mut rules = Vec::new();
         match &self.rules {
             Some(set) => {
@@ -693,10 +659,10 @@ impl ServingState {
 
     /// Load a state from a snapshot file.  The file is read once, and its
     /// header, section table and payload checksum are validated before any
-    /// section is decoded; the column is reconstructed from its persisted
-    /// raw strings, token sets and vocabularies without re-tokenizing
-    /// anything.  A damaged or hostile file is a [`StoreError`], never a
-    /// panic.
+    /// section is decoded; the column and the blocking index are then
+    /// rebuilt from the raw records with the learn's own constructors (see
+    /// the module docs).  A damaged or hostile file is a [`StoreError`],
+    /// never a panic.
     pub fn load(path: &Path) -> Result<Self, StoreError> {
         let snap = Snapshot::read(path)?;
 
@@ -739,78 +705,6 @@ impl ServingState {
                 meta.num_right
             )));
         }
-
-        let vocabs = snap.decode(SEC_VOCABS, |cur| {
-            let mut vocabs = Vec::with_capacity(NUM_SCHEMES);
-            for _ in 0..NUM_SCHEMES {
-                let num_docs = cur.read_u32()?;
-                let n = cur.read_len(12)?;
-                let (mut tokens, mut freqs) = (Vec::with_capacity(n), Vec::with_capacity(n));
-                for _ in 0..n {
-                    tokens.push(cur.read_str()?);
-                    freqs.push(cur.read_u32()?);
-                }
-                let vocab = Vocab::from_parts(tokens, freqs, num_docs)
-                    .map_err(|e| StoreError::Corrupt(format!("bad vocabulary: {e}")))?;
-                vocabs.push(vocab);
-            }
-            Ok(<[Vocab; NUM_SCHEMES]>::try_from(vocabs).expect("NUM_SCHEMES vocabularies"))
-        })?;
-
-        let token_sets = snap.decode(SEC_TOKSETS, |cur| {
-            let n = cur.read_len(8 * NUM_SCHEMES)?;
-            (0..n)
-                .map(|_| {
-                    let mut rec: [Vec<u32>; NUM_SCHEMES] = Default::default();
-                    for set in &mut rec {
-                        *set = cur.read_vec(u32::from_le_bytes)?;
-                    }
-                    Ok(rec)
-                })
-                .collect::<Result<Vec<_>, _>>()
-        })?;
-        if token_sets.len() != raws.len() {
-            return Err(StoreError::Corrupt(format!(
-                "{} token-set records for {} raw records",
-                token_sets.len(),
-                raws.len()
-            )));
-        }
-
-        // Validate every persisted token id against its scheme's vocabulary
-        // before handing the parts to the (panicking) column constructor.
-        for rec in &token_sets {
-            for (si, set) in rec.iter().enumerate() {
-                if set.iter().any(|&id| id as usize >= vocabs[si].len()) {
-                    return Err(StoreError::Corrupt(format!(
-                        "token id out of vocabulary range in scheme {si}"
-                    )));
-                }
-            }
-        }
-
-        let (num_left_idx, offsets, postings, idf) = snap.decode(SEC_GRIDX, |cur| {
-            let num_left = cur.read_u64()? as usize;
-            let offsets = cur.read_vec(u32::from_le_bytes)?;
-            let postings = cur.read_vec(u32::from_le_bytes)?;
-            let idf = cur.read_vec(f64::from_le_bytes)?;
-            Ok((num_left, offsets, postings, idf))
-        })?;
-        // With no reference records every posting list must be empty: the
-        // index rebuild sizes its per-record gram lists by `num_left`.
-        if num_left_idx != meta.num_left
-            || offsets.len() != idf.len() + 1
-            || offsets.first() != Some(&0)
-            || !offsets.is_sorted()
-            || *offsets.last().unwrap() as usize != postings.len()
-            || postings.iter().any(|&l| l as usize >= num_left_idx)
-            || !idf.iter().all(|w| w.is_finite() && *w > 0.0)
-        {
-            return Err(StoreError::Corrupt(
-                "inconsistent blocking index arrays".to_string(),
-            ));
-        }
-        let index = GramIndex::from_parts(offsets, postings, idf, num_left_idx);
 
         let rules = snap.decode(SEC_RULES, |cur| {
             if cur.read_u32()? != 1 {
@@ -878,13 +772,13 @@ impl ServingState {
         // the column is prepared.
         drop(snap);
 
-        let column = PreparedColumn::from_raw_parts(raws, token_sets, vocabs);
+        let column = PreparedColumn::build(&raws);
         Ok(Self {
+            index: GramIndex::over_column(&column, meta.num_left),
             column,
             num_left: meta.num_left,
             num_right: meta.num_right,
             k: meta.k,
-            index,
             rules,
             ball_pair_distance: meta.ball_pair_distance,
             groups: plan_kernel_groups(&meta.functions),
@@ -1431,76 +1325,37 @@ mod tests {
     }
 
     #[test]
-    fn non_positive_idf_is_a_typed_error() {
-        // The blocking probe relies on strictly positive idf weights; a
-        // snapshot whose checksum holds but whose idf does not must be
-        // refused with an error, not a panic inside the index rebuild.
-        let (state, _) = learned();
-        let path = temp_path("zero_idf");
-        state.save(&path).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        // The idf slice ends the section: zero its last weight.
-        let end = section_range(&bytes, SEC_GRIDX).end;
-        bytes[end - 8..end].copy_from_slice(&0.0f64.to_le_bytes());
-        reseal(&mut bytes);
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(
-            ServingState::load(&path),
-            Err(StoreError::Corrupt(_))
-        ));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn posting_into_an_empty_reference_table_is_a_typed_error() {
-        let space = JoinFunctionSpace::reduced24();
-        let right = ["2007 LSU Tigers football".to_string()];
-        let (state, _) = ServingState::learn(&[], &right, &space, &AutoFjOptions::default());
-        let path = temp_path("empty_left_posting");
-        state.save(&path).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        // Rewrite the index section with one posting (to reference record
-        // 0, of none) in its first gram, and every other section unchanged.
-        let idf = Snapshot::read(&path)
-            .unwrap()
-            .decode(SEC_GRIDX, |cur| {
-                cur.read_u64()?;
-                cur.read_vec(u32::from_le_bytes)?;
-                cur.read_vec(u32::from_le_bytes)?;
-                cur.read_vec(f64::from_le_bytes)
-            })
-            .unwrap();
-        assert!(!idf.is_empty(), "the query side must hold grams");
-        let mut gridx = Vec::new();
-        put_u64(&mut gridx, 0);
-        let offsets: Vec<u32> = (0..=idf.len()).map(|g| u32::from(g > 0)).collect();
-        put_u32_slice(&mut gridx, &offsets);
-        put_u32_slice(&mut gridx, &[0]);
-        put_f64_slice(&mut gridx, &idf);
-        let mut writer = SnapshotWriter::new();
-        for tag in [
-            SEC_META,
-            SEC_CONF,
-            SEC_RAWS,
-            SEC_VOCABS,
-            SEC_TOKSETS,
-            SEC_GRIDX,
-            SEC_RULES,
-            SEC_LLDIST,
-            SEC_LLCAND,
-        ] {
-            let body = match tag {
-                SEC_GRIDX => gridx.clone(),
-                _ => bytes[section_range(&bytes, tag)].to_vec(),
-            };
-            writer.add_section(tag, body);
+    fn v1_sections_that_load_re_derives_are_never_read() {
+        // A format-1 file also carries the vocabularies, the token sets and
+        // the blocking index, which load now re-derives from the raw
+        // records.  Garbage in those three bodies, under a resealed
+        // checksum, must load and answer exactly like the untouched file.
+        let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+        let fixture = fixtures.join("teams_v1.afj");
+        let mut bytes = std::fs::read(&fixture).unwrap();
+        for tag in [*b"VOCABS\0\0", *b"TOKSETS\0", *b"GRIDX\0\0\0"] {
+            let range = section_range(&bytes, tag);
+            assert!(!range.is_empty());
+            bytes[range].fill(0xa5);
         }
-        writer.write_to(&path).unwrap();
-        assert!(matches!(
-            ServingState::load(&path),
-            Err(StoreError::Corrupt(_))
-        ));
+        reseal(&mut bytes);
+        let path = temp_path("v1_garbage");
+        std::fs::write(&path, &bytes).unwrap();
+        let garbled = ServingState::load(&path);
         std::fs::remove_file(&path).ok();
+        let garbled = garbled.expect("the garbled v1 sections are never decoded");
+        let original = ServingState::load(&fixture).unwrap();
+        assert_eq!(garbled.join_all(), original.join_all());
+        let queries: Vec<String> = std::fs::read_to_string(fixtures.join("teams_left.txt"))
+            .unwrap()
+            .lines()
+            .map(String::from)
+            .chain(["2009 LSU Tigers footbal".to_string(), "unseen words".into()])
+            .collect();
+        assert_eq!(
+            garbled.query_batch(&queries),
+            original.query_batch(&queries)
+        );
     }
 
     /// The learned test state with full (uncut) ball rows — the shape older
@@ -1566,24 +1421,6 @@ mod tests {
         let loaded = load_edited("conf_count", |bytes| {
             let at = section_range(bytes, SEC_CONF).start + 16;
             bytes[at..at + 8].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
-        });
-        assert!(matches!(loaded, Err(StoreError::Corrupt(_))));
-    }
-
-    #[test]
-    fn duplicate_vocabulary_token_is_a_typed_error() {
-        // The first vocabulary: document count, token count, then each
-        // token as a length-prefixed string and its document frequency.
-        // Overwrite the first later token of the same length as the first
-        // token with the first token.
-        let loaded = load_edited("duplicate_token", |bytes| {
-            let first = section_range(bytes, SEC_VOCABS).start + 12;
-            let len = le_u64(bytes, first) as usize;
-            let mut at = first + 8 + len + 4;
-            while le_u64(bytes, at) as usize != len {
-                at += 8 + le_u64(bytes, at) as usize + 4;
-            }
-            bytes.copy_within(first + 8..first + 8 + len, at + 8);
         });
         assert!(matches!(loaded, Err(StoreError::Corrupt(_))));
     }

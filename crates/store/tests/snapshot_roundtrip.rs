@@ -1,7 +1,7 @@
 //! Property tests pinning the snapshot round trip: a state learned on a
-//! random table, serialized, and loaded back must answer every query
-//! byte-identically to the in-memory state — at every thread count — and a
-//! corrupted file must be rejected, never mis-served.
+//! random table, grown by an append, serialized, and loaded back must answer
+//! every query byte-identically to the in-memory state — at every thread
+//! count — and a corrupted file must be rejected, never mis-served.
 
 use autofj_core::AutoFjOptions;
 use autofj_store::{ServingState, StoreError};
@@ -33,19 +33,30 @@ fn temp_path(label: &str) -> PathBuf {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Learn on a random table, snapshot, load: the loaded state replays the
-    /// batch result and answers novel queries exactly like the in-memory
-    /// state, at 1, 2 and 4 worker threads.
+    /// Learn on a random table, append a random batch, snapshot, load: the
+    /// loaded state answers the stored rights, the appended batch and novel
+    /// queries exactly like the appended in-memory state, at 1, 2 and 4
+    /// worker threads.  Load re-derives the column from the raw records, so
+    /// this pins that the re-derived column (and the IDF ball rows that
+    /// the append re-derived) survive the round trip.
     #[test]
     fn loaded_snapshot_serves_byte_identically_across_thread_counts(
         left in proptest::collection::vec(name_strategy(), 1..24),
         right in proptest::collection::vec(name_strategy(), 0..12),
+        appended in proptest::collection::vec(name_strategy(), 0..8),
         novel in proptest::collection::vec(name_strategy(), 0..6),
     ) {
         let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let space = JoinFunctionSpace::reduced24();
         let options = AutoFjOptions::default();
-        let (state, result) = ServingState::learn(&left, &right, &space, &options);
+        let (mut state, result) = ServingState::learn(&left, &right, &space, &options);
+
+        // Before the append, the replayed stored rights equal the batch
+        // assignment.
+        for (r, matched) in state.query_batch(&right).iter().enumerate() {
+            prop_assert_eq!(matched.map(|m| m.left), result.assignment[r]);
+        }
+        state.append_right(&appended);
 
         let path = temp_path("roundtrip");
         state.save(&path).expect("save");
@@ -59,21 +70,17 @@ proptest! {
             serde_json::to_string(&result.program).unwrap()
         );
         prop_assert_eq!(loaded.num_left(), left.len());
-        prop_assert_eq!(loaded.num_right(), right.len());
+        prop_assert_eq!(loaded.num_right(), right.len() + appended.len());
         prop_assert_eq!(
             loaded.estimated_precision().to_bits(),
             result.estimated_precision.to_bits()
         );
 
-        // Query workload: every stored right plus novel strings.
-        let mut queries: Vec<String> = right.clone();
-        queries.extend(novel.iter().cloned());
-
+        // Query workload: every stored right, the appended batch, and novel
+        // strings.
+        let queries: Vec<String> = right.iter().chain(&appended).chain(&novel).cloned().collect();
         let reference = state.query_batch(&queries);
-        // The replayed stored rights must equal the batch assignment.
-        for (r, matched) in reference.iter().take(right.len()).enumerate() {
-            prop_assert_eq!(matched.map(|m| m.left), result.assignment[r]);
-        }
+        prop_assert!(loaded.join_all() == state.join_all(), "stored rights differ");
 
         for threads in [1usize, 2, 4] {
             rayon::ThreadPoolBuilder::new()

@@ -185,49 +185,6 @@ impl PreparedColumn {
         }
     }
 
-    /// Reconstruct a prepared column from serialized parts: the raw strings,
-    /// the per-record token-id sets (indexed by [`scheme_index`]), and the
-    /// scheme vocabularies.  The pure per-record work (pre-processing,
-    /// character decomposition, embeddings) is recomputed in parallel — it is
-    /// a deterministic function of the raw string — but no tokenization or
-    /// interning happens: the stored id sets are attached verbatim and the
-    /// weight tables are re-derived from the stored vocabularies, so the
-    /// result is indistinguishable from the column that was serialized.
-    ///
-    /// # Panics
-    /// Panics if `raws` and `token_sets` disagree in length.
-    pub fn from_raw_parts(
-        raws: Vec<String>,
-        token_sets: Vec<[Vec<u32>; NUM_SCHEMES]>,
-        vocabs: [Vocab; NUM_SCHEMES],
-    ) -> Self {
-        assert_eq!(
-            raws.len(),
-            token_sets.len(),
-            "one token-set bundle per record required"
-        );
-        let prepped: Vec<RawPrepared> = raws.par_iter().map(|raw| prepare_raw(raw)).collect();
-        let records = prepped
-            .into_iter()
-            .zip(token_sets)
-            .map(|(rec, sets)| PreparedRecord {
-                raw: rec.raw,
-                strings: rec.strings,
-                char_ids: rec.char_ids,
-                token_sets: sets,
-                embeddings: rec.embeddings,
-            })
-            .collect();
-        let idf_tables = std::array::from_fn(|i| WeightTable::idf(&vocabs[i]));
-        let equal_tables = std::array::from_fn(|i| WeightTable::equal(vocabs[i].len()));
-        Self {
-            records,
-            vocabs,
-            idf_tables,
-            equal_tables,
-        }
-    }
-
     /// Append records to the column, extending the shared vocabularies and
     /// document frequencies exactly as [`Self::build`] would have: the state
     /// after `build(a)` + `append_records(b)` is byte-identical to
@@ -444,27 +401,6 @@ mod tests {
         incremental.append_records(&all[2..4]);
         incremental.append_records(&all[4..]);
         assert!(columns_equal(&full, &incremental));
-    }
-
-    #[test]
-    fn from_raw_parts_round_trips() {
-        let col = sample();
-        let raws: Vec<String> = col.records().iter().map(|r| r.raw.clone()).collect();
-        let sets: Vec<[Vec<u32>; NUM_SCHEMES]> =
-            col.records().iter().map(|r| r.token_sets.clone()).collect();
-        let vocabs: [Vocab; NUM_SCHEMES] = std::array::from_fn(|si| {
-            let v = col.vocab_by_scheme(si);
-            Vocab::from_parts(
-                (0..v.len() as u32)
-                    .map(|id| v.token(id).to_string())
-                    .collect(),
-                (0..v.len() as u32).map(|id| v.doc_freq(id)).collect(),
-                v.num_docs(),
-            )
-            .unwrap()
-        });
-        let rebuilt = PreparedColumn::from_raw_parts(raws, sets, vocabs);
-        assert!(columns_equal(&col, &rebuilt));
     }
 
     #[test]

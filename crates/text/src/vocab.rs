@@ -23,40 +23,6 @@ impl Vocab {
         Self::default()
     }
 
-    /// Rebuild a vocabulary from its serialized parts: the token list in id
-    /// order, the per-id document frequencies, and the document count.  The
-    /// token→id map is reconstructed, so the result behaves exactly like the
-    /// vocabulary that produced the parts.
-    ///
-    /// # Errors
-    /// Fails if `tokens` and `doc_freq` disagree in length or `tokens`
-    /// contains duplicates (ids would no longer round-trip).
-    pub fn from_parts(
-        tokens: Vec<String>,
-        doc_freq: Vec<u32>,
-        num_docs: u32,
-    ) -> Result<Self, String> {
-        if tokens.len() != doc_freq.len() {
-            return Err(format!(
-                "{} tokens but {} doc freqs",
-                tokens.len(),
-                doc_freq.len()
-            ));
-        }
-        let mut ids = HashMap::with_capacity(tokens.len());
-        for (id, token) in tokens.iter().enumerate() {
-            if ids.insert(token.clone(), id as u32).is_some() {
-                return Err(format!("duplicate token {token:?}"));
-            }
-        }
-        Ok(Self {
-            ids,
-            tokens,
-            doc_freq,
-            num_docs,
-        })
-    }
-
     /// Number of distinct tokens seen so far.
     pub fn len(&self) -> usize {
         self.tokens.len()
@@ -143,14 +109,6 @@ impl Vocab {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn from_parts_refuses_duplicate_tokens() {
-        let parts = |tokens: &[&str]| tokens.iter().map(|t| t.to_string()).collect();
-        assert!(Vocab::from_parts(parts(&["a", "b"]), vec![1, 1], 2).is_ok());
-        assert!(Vocab::from_parts(parts(&["a", "a"]), vec![1, 1], 2).is_err());
-        assert!(Vocab::from_parts(parts(&["a"]), vec![1, 1], 2).is_err());
-    }
 
     #[test]
     fn interning_is_stable() {
