@@ -7,8 +7,12 @@
 //! * `small`, `medium`, `large` — the quickstart/table2 pipeline on one
 //!   datagen task each: ShoppingMall at the `small` scale (~143×80),
 //!   `TeamSeasonMedium` (≥ 10k×10k) and `TeamSeasonLarge` (100k×100k, at
-//!   β = 0.25), once at 1 worker thread and once at [`MULTI_THREADS`].  The
-//!   report's `tasks` keeps each run's quality, phase timings and CPU-clock
+//!   β = 0.25), once at 1 worker thread and once at [`MULTI_THREADS`], in
+//!   the reduced 24-function space.  `medium` also runs its task in the
+//!   full 140-function space, and the gate requires that leg to recall at
+//!   least what the reduced one does, both at actual precision ≥ τ
+//!   (Fig. 7(c,d)).  The report's `tasks`, keyed by task and space, keeps
+//!   each run's quality, greedy rounds, phase timings and CPU-clock
 //!   work/span counters, from which `parallel_effective` models the
 //!   multi-thread leg on a host with one core per worker.  Under each task
 //!   the binary prints the multi-thread leg's profile, read off the
@@ -22,7 +26,7 @@
 //!   the settings its baseline was measured with: the small scale, all 12
 //!   sweep tasks and the full 140-function space.
 //!
-//! The other sections run the reduced 24-function space.  An unknown
+//! `serve` and `scenarios` run the reduced 24-function space.  An unknown
 //! section exits 2 and names the accepted ones.  The run writes one report
 //! to `AUTOFJ_BENCH_OUT` when set, else `target/experiments/BENCH.json`,
 //! and ends in [`autofj_bench::smoke::check`], which diffs exactly the
@@ -100,27 +104,28 @@ fn thread_legs<M>(mut leg: impl FnMut(usize) -> (JoinResult, M)) -> (Vec<M>, boo
     (legs, serialized[0] == serialized[1])
 }
 
-/// Measure one task at 1 and [`MULTI_THREADS`] workers.  `warmup` runs one
-/// untimed pipeline first; the large tier skips it (its timings are
-/// informational and a third multi-minute run buys nothing).
+/// Measure one task in `space` at 1 and [`MULTI_THREADS`] workers.
+/// `warmup` runs one untimed pipeline first; the large tier and the medium
+/// task's full-space leg skip it (their timings are informational, and one
+/// more run of tens of seconds or minutes buys nothing).
 fn bench_task(
     task: &SingleColumnTask,
     scale: &str,
+    space: &JoinFunctionSpace,
     options: &AutoFjOptions,
     warmup: bool,
 ) -> TaskBench {
-    let space = JoinFunctionSpace::reduced24();
     // Untimed warm-up so one-time costs (allocator growth, lazy tables,
     // page faults) are not attributed to whichever leg happens to run first.
     if warmup {
-        let _ = run_autofj(task, &space, options);
+        let _ = run_autofj(task, space, options);
     }
 
     let (legs, identical_results) = thread_legs(|threads| {
         rayon::reset_engine_stats();
         let cpu_before = rayon::process_cpu_nanos();
         let ((result, quality, stats, seconds), trace) =
-            trace::capture(|| run_autofj(task, &space, options));
+            trace::capture(|| run_autofj(task, space, options));
         let cpu_seconds = rayon::process_cpu_nanos().saturating_sub(cpu_before) as f64 * 1e-9;
         let engine = rayon::engine_stats();
         let run = BenchRun {
@@ -133,12 +138,14 @@ fn bench_task(
             estimated_precision: result.estimated_precision,
             actual_precision: quality.precision,
             actual_recall: quality.recall_relative,
+            greedy_rounds: trace.greedy.rounds,
             phases: trace.phases(),
         };
         (result, (run, stats, trace, engine))
     });
     let (run, stats, trace, engine) = legs.last().expect("a multi-thread leg");
-    print_profile(&task.name, run, stats, trace, engine);
+    let name = format!("{} ({})", task.name, space.label());
+    print_profile(&name, run, stats, trace, engine);
     let (runs, candidates): (Vec<BenchRun>, Vec<BlockingStats>) = legs
         .into_iter()
         .map(|(run, stats, ..)| (run, stats))
@@ -264,8 +271,9 @@ fn print_profile(
     );
 }
 
-/// Measure the smoke task of `scale`: `small`, `medium` or `large`.
-fn measure_task(scale: &str) -> TaskBench {
+/// Measure the smoke task of `scale`: `small`, `medium` or `large`, in the
+/// reduced space, and the medium task in the full space too.
+fn measure_tasks(scale: &str) -> Vec<TaskBench> {
     let task = match scale {
         // Index 36 is ShoppingMall, the task of the first trajectory entry.
         "small" => benchmark_specs(BenchmarkScale::Small)[36].generate(),
@@ -285,30 +293,41 @@ fn measure_task(scale: &str) -> TaskBench {
     } else {
         (autofj_options(), true)
     };
-    eprintln!(
-        "bench-smoke: running {} ({}x{}) at 1 and {MULTI_THREADS} threads...",
-        task.name,
-        task.left.len(),
-        task.right.len()
-    );
-    bench_task(&task, scale, &options, warmup)
+    let mut spaces = vec![(JoinFunctionSpace::reduced24(), warmup)];
+    if scale == "medium" {
+        spaces.push((JoinFunctionSpace::full(), false));
+    }
+    (spaces.iter())
+        .map(|(space, warmup)| {
+            eprintln!(
+                "bench-smoke: running {} ({}x{}, {}) at 1 and {MULTI_THREADS} threads...",
+                task.name,
+                task.left.len(),
+                task.right.len(),
+                space.label()
+            );
+            bench_task(&task, scale, space, &options, *warmup)
+        })
+        .collect()
 }
 
 fn print_tasks(tasks: &[TaskBench]) {
     let mut table = Reporter::new(
         "bench-smoke: single vs multi thread",
         &[
-            "Task", "Size", "Threads", "Seconds", "Joined", "EstP", "P", "R",
+            "Task", "Space", "Size", "Threads", "Seconds", "Joined", "Rounds", "EstP", "P", "R",
         ],
     );
     for t in tasks {
         for r in &t.runs {
             table.add_row(vec![
                 t.task.clone(),
+                t.space.clone(),
                 format!("{}x{}", t.size.0, t.size.1),
                 r.threads.to_string(),
                 format!("{:.3}", r.seconds),
                 r.joined.to_string(),
+                r.greedy_rounds.to_string(),
                 format!("{:.3}", r.estimated_precision),
                 format!("{:.3}", r.actual_precision),
                 format!("{:.3}", r.actual_recall),
@@ -318,9 +337,9 @@ fn print_tasks(tasks: &[TaskBench]) {
     table.print();
     for t in tasks {
         println!(
-            "{}: wall speedup (1 -> {MULTI_THREADS} threads) {:.2}x, \
+            "{} ({}): wall speedup (1 -> {MULTI_THREADS} threads) {:.2}x, \
              parallel_effective {:.2}x, identical results: {}",
-            t.task, t.speedup, t.parallel_effective, t.identical_results
+            t.task, t.space, t.speedup, t.parallel_effective, t.identical_results
         );
         let c = &t.candidates;
         println!(
@@ -389,7 +408,7 @@ fn main() {
             "serve" => report.serve = Some(serve::measure()),
             "scenarios" => report.scenarios = Some(scenarios::measure()),
             "fig6d" => report.fig6d = Some(measure_fig6d()),
-            scale => report.tasks.push(measure_task(scale)),
+            scale => report.tasks.extend(measure_tasks(scale)),
         }
     }
     if !report.tasks.is_empty() {

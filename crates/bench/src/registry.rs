@@ -1126,6 +1126,23 @@ mod tests {
         }
     }
 
+    /// Fig. 7(c,d)'s claim at `tiny`: the full 140-function space recalls at
+    /// least what the reduced 24-function space recalls.  Recall need not
+    /// rise at every step; at `tiny`, |S| = 38 reads below |S| = 24.
+    #[test]
+    fn fig7cd_recall_at_140_functions_is_at_least_recall_at_24() {
+        let fig7cd = entry("fig7cd").unwrap();
+        let report = fig7cd.report(fig7cd.cells(&tiny(usize::MAX)));
+        let recall = (report.header.iter().skip(2))
+            .position(|h| h == "AutoFJ R")
+            .expect("Fig. 7(c,d) reports AutoFJ's recall");
+        let at = |size: &str| {
+            let row = report.rows.iter().find(|r| r.label == size);
+            row.unwrap_or_else(|| panic!("no |S| = {size} row")).values[recall]
+        };
+        assert!(at("140") >= at("24"), "{} < {}", at("140"), at("24"));
+    }
+
     /// A τ point reaches `AutoFjOptions`.
     #[test]
     fn a_tau_point_equals_a_direct_run_at_that_target() {

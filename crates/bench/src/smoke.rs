@@ -19,8 +19,10 @@
 
 use crate::peak_rss_bytes;
 use crate::report::experiments_dir;
+use crate::runner::autofj_options;
 use autofj_block::BlockingStats;
 use autofj_eval::DataProfile;
+use autofj_text::JoinFunctionSpace;
 use serde::{Deserialize, Serialize, Value};
 use std::path::{Path, PathBuf};
 
@@ -56,6 +58,10 @@ pub struct BenchRun {
     pub actual_precision: f64,
     /// Recall against the generated ground truth.
     pub actual_recall: f64,
+    /// Rounds of the greedy search, one per selected configuration
+    /// (`GreedyStats::rounds`).  Gated exactly: the search stops only where
+    /// Algorithm 1 stops, so a round cap would move it.
+    pub greedy_rounds: usize,
     /// Wall-clock seconds and entries of every pipeline phase of the run's
     /// trace, in pipeline order (`autofj_core::trace::ALL_PHASES`: prepare,
     /// block, negative_rules, precompute and its five `precompute/<family>`
@@ -325,7 +331,8 @@ fn float_quality_matches(got: f64, want: f64) -> bool {
 pub enum Rule {
     /// Recorded for the trajectory, never gated.
     Informational,
-    /// A list whose entries pair up by the first of these fields they carry.
+    /// A list whose entries pair up when every one of these fields matches;
+    /// a field an entry lacks matches only an entry that lacks it too.
     Keyed(&'static [&'static str], Coverage),
 }
 
@@ -356,7 +363,7 @@ pub const GATE_POLICY: &[(&str, Rule)] = &[
     ("throughput_rps", Rule::Informational),
     ("p50_ms", Rule::Informational),
     ("p99_ms", Rule::Informational),
-    ("tasks", Rule::Keyed(&["task"], Coverage::Subset)),
+    ("tasks", Rule::Keyed(&["task", "space"], Coverage::Subset)),
     (
         "runs",
         Rule::Keyed(&["threads", "client_threads"], Coverage::Subset),
@@ -405,7 +412,8 @@ fn diff(path: &str, key: &str, fresh: &Value, base: &Value, errors: &mut Vec<Str
     match (rule(key), fresh, base) {
         (Some(Rule::Informational), _, _) => {}
         (Some(Rule::Keyed(by, coverage)), Value::Array(fresh), Value::Array(base)) => {
-            let pairs = |a: &Value, b: &Value| leaf_matches(entry_key(by, a).1, entry_key(by, b).1);
+            let pairs =
+                |a: &Value, b: &Value| by.iter().all(|k| leaf_matches(field(a, k), field(b, k)));
             for f in fresh {
                 let entry = entry_path(path, by, f);
                 match base.iter().find(|b| pairs(f, b)) {
@@ -444,18 +452,18 @@ fn diff(path: &str, key: &str, fresh: &Value, base: &Value, errors: &mut Vec<Str
     }
 }
 
-/// The field a keyed-list entry pairs on: the first of `by` it carries.
-fn entry_key<'v>(by: &[&'static str], entry: &'v Value) -> (&'static str, &'v Value) {
-    by.iter()
-        .map(|&k| (k, field(entry, k)))
-        .find(|(_, v)| **v != ABSENT)
-        .unwrap_or((by[0], &ABSENT))
-}
-
-/// The gate path of a keyed-list entry, e.g. `fig6d[beta=1.5]`.
+/// The gate path of a keyed-list entry, naming each field of `by` it
+/// carries, e.g. `fig6d[beta=1.5]` or `tasks[task=ShoppingMall,space=reduced-24]`.
 fn entry_path(path: &str, by: &[&'static str], entry: &Value) -> String {
-    let (name, key) = entry_key(by, entry);
-    format!("{path}[{name}={}]", render(key))
+    let carried: Vec<String> = (by.iter())
+        .filter(|&&k| *field(entry, k) != ABSENT)
+        .map(|&k| format!("{k}={}", render(field(entry, k))))
+        .collect();
+    if carried.is_empty() {
+        format!("{path}[{}=absent]", by[0])
+    } else {
+        format!("{path}[{}]", carried.join(","))
+    }
 }
 
 fn leaf_matches(fresh: &Value, base: &Value) -> bool {
@@ -500,7 +508,8 @@ pub fn smoke(report: BenchSmokeReport) -> ! {
 /// since that write is how a baseline is regenerated.  Then it checks what
 /// needs no baseline
 /// (every `identical_results`; the medium task's `parallel_effective`
-/// against [`MIN_PARALLEL_EFFECTIVE`]) and diffs each section the report
+/// against [`MIN_PARALLEL_EFFECTIVE`]; the space-size claim of a task
+/// measured in both spaces, see `space_claim`) and diffs each section the report
 /// holds against the report at `baseline`; `None` skips the diff.
 pub fn check(mut report: BenchSmokeReport, out: &Path, baseline: Option<&Path>) -> Vec<String> {
     report.host_parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -534,11 +543,13 @@ pub fn check(mut report: BenchSmokeReport, out: &Path, baseline: Option<&Path>) 
     for t in &report.tasks {
         if t.scale == "medium" && t.parallel_effective < MIN_PARALLEL_EFFECTIVE {
             errors.push(format!(
-                "tasks[task={}].parallel_effective: {:.2} < required {MIN_PARALLEL_EFFECTIVE}",
-                t.task, t.parallel_effective
+                "tasks[task={},space={}].parallel_effective: {:.2} < required \
+                 {MIN_PARALLEL_EFFECTIVE}",
+                t.task, t.space, t.parallel_effective
             ));
         }
     }
+    errors.extend(space_claim(&report.tasks));
     let against = match baseline {
         Some(path) => {
             match read_report(path) {
@@ -567,6 +578,39 @@ pub fn check(mut report: BenchSmokeReport, out: &Path, baseline: Option<&Path>) 
         "If the change is intentional, regenerate the baseline (README, \"Bench gate\") \
          and commit it."
     );
+    errors
+}
+
+/// Fig. 7(c,d)'s claim, on every task measured in both spaces: the full
+/// 140-function space recalls at least what the reduced 24-function space
+/// recalls, leg by leg, and every leg of both reaches actual precision ≥ τ.
+/// Each returned line names the task that failed.
+fn space_claim(tasks: &[TaskBench]) -> Vec<String> {
+    let tau = autofj_options().precision_target;
+    let (reduced, full) = (JoinFunctionSpace::reduced24(), JoinFunctionSpace::full());
+    let mut errors = Vec::new();
+    for big in tasks.iter().filter(|t| t.space == full.label()) {
+        let of_task = |t: &&TaskBench| t.task == big.task && t.space == reduced.label();
+        let Some(small) = tasks.iter().find(of_task) else {
+            continue;
+        };
+        for (b, s) in big.runs.iter().zip(&small.runs) {
+            if b.actual_recall < s.actual_recall {
+                errors.push(format!(
+                    "tasks[task={}]: {} recall {:.4} < {} recall {:.4} at {} thread(s)",
+                    big.task, big.space, b.actual_recall, small.space, s.actual_recall, b.threads
+                ));
+            }
+        }
+        for t in [small, big] {
+            for r in t.runs.iter().filter(|r| r.actual_precision < tau) {
+                errors.push(format!(
+                    "tasks[task={},space={}].runs[threads={}].actual_precision: {:.4} < τ = {tau}",
+                    t.task, t.space, r.threads, r.actual_precision
+                ));
+            }
+        }
+    }
     errors
 }
 
@@ -759,6 +803,7 @@ mod tests {
                 estimated_precision: 0.95,
                 actual_precision: 1.0,
                 actual_recall: 0.9,
+                greedy_rounds: 12,
                 phases: Vec::new(),
             }],
             speedup: 1.0,
@@ -790,7 +835,77 @@ mod tests {
         let errors = gate(&fresh, &base.serialize_value(), "tasks");
         assert_eq!(
             errors,
-            ["tasks[task=ShoppingMall].candidates: absent != baseline an object"]
+            ["tasks[task=ShoppingMall,space=reduced24].candidates: absent != baseline an object"]
+        );
+    }
+
+    #[test]
+    fn tasks_pair_by_task_and_space() {
+        let mut base = task_report(70, 120);
+        let mut full = base.tasks[0].clone();
+        full.space = "full140".to_string();
+        full.runs[0].greedy_rounds = 30;
+        base.tasks.push(full.clone());
+
+        // Either space alone pairs with its own baseline entry.
+        let mut fresh = BenchSmokeReport {
+            tasks: vec![full],
+            ..Default::default()
+        };
+        assert!(diff_reports(&fresh, &base, "tasks").is_empty());
+        fresh.tasks[0].runs[0].greedy_rounds = 12;
+        assert_eq!(
+            diff_reports(&fresh, &base, "tasks"),
+            [
+                "tasks[task=ShoppingMall,space=full140].runs[threads=1].greedy_rounds: 12 != \
+              baseline 30"
+            ]
+        );
+        fresh.tasks[0].space = "other".to_string();
+        assert_eq!(
+            diff_reports(&fresh, &base, "tasks"),
+            ["tasks[task=ShoppingMall,space=other]: not in the baseline"]
+        );
+    }
+
+    /// A task measured in the reduced and the full space, at the given
+    /// (recall, precision) per space.
+    fn both_spaces(reduced: (f64, f64), full: (f64, f64)) -> Vec<TaskBench> {
+        let leg = |space: &JoinFunctionSpace, (recall, precision): (f64, f64)| {
+            let mut t = task_report(70, 120).tasks.remove(0);
+            t.task = "TeamSeasonMedium".to_string();
+            t.space = space.label().to_string();
+            t.runs[0].actual_recall = recall;
+            t.runs[0].actual_precision = precision;
+            t
+        };
+        vec![
+            leg(&JoinFunctionSpace::reduced24(), reduced),
+            leg(&JoinFunctionSpace::full(), full),
+        ]
+    }
+
+    #[test]
+    fn the_full_space_must_recall_at_least_the_reduced_space_above_tau() {
+        let claim = |reduced, full| space_claim(&both_spaces(reduced, full));
+        assert!(claim((0.82, 0.93), (0.85, 0.92)).is_empty());
+        assert!(claim((0.82, 0.93), (0.82, 0.90)).is_empty());
+        // One space alone makes no claim.
+        assert!(space_claim(&both_spaces((0.9, 0.5), (0.5, 0.5))[1..]).is_empty());
+
+        assert_eq!(
+            claim((0.82, 0.93), (0.75, 0.94)),
+            [
+                "tasks[task=TeamSeasonMedium]: full-140 recall 0.7500 < reduced-24 recall \
+              0.8200 at 1 thread(s)"
+            ]
+        );
+        assert_eq!(
+            claim((0.82, 0.89), (0.85, 0.93)),
+            [
+                "tasks[task=TeamSeasonMedium,space=reduced-24].runs[threads=1].actual_precision: \
+              0.8900 < τ = 0.9"
+            ]
         );
     }
 

@@ -5,7 +5,12 @@
 //! `profit(U ∪ {C}) = TP(U ∪ {C}) / FP(U ∪ {C})` — i.e. the most expected
 //! true positives per expected false positive — and stops as soon as the
 //! estimated precision of the grown solution would drop below the target
-//! `τ`, or no candidate adds new joins.
+//! `τ`, or no candidate adds new joins.  Those are the only two stops: there
+//! is no round cap.  Each round marks its selected candidate dead
+//! (`Search::apply`), so a run has at most one round per candidate
+//! configuration ([`candidate_configs`]).  There are at most
+//! `|functions| × s` of those: at the default `s = 50`, 1 200 in the reduced
+//! 24-function space and 7 000 in the full 140-function space.
 //!
 //! Conflicts (a right record joined to different left records by different
 //! configurations) are resolved by keeping the assignment with the higher
@@ -447,10 +452,7 @@ pub fn run_greedy_with_stats(
         }
         return search.finish();
     }
-    for _ in 0..options.max_iterations {
-        let Some(ci) = search.select(tau) else {
-            break;
-        };
+    while let Some(ci) = search.select(tau) {
         let changes = search.apply(ci);
         search.update(&changes);
     }
@@ -467,10 +469,7 @@ pub fn run_greedy_reference(pre: &Precompute, options: &AutoFjOptions) -> Greedy
         return run_greedy(pre, options);
     }
     let mut search = Search::new(pre, options.ball_mode);
-    for _ in 0..options.max_iterations {
-        let Some(ci) = search.select(options.precision_target) else {
-            break;
-        };
+    while let Some(ci) = search.select(options.precision_target) {
         search.apply(ci);
         search.rescore_all();
     }
@@ -949,7 +948,6 @@ mod tests {
         let pre = Precompute::from_parts(vec![stats], 4);
         for ball_mode in [BallMode::ConfigTheta, BallMode::PairDistance] {
             let options = AutoFjOptions {
-                max_iterations: 10_000,
                 ball_mode,
                 ..Default::default()
             };
@@ -961,6 +959,36 @@ mod tests {
             assert!(out.precision_trace.is_empty());
             let refr = run_greedy_reference(&pre, &options);
             assert_bit_identical(&out, &refr);
+        }
+    }
+
+    #[test]
+    fn the_search_stops_only_when_no_candidate_adds_a_join() {
+        // 300 functions, each with one threshold covering one right record
+        // of its own left at ball count 0: every candidate adds a join at
+        // precision 1, so Algorithm 1 selects every one of them, one per
+        // round, and stops when none is left.
+        let num = 300;
+        let functions = (0..num as u32)
+            .map(|r| crafted_stats(num, &[(r, r, 0.1)], vec![0.1], &[]))
+            .collect();
+        let pre = Precompute::from_parts(functions, num);
+        assert_eq!(candidate_configs(&pre).len(), num);
+        for ball_mode in [BallMode::ConfigTheta, BallMode::PairDistance] {
+            let options = AutoFjOptions {
+                ball_mode,
+                ..Default::default()
+            };
+            let ((out, stats), trace) = trace::capture(|| run_greedy_with_stats(&pre, &options));
+            assert_eq!(stats.rounds, num, "{ball_mode:?}");
+            assert_eq!(out.selected.len(), num);
+            assert_eq!(out.assignment.iter().flatten().count(), num);
+            assert_eq!(
+                trace.phase(Phase::GreedyArgmax).entries,
+                stats.rounds as u64 + 1,
+                "{ball_mode:?}: one argmax per round and one that found nothing"
+            );
+            assert_bit_identical(&out, &run_greedy_reference(&pre, &options));
         }
     }
 

@@ -107,12 +107,6 @@ impl AutoFuzzyJoinBuilder {
         self
     }
 
-    /// Set the column-weight discretization steps `g` (default 10).
-    pub fn weight_steps(mut self, g: usize) -> Self {
-        self.options.weight_steps = g;
-        self
-    }
-
     /// Choose the ball used by the precision estimate (default
     /// [`BallMode::ConfigTheta`], Eq. 9).
     pub fn ball_mode(mut self, mode: BallMode) -> Self {
@@ -207,7 +201,6 @@ mod tests {
             .negative_rules(false)
             .union_of_configurations(false)
             .num_thresholds(10)
-            .weight_steps(5)
             .ball_mode(BallMode::PairDistance)
             .build();
         assert_eq!(j.options().precision_target, 0.8);
@@ -216,7 +209,6 @@ mod tests {
         assert!(!j.options().use_negative_rules);
         assert!(!j.options().union_of_configurations);
         assert_eq!(j.options().num_thresholds, 10);
-        assert_eq!(j.options().weight_steps, 5);
         assert_eq!(j.options().ball_mode, BallMode::PairDistance);
     }
 

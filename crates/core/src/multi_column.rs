@@ -3,10 +3,11 @@
 //! When the join key spans several columns (or no key is given at all), the
 //! algorithm must discover which columns matter and how much.  Algorithm 3 is
 //! a forward-selection loop: starting from an all-zero column-weight vector
-//! it repeatedly tries to blend in one more column at `g` discretized mixing
-//! ratios, keeps the blend that maximizes estimated recall, and stops when no
-//! additional column improves recall.  Every inner evaluation is a full
-//! single-column search (Algorithm 1) over the weighted-sum distance
+//! it repeatedly tries to blend in one more column at the mixing ratios
+//! `k/g`, `0 < k < g`, keeps the blend that maximizes estimated recall, and
+//! stops when no additional column improves recall.  `g = 10` is a constant,
+//! the paper's setting (§5.1.3), not an option.  Every inner evaluation is a
+//! full single-column search (Algorithm 1) over the weighted-sum distance
 //! `F_w(l, r) = Σ_j w_j · f(l[j], r[j])` (Definition 4.1).
 //!
 //! Following §5.2.2, one configuration uses the same join function across all
@@ -29,6 +30,10 @@ use crate::single::{assemble_result, join_with_oracle};
 use crate::table::Table;
 use autofj_text::{JoinFunctionSpace, PreparedColumn};
 use rayon::prelude::*;
+
+/// Column-weight discretization steps `g` of Algorithm 3: the paper's
+/// experimental setting (§5.1.3).
+const WEIGHT_STEPS: usize = 10;
 
 /// Run multi-column Auto-FuzzyJoin over two tables with the same number of
 /// columns (aligned by position).
@@ -100,7 +105,7 @@ pub fn join_multi_column(
     };
 
     // Algorithm 3.
-    let g = options.weight_steps;
+    let g = WEIGHT_STEPS;
     let mut w = vec![0.0f64; m];
     let mut best_outcome = None; // current accepted solution U
     let mut remaining: Vec<usize> = (0..m).collect();

@@ -2,8 +2,10 @@
 //!
 //! All defaults follow the paper's experimental setup (§5.1.3): precision
 //! target `τ = 0.9`, threshold discretization `s = 50`, blocking factor
-//! `β = 1.5`, negative rules enabled, union of configurations enabled, and
-//! column-weight discretization `g = 10` for the multi-column algorithm.
+//! `β = 1.5`, negative rules enabled and union of configurations enabled.
+//! The multi-column algorithm's column-weight discretization `g = 10` is a
+//! constant of [`crate::multi_column`], not an option, and the greedy search
+//! has no round cap: it stops where Algorithm 1 stops.
 
 use autofj_block::Blocker;
 use serde::{Deserialize, Serialize};
@@ -37,11 +39,6 @@ pub struct AutoFjOptions {
     pub union_of_configurations: bool,
     /// Which ball is used in the precision estimate.
     pub ball_mode: BallMode,
-    /// Column-weight discretization steps `g` for the multi-column search.
-    pub weight_steps: usize,
-    /// Safety cap on greedy iterations (the paper observes ≈45 iterations on
-    /// average with 140 configurations).
-    pub max_iterations: usize,
 }
 
 impl Default for AutoFjOptions {
@@ -53,8 +50,6 @@ impl Default for AutoFjOptions {
             use_negative_rules: true,
             union_of_configurations: true,
             ball_mode: BallMode::ConfigTheta,
-            weight_steps: 10,
-            max_iterations: 200,
         }
     }
 }
@@ -77,12 +72,6 @@ impl AutoFjOptions {
                 self.blocking_factor
             ));
         }
-        if self.weight_steps < 2 {
-            return Err("weight_steps must be at least 2".to_string());
-        }
-        if self.max_iterations == 0 {
-            return Err("max_iterations must be at least 1".to_string());
-        }
         Ok(())
     }
 
@@ -101,7 +90,8 @@ mod tests {
         let o = AutoFjOptions::default();
         assert_eq!(o.precision_target, 0.9);
         assert_eq!(o.num_thresholds, 50);
-        assert_eq!(o.weight_steps, 10);
+        assert_eq!(o.blocking_factor, 1.5);
+        assert_eq!(o.ball_mode, BallMode::ConfigTheta);
         assert!(o.use_negative_rules);
         assert!(o.union_of_configurations);
         assert!(o.validate().is_ok());
@@ -131,8 +121,9 @@ mod tests {
         o.num_thresholds = 50;
         o.blocking_factor = -1.0;
         assert!(o.validate().is_err());
-        o.blocking_factor = 1.5;
-        o.weight_steps = 1;
+        o.blocking_factor = f64::NAN;
         assert!(o.validate().is_err());
+        o.blocking_factor = 1.5;
+        assert!(o.validate().is_ok());
     }
 }

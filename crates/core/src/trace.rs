@@ -235,6 +235,9 @@ pub(crate) fn scoped(phase: Phase) -> PhaseGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::candidates::candidate_stage;
+    use crate::estimate::Precompute;
+    use crate::greedy::candidate_configs;
     use crate::multi_column::join_multi_column;
     use crate::oracle::{DistanceOracle, SingleColumnOracle};
     use crate::single::join_single_column;
@@ -279,7 +282,8 @@ mod tests {
             assert_eq!(trace.phase(phase).entries, 1, "{}", phase.name());
         }
         // One family span per kernel group, on any table size.
-        let groups = SingleColumnOracle::build(space.functions(), &left, &right).eval_groups();
+        let oracle = SingleColumnOracle::build(space.functions(), &left, &right);
+        let groups = oracle.eval_groups();
         for family in [
             KernelFamily::Edit,
             KernelFamily::Jaro,
@@ -297,10 +301,18 @@ mod tests {
             );
         }
         assert!(trace.phase(Phase::PrecomputeSet).entries > 0);
-        // Every accepted round ran one argmax, and so did the one that
-        // found nothing more to add.
+        // Every accepted round selected a distinct candidate configuration
+        // and ran one argmax, and so did the one that found nothing more to
+        // add.
+        let candidates = candidate_stage(oracle.column(), left.len(), &options);
+        let pre = Precompute::build(
+            &oracle,
+            candidates.lr_candidates(),
+            &candidates.blocking.left_candidates_of_left,
+            options.num_thresholds,
+        );
         let rounds = trace.greedy.rounds;
-        assert!(rounds > 0 && rounds < options.max_iterations);
+        assert!(rounds > 0 && rounds <= candidate_configs(&pre).len());
         assert_eq!(trace.phase(Phase::GreedyArgmax).entries, rounds as u64 + 1);
         assert_eq!(trace.phase(Phase::ConflictResolve).entries, rounds as u64);
         // The family spans nest inside the precompute span.
@@ -316,17 +328,6 @@ mod tests {
         let traced: Vec<KernelFamily> = trace.precompute_work.iter().map(|(f, _)| *f).collect();
         assert_eq!(traced.len(), families.len());
         assert!(trace.precompute_work.iter().all(|(_, w)| w.lr_pairs > 0));
-    }
-
-    #[test]
-    fn max_iterations_stops_the_argmax_count() {
-        let options = AutoFjOptions {
-            max_iterations: 1,
-            ..AutoFjOptions::default()
-        };
-        let trace = traced_join(&options);
-        assert_eq!(trace.greedy.rounds, 1);
-        assert_eq!(trace.phase(Phase::GreedyArgmax).entries, 1);
     }
 
     #[test]
