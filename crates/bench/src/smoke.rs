@@ -554,7 +554,6 @@ pub fn check(mut report: BenchSmokeReport, out: &Path, baseline: Option<&Path>) 
         Some(path) => {
             match read_report(path) {
                 Ok(baseline) => {
-                    let baseline = baseline.serialize_value();
                     for section in &sections {
                         errors.extend(gate(&fresh, &baseline, section));
                     }
@@ -614,7 +613,10 @@ fn space_claim(tasks: &[TaskBench]) -> Vec<String> {
     errors
 }
 
-fn read_report(path: &Path) -> Result<BenchSmokeReport, String> {
+/// The report at `path` as a value tree, which is what the gate diffs.  It
+/// is not parsed into [`BenchSmokeReport`], so a baseline written before a
+/// field existed still reads, and the gate names the field it lacks.
+fn read_report(path: &Path) -> Result<Value, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     serde_json::from_str(&text).map_err(|e| format!("cannot parse {}: {e}", path.display()))
@@ -1059,12 +1061,38 @@ mod tests {
     }
 
     #[test]
+    fn a_baseline_without_a_field_names_it() {
+        let dir = scratch("older");
+        let report = task_report(70, 120);
+        // A baseline written before `greedy_rounds` existed.
+        let mut older = report.serialize_value();
+        let run = leaf_mut(&mut older, &[2, 0, 4, 0]); // tasks[0].runs[0]
+        let Value::Object(fields) = run else {
+            panic!("a run is an object")
+        };
+        fields.retain(|(key, _)| key != "greedy_rounds");
+        let path = dir.join("older.json");
+        std::fs::write(&path, serde_json::to_string(&older).unwrap()).unwrap();
+        let errors = check(report, &dir.join("BENCH.json"), Some(&path));
+        assert_eq!(
+            errors,
+            [
+                "tasks[task=ShoppingMall,space=reduced24].runs[threads=1].greedy_rounds: 12 != \
+                 baseline absent"
+            ]
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn a_failed_report_write_fails_the_run() {
         let dir = scratch("write");
         let report = serve_report(serve_bench(70, true));
         let out = dir.join("reports").join("BENCH.serve.json");
         assert_eq!(check(report.clone(), &out, None), [""; 0]);
-        assert!(read_report(&out).unwrap().serve.is_some());
+        assert!(field(&read_report(&out).unwrap(), "serve")
+            .as_object()
+            .is_some());
 
         // A regular file where the output's directory should be.
         let blocked = dir.join("reports").join("BENCH.serve.json").join("x.json");

@@ -191,15 +191,18 @@ impl FunctionStats {
     }
 }
 
+/// Wanted left records per parallel region of [`fill_balls`].
+const FILL_BLOCK: usize = 512;
+
 /// Fill the ball tables of every member `stats[m]` of one group, and return
 /// the wanted left records: those that are some member's nearest, ascending.
 ///
-/// One parallel region over the wanted lefts: `walk(l, wanted, rows)` pushes
-/// the sorted neighbourhood of left `l` under each wanted member `m` into
-/// `rows[m]` (empty rows on entry), and every pair of every member whose
-/// nearest is `l` is counted against it before the rows are dropped.  The
-/// counts are integers, scattered in left order afterwards, so the tables
-/// are the same at any thread count.
+/// One parallel region per block of [`FILL_BLOCK`] wanted lefts:
+/// `walk(l, wanted, rows)` pushes the sorted neighbourhood of left `l` under
+/// each wanted member `m` into `rows[m]` (empty rows on entry), and every
+/// pair of every member whose nearest is `l` is counted against it before
+/// the rows are dropped.  The counts are integers, scattered in left order
+/// after each block, so the tables are the same at any thread count.
 fn fill_balls(
     stats: &mut [FunctionStats],
     walk: impl Fn(usize, &[bool], &mut [Vec<f32>]) + Sync,
@@ -213,35 +216,38 @@ fn fill_balls(
         .collect();
     pairs.sort_unstable();
     let by_left: Vec<&[(u32, u32, u32)]> = pairs.chunk_by(|a, b| a.0 == b.0).collect();
-    let counted: &[FunctionStats] = stats;
-    let counts: Vec<Vec<u32>> = (0..by_left.len())
-        .into_par_iter()
-        .with_min_len(16)
-        .map(|i| {
-            let mut wanted = vec![false; k];
-            for &(_, m, _) in by_left[i] {
-                wanted[m as usize] = true;
+    // Scattered block by block, so the counts in flight stay bounded however
+    // many members the group holds.
+    for block in by_left.chunks(FILL_BLOCK) {
+        let counted: &[FunctionStats] = stats;
+        let counts: Vec<Vec<u32>> = (block.par_iter())
+            .with_min_len(16)
+            .map(|group| {
+                let mut wanted = vec![false; k];
+                for &(_, m, _) in *group {
+                    wanted[m as usize] = true;
+                }
+                let mut rows: Vec<Vec<f32>> = vec![Vec::new(); k];
+                walk(group[0].0 as usize, &wanted, &mut rows);
+                let mut out = Vec::new();
+                for &(_, m, rank) in *group {
+                    counted[m as usize].count_balls(rank as usize, &rows[m as usize], &mut out);
+                }
+                out
+            })
+            .collect();
+        for (group, counts) in block.iter().zip(&counts) {
+            let mut at = 0;
+            for &(_, m, rank) in *group {
+                at += stats[m as usize].set_balls(rank as usize, &counts[at..]);
             }
-            let mut rows: Vec<Vec<f32>> = vec![Vec::new(); k];
-            walk(by_left[i][0].0 as usize, &wanted, &mut rows);
-            let mut out = Vec::new();
-            for &(_, m, rank) in by_left[i] {
-                counted[m as usize].count_balls(rank as usize, &rows[m as usize], &mut out);
-            }
-            out
-        })
-        .collect();
-    for (group, counts) in by_left.iter().zip(&counts) {
-        let mut at = 0;
-        for &(_, m, rank) in *group {
-            at += stats[m as usize].set_balls(rank as usize, &counts[at..]);
         }
     }
     by_left.iter().map(|group| group[0].0).collect()
 }
 
 /// Build the statistics of every member of one [`EvalGroup`] together,
-/// sharing the per-pair evaluation work (one merge walk serves all set
+/// sharing the per-pair evaluation work (one marked walk serves all set
 /// distances of a scheme).
 ///
 /// The nearest scan is the oracle's [`DistanceOracle::group_nearest`] fold,
@@ -343,13 +349,13 @@ pub struct Precompute {
 impl Precompute {
     /// Build the statistics for every function by iterating the oracle's
     /// [`EvalGroup`]s — functions sharing one kernel evaluation (e.g. all set
-    /// distances of a tokenization scheme reading one merge walk) are built
+    /// distances of a tokenization scheme reading one marked walk) are built
     /// together, then scattered back into function order.
     ///
     /// Groups are built one after another, each with record-parallel inner
     /// loops: within a group the work is uniform, while groups have wildly
     /// different unit costs (an edit-distance bit-vector sweep vs an
-    /// interned-set merge walk), so splitting records keeps every chunk the
+    /// interned-set marked walk), so splitting records keeps every chunk the
     /// same shape where splitting groups would leave workers idle behind the
     /// chunk that drew the char-based kernels.  Each group's wall time is
     /// its kernel family's `precompute/<family>` span in the capturing
@@ -613,7 +619,7 @@ mod tests {
             families,
             [KernelFamily::Edit, KernelFamily::Jaro, KernelFamily::Set]
         );
-        // One group per family: Jaccard and Cosine share one merge walk.
+        // One group per family: Jaccard and Cosine share one marked walk.
         let lr_pairs = (right.len() * left.len()) as u64;
         let functions = &pre.functions;
         let members: [&[usize]; 3] = [&[0], &[1], &[2, 3]];

@@ -7,8 +7,8 @@
 //! them behind [`DistanceOracle`] lets the same estimator drive
 //!
 //! * single-column joins ([`SingleColumnOracle`]: kernel groups walk one
-//!   [`PreparedColumn`], sharing a merge walk across the set distances of a
-//!   scheme), and
+//!   [`PreparedColumn`], sharing one marked walk across the set distances
+//!   of a scheme), and
 //! * multi-column joins ([`WeightedColumnsOracle`]: weighted sums of cached
 //!   per-column distances, Definition 4.1, read by candidate slot), where the
 //!   cache ([`MultiColumnDistanceCache`]) is filled once through
@@ -21,7 +21,7 @@ use std::ops::Range;
 
 /// An evaluation group advertised by an oracle: functions whose distances
 /// the oracle can produce together in one pass per pair (e.g. all set
-/// distances derived from one merge walk), plus the kernel family serving
+/// distances derived from one marked walk), plus the kernel family serving
 /// them for timing attribution.
 #[derive(Debug, Clone)]
 pub struct EvalGroup {
@@ -85,7 +85,7 @@ pub struct SingleColumnOracle {
     num_left: usize,
     num_right: usize,
     /// Kernel plan over `functions`: set/hybrid functions of one scheme
-    /// share a merge walk, char functions get threshold-aware kernels.
+    /// share a marked walk, char functions get threshold-aware kernels.
     groups: Vec<KernelGroup>,
 }
 

@@ -50,10 +50,9 @@ pub enum Phase {
     PrecomputeEdit,
     /// Pre-compute share spent in the Jaro-Winkler kernels.
     PrecomputeJaro,
-    /// Pre-compute share spent in the merge-walk set kernels.
+    /// Pre-compute share spent in the marked-walk set kernels (the set
+    /// distances and their containment hybrids).
     PrecomputeSet,
-    /// Pre-compute share spent in the containment-hybrid kernels.
-    PrecomputeHybrid,
     /// Pre-compute share spent in the embedding-distance kernels.
     PrecomputeEmbed,
     /// Greedy search: building every candidate's round-1 histogram, then,
@@ -73,7 +72,7 @@ pub enum Phase {
 /// The `precompute/<family>` phases are nested inside `precompute`: one
 /// entry per kernel group of the family, so they break the same wall-clock
 /// span down by kernel family.
-pub const ALL_PHASES: [Phase; 13] = [
+pub const ALL_PHASES: [Phase; 12] = [
     Phase::Prepare,
     Phase::Block,
     Phase::NegativeRules,
@@ -81,7 +80,6 @@ pub const ALL_PHASES: [Phase; 13] = [
     Phase::PrecomputeEdit,
     Phase::PrecomputeJaro,
     Phase::PrecomputeSet,
-    Phase::PrecomputeHybrid,
     Phase::PrecomputeEmbed,
     Phase::GreedyScore,
     Phase::GreedyArgmax,
@@ -100,7 +98,6 @@ impl Phase {
             Phase::PrecomputeEdit => "precompute/edit",
             Phase::PrecomputeJaro => "precompute/jaro",
             Phase::PrecomputeSet => "precompute/set",
-            Phase::PrecomputeHybrid => "precompute/hybrid",
             Phase::PrecomputeEmbed => "precompute/embed",
             Phase::GreedyScore => "greedy_round/score",
             Phase::GreedyArgmax => "greedy_round/argmax",
@@ -115,7 +112,6 @@ impl Phase {
             KernelFamily::Edit => Phase::PrecomputeEdit,
             KernelFamily::Jaro => Phase::PrecomputeJaro,
             KernelFamily::Set => Phase::PrecomputeSet,
-            KernelFamily::Hybrid => Phase::PrecomputeHybrid,
             KernelFamily::Embed => Phase::PrecomputeEmbed,
         }
     }
@@ -288,7 +284,6 @@ mod tests {
             KernelFamily::Edit,
             KernelFamily::Jaro,
             KernelFamily::Set,
-            KernelFamily::Hybrid,
             KernelFamily::Embed,
         ] {
             let of_family = groups.iter().filter(|g| g.family == Some(family)).count();
@@ -316,8 +311,8 @@ mod tests {
         assert_eq!(trace.phase(Phase::GreedyArgmax).entries, rounds as u64 + 1);
         assert_eq!(trace.phase(Phase::ConflictResolve).entries, rounds as u64);
         // The family spans nest inside the precompute span.
-        let families: f64 = ALL_PHASES[4..9]
-            .iter()
+        let families: f64 = (ALL_PHASES.iter())
+            .filter(|p| p.name().starts_with("precompute/"))
             .map(|&p| trace.phase(p).seconds)
             .sum();
         assert!(families <= trace.phase(Phase::Precompute).seconds);
@@ -344,7 +339,6 @@ mod tests {
                 "precompute/edit",
                 "precompute/jaro",
                 "precompute/set",
-                "precompute/hybrid",
                 "precompute/embed",
                 "greedy_round/score",
                 "greedy_round/argmax",

@@ -225,10 +225,17 @@ fn fill_ball_rows(
         if !group.members.iter().any(|&m| refresh(m)) {
             continue;
         }
-        let cutoffs: Vec<f64> = group
-            .members
-            .iter()
-            .map(|&m| ball_cutoff(reaches[m]))
+        // A group may mix refreshed and kept slots (a scheme's walk serves
+        // both weightings): a kept slot's cutoff admits nothing, and its row
+        // is left as it is.
+        let cutoffs: Vec<f64> = (group.members.iter())
+            .map(|&m| {
+                if refresh(m) {
+                    ball_cutoff(reaches[m])
+                } else {
+                    f64::NEG_INFINITY
+                }
+            })
             .collect();
         let reach = group
             .members
@@ -257,10 +264,12 @@ fn fill_ball_rows(
             })
             .collect();
         for (i, &m) in group.members.iter().enumerate() {
-            rows[m] = per_left
-                .iter_mut()
-                .map(|member_rows| std::mem::take(&mut member_rows[i]))
-                .collect();
+            if refresh(m) {
+                rows[m] = per_left
+                    .iter_mut()
+                    .map(|member_rows| std::mem::take(&mut member_rows[i]))
+                    .collect();
+            }
         }
     }
 }

@@ -367,10 +367,10 @@ impl JoinFunctionSpace {
     /// multi-column distance cache is filled through it, once per column.
     ///
     /// Splitting by function alone strands the expensive `O(len²)`
-    /// char-based functions in one worker's chunk while the set-based merge
+    /// char-based functions in one worker's chunk while the set-based marked
     /// walks finish early; the flattened item list interleaves fixed-size
     /// pair blocks of every kernel group, so unit costs even out regardless
-    /// of which groups a chunk draws.  Functions sharing a merge walk (the
+    /// of which groups a chunk draws.  Functions sharing a marked walk (the
     /// set/hybrid families of one scheme) are evaluated together per pair
     /// via [`crate::kernel::plan_kernel_groups`].  The block size is a
     /// constant (never derived from the thread count) and every item lands
@@ -387,7 +387,7 @@ impl JoinFunctionSpace {
             .flat_map(|g| (0..blocks_per_group).map(move |b| (g, b)))
             .collect();
         // Each item evaluates one pair block of one group, pair-major
-        // (members contiguous per pair, sharing the per-pair merge walk).
+        // (members contiguous per pair, sharing the per-pair marked walk).
         let evaluated: Vec<Vec<f64>> = items
             .par_iter()
             .map(|&(gi, b)| {

@@ -5,15 +5,35 @@
 //! * one function between two prepared records routes char distances to the
 //!   bit-parallel / banded kernels of [`crate::distance::myers`] and the
 //!   bit-parallel Jaro kernel, and set distances to the merge walk of
-//!   [`crate::distance::set`] — [`JoinFunction::distance_between`] is its
-//!   public entry point;
-//! * [`KernelGroup`] / [`plan_kernel_groups`] — the sharing planner: set (and
-//!   hybrid) functions that differ only in the distance member share one
-//!   `(preprocessing, tokenization, weighting)` merge walk per pair, since
-//!   all of their distances are pure functions of the same [`set::SetOverlap`]
-//!   statistics.  [`KernelGroup::eval_records_into`] evaluates one pair for
-//!   every member; the nearest fold, the ball neighbourhood walk and
-//!   [`crate::JoinFunctionSpace::batch_distances`] are built on it.
+//!   [`set::overlap`] — [`JoinFunction::distance_between`] is its public
+//!   entry point, and the specification the shared walks below are pinned
+//!   to;
+//! * [`KernelGroup`] / [`plan_kernel_groups`] — the sharing planner: every
+//!   set and hybrid function of one `(preprocessing, tokenization)` scheme,
+//!   under both token weightings, shares one **marked walk** per pair, since
+//!   all of their distances are pure functions of the two weightings'
+//!   [`set::SetOverlap`] statistics.  [`KernelGroup::eval_records_into`]
+//!   evaluates one pair for every member; the nearest fold, the ball
+//!   neighbourhood walk and [`crate::JoinFunctionSpace::batch_distances`]
+//!   are built on it.
+//!
+//! ## The marked walk
+//!
+//! A set family holds one record of its pairs fixed — the right record of a
+//! nearest fold, the reference record of a neighbourhood walk.  It marks the
+//! fixed record's tokens in a dense per-thread table of [`KernelScratch`]
+//! and sums the record's norms once: its token count, and its Σw and Σw²
+//! under IDF.  Each other record is then walked once, adding its own norms
+//! and, for each marked token, the intersection's — the overlap
+//! accumulation of AllPairs (Bayardo et al., WWW 2007) and PPJoin (Xiao et
+//! al., WWW 2008).  Both weightings' overlaps come from those sums: an
+//! equal weight and its square are both 1, so every equal-weight sum is a
+//! token count, exact as an integer; an IDF sum adds its terms in ascending
+//! id order — a record's norms over its own ids, the intersection over the
+//! walked record's — which is the order [`set::overlap`]'s merge adds them
+//! in.  So every member's distance is bit-identical to the merge walk's,
+//! with one walk per pair per scheme instead of one per weighting and
+//! family.
 //!
 //! ## The bound contract
 //!
@@ -29,6 +49,7 @@ use crate::distance::myers::{bounded_normalized_edit, EditScratch};
 use crate::distance::{clamp_unit, embed, set};
 use crate::joinfn::{DistanceFunction, JoinFunction};
 use crate::prepared::{prep_index, scheme_index, PreparedColumn, PreparedRecord};
+use crate::weights::{TokenWeighting, WeightTable};
 use std::cell::RefCell;
 
 /// Reusable working memory for every kernel family (one per worker thread).
@@ -38,6 +59,10 @@ pub struct KernelScratch {
     pub edit: EditScratch,
     /// Jaro pattern masks and match-flag words.
     pub jaro: JaroScratch,
+    /// The marked walk's table: `marks[id]` is set exactly while `id` is a
+    /// token of the record a set family holds fixed (one byte per id up to
+    /// the largest id marked so far).
+    marks: Vec<bool>,
 }
 
 thread_local! {
@@ -59,11 +84,9 @@ pub enum KernelFamily {
     Edit,
     /// Bit-parallel Jaro-Winkler.
     Jaro,
-    /// Merge-walk weighted set distances (JD/CD/DD/MD/ID).
+    /// Weighted set distances (JD/CD/DD/MD/ID) and their containment
+    /// hybrids (Contain-JD/CD/DD): one marked walk per scheme.
     Set,
-    /// Containment hybrids (Contain-JD/CD/DD) — a set merge walk plus the
-    /// containment gate.
-    Hybrid,
     /// Hashed-embedding cosine distance.
     Embed,
 }
@@ -75,9 +98,6 @@ impl KernelFamily {
             DistanceFunction::Edit => KernelFamily::Edit,
             DistanceFunction::JaroWinkler => KernelFamily::Jaro,
             DistanceFunction::Embedding => KernelFamily::Embed,
-            DistanceFunction::ContainJaccard
-            | DistanceFunction::ContainCosine
-            | DistanceFunction::ContainDice => KernelFamily::Hybrid,
             _ => KernelFamily::Set,
         }
     }
@@ -88,7 +108,6 @@ impl KernelFamily {
             KernelFamily::Edit => "edit",
             KernelFamily::Jaro => "jaro",
             KernelFamily::Set => "set",
-            KernelFamily::Hybrid => "hybrid",
             KernelFamily::Embed => "embed",
         }
     }
@@ -118,7 +137,7 @@ pub(crate) fn eval_function(
         }
         dist => {
             let tok = func.tok.unwrap_or(crate::tokenize::Tokenization::Space);
-            let weighting = func.weight.unwrap_or(crate::weights::TokenWeighting::Equal);
+            let weighting = func.weight.unwrap_or(TokenWeighting::Equal);
             let si = scheme_index(func.prep, tok);
             let weights = col.weight_table(func.prep, tok, weighting);
             let o = set::overlap(&lr.token_sets[si], &rr.token_sets[si], weights);
@@ -143,23 +162,86 @@ fn set_member_distance(o: &set::SetOverlap, dist: DistanceFunction) -> f64 {
     clamp_unit(d)
 }
 
+/// Token sums of one record of a pair, or of the pair's intersection, under
+/// both weightings.  An equal weight and its square are both 1, so `count`
+/// stands for the equal-weight Σw and Σw² alike, exactly.
+#[derive(Debug, Clone, Copy, Default)]
+struct SetSums {
+    /// Number of tokens.
+    count: usize,
+    /// Σw under IDF.
+    idf: f64,
+    /// Σw² under IDF.
+    idf_sq: f64,
+}
+
+impl SetSums {
+    #[inline]
+    fn add(&mut self, w: f64) {
+        self.count += 1;
+        self.idf += w;
+        self.idf_sq += w * w;
+    }
+
+    /// The sums of a sorted id set, added in ascending id order.
+    fn of(ids: &[u32], idf: &WeightTable) -> Self {
+        let mut sums = Self::default();
+        for &id in ids {
+            sums.add(idf.weight(id));
+        }
+        sums
+    }
+
+    /// `(Σw, Σw²)` under `weighting`.
+    fn weighted(&self, weighting: TokenWeighting) -> (f64, f64) {
+        match weighting {
+            TokenWeighting::Equal => (self.count as f64, self.count as f64),
+            TokenWeighting::Idf => (self.idf, self.idf_sq),
+        }
+    }
+}
+
+/// The [`set::SetOverlap`] of sets `a` and `b` under `weighting`, from the
+/// sums of each and of their intersection `both` — what [`set::overlap`]
+/// returns for the same pair, bit for bit.
+fn overlap_of(
+    a: &SetSums,
+    b: &SetSums,
+    both: &SetSums,
+    weighting: TokenWeighting,
+) -> set::SetOverlap {
+    let ((weight_a, sq_weight_a), (weight_b, sq_weight_b)) =
+        (a.weighted(weighting), b.weighted(weighting));
+    let (intersection, sq_intersection) = both.weighted(weighting);
+    set::SetOverlap {
+        intersection,
+        weight_a,
+        weight_b,
+        sq_weight_a,
+        sq_weight_b,
+        sq_intersection,
+        b_subset_of_a: both.count == b.count,
+        a_subset_of_b: both.count == a.count,
+    }
+}
+
 /// How a [`KernelGroup`] evaluates its members.
 #[derive(Debug, Clone)]
 pub enum GroupKind {
     /// A single function with its own kernel (char / embedding distances).
     Single(JoinFunction),
-    /// Set or hybrid functions sharing one merge walk per pair: all members
-    /// use the same `(preprocessing, tokenization, weighting)` scheme and
-    /// differ only in the distance derived from the shared overlap.
+    /// Every set and hybrid function of one `(preprocessing, tokenization)`
+    /// scheme, under either weighting: one marked walk per pair yields the
+    /// sums both weightings' [`set::SetOverlap`] derive from, and each
+    /// member's distance comes from its weighting's overlap.
     SetFamily {
         /// Shared pre-processing option.
         prep: crate::preprocess::Preprocessing,
         /// Shared tokenization option.
         tok: crate::tokenize::Tokenization,
-        /// Shared token weighting.
-        weight: crate::weights::TokenWeighting,
-        /// Distance member per output slot, aligned with `members`.
-        slots: Vec<DistanceFunction>,
+        /// Distance member and token weighting per output slot, aligned
+        /// with `members`.
+        slots: Vec<(DistanceFunction, TokenWeighting)>,
     },
 }
 
@@ -174,11 +256,120 @@ pub struct KernelGroup {
     pub kind: GroupKind,
 }
 
+/// The side of its pairs a [`Fixed`] record is on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Side {
+    Left,
+    Right,
+}
+
+/// A kernel group holding one record of its pairs fixed while other records
+/// are evaluated against it in turn.  A set family marks the fixed record's
+/// tokens in the scratch's table and sums its norms once, on creation, and
+/// clears the marks on drop.
+struct Fixed<'a> {
+    group: &'a KernelGroup,
+    col: &'a PreparedColumn,
+    scratch: &'a mut KernelScratch,
+    record: &'a PreparedRecord,
+    side: Side,
+    /// A set family's scheme tokens of `record`, marked in `scratch`; empty
+    /// for a single function.
+    marked: &'a [u32],
+    /// The sums of `marked`.
+    sums: SetSums,
+}
+
+impl<'a> Fixed<'a> {
+    fn new(
+        group: &'a KernelGroup,
+        col: &'a PreparedColumn,
+        scratch: &'a mut KernelScratch,
+        record: &'a PreparedRecord,
+        side: Side,
+    ) -> Self {
+        let (marked, sums) = match &group.kind {
+            GroupKind::Single(_) => (&[][..], SetSums::default()),
+            GroupKind::SetFamily { prep, tok, .. } => {
+                let ids = &record.token_sets[scheme_index(*prep, *tok)][..];
+                // Sorted ids: the last is the largest.  Query records carry
+                // ids at or past the vocabulary's end; the table grows to
+                // them.
+                if let Some(&max) = ids.last() {
+                    if scratch.marks.len() <= max as usize {
+                        scratch.marks.resize(max as usize + 1, false);
+                    }
+                }
+                for &id in ids {
+                    scratch.marks[id as usize] = true;
+                }
+                let idf = col.weight_table(*prep, *tok, TokenWeighting::Idf);
+                (ids, SetSums::of(ids, idf))
+            }
+        };
+        Self {
+            group,
+            col,
+            scratch,
+            record,
+            side,
+            marked,
+            sums,
+        }
+    }
+
+    /// Evaluate the pair of the fixed record and `other` into `out`, one
+    /// slot per member; `bound` as for [`KernelGroup::eval_records_into`].
+    fn eval(&mut self, other: &PreparedRecord, bound: Option<f64>, out: &mut [f64]) {
+        match &self.group.kind {
+            GroupKind::Single(func) => {
+                let (lr, rr) = match self.side {
+                    Side::Left => (self.record, other),
+                    Side::Right => (other, self.record),
+                };
+                out[0] = eval_function(self.col, *func, self.scratch, lr, rr, bound);
+            }
+            GroupKind::SetFamily { prep, tok, slots } => {
+                let idf = self.col.weight_table(*prep, *tok, TokenWeighting::Idf);
+                let marks = &self.scratch.marks;
+                let (mut walked, mut both) = (SetSums::default(), SetSums::default());
+                for &id in &other.token_sets[scheme_index(*prep, *tok)] {
+                    let w = idf.weight(id);
+                    walked.add(w);
+                    if marks.get(id as usize) == Some(&true) {
+                        both.add(w);
+                    }
+                }
+                let (a, b) = match self.side {
+                    Side::Left => (&self.sums, &walked),
+                    Side::Right => (&walked, &self.sums),
+                };
+                let [by_equal, by_idf] = TokenWeighting::ALL.map(|w| overlap_of(a, b, &both, w));
+                for (slot, &(dist, weighting)) in out.iter_mut().zip(slots) {
+                    let o = match weighting {
+                        TokenWeighting::Equal => &by_equal,
+                        TokenWeighting::Idf => &by_idf,
+                    };
+                    *slot = set_member_distance(o, dist);
+                }
+            }
+        }
+    }
+}
+
+impl Drop for Fixed<'_> {
+    fn drop(&mut self) {
+        for &id in self.marked {
+            self.scratch.marks[id as usize] = false;
+        }
+    }
+}
+
 impl KernelGroup {
     /// Evaluate one pair of prepared records into `out` (one slot per
     /// member, aligned with `self.members`).  `bound` is honoured by
     /// single-function char kernels and ignored by the (already cheap)
-    /// merge-walk families, which is always contract-safe.
+    /// marked walk, which is always contract-safe.
     pub fn eval_records_into(
         &self,
         col: &PreparedColumn,
@@ -189,24 +380,7 @@ impl KernelGroup {
         out: &mut [f64],
     ) {
         debug_assert_eq!(out.len(), self.members.len());
-        match &self.kind {
-            GroupKind::Single(func) => {
-                out[0] = eval_function(col, *func, scratch, lr, rr, bound);
-            }
-            GroupKind::SetFamily {
-                prep,
-                tok,
-                weight,
-                slots,
-            } => {
-                let si = scheme_index(*prep, *tok);
-                let weights = col.weight_table(*prep, *tok, *weight);
-                let o = set::overlap(&lr.token_sets[si], &rr.token_sets[si], weights);
-                for (slot, &dist) in out.iter_mut().zip(slots) {
-                    *slot = set_member_distance(&o, dist);
-                }
-            }
-        }
+        Fixed::new(self, col, scratch, rr, Side::Right).eval(lr, bound, out);
     }
 
     /// Fold `candidates` (left records of `col`, in order) into the nearest
@@ -219,7 +393,7 @@ impl KernelGroup {
     /// bound: the kernel is exact whenever it could beat or tie the
     /// incumbent and otherwise returns a value that still loses the
     /// `d >= best` comparison, so the fold is byte-identical to an unbounded
-    /// one.  Multi-member groups share one merge walk per pair.
+    /// one.  A set family marks `rr` once and walks each candidate once.
     #[inline]
     pub fn nearest_into(
         &self,
@@ -233,12 +407,13 @@ impl KernelGroup {
         out.fill(None);
         let mut dists = vec![0.0; k];
         with_scratch(|scratch| {
+            let mut fixed = Fixed::new(self, col, scratch, rr, Side::Right);
             for &l in candidates {
                 let bound = match (k, out[0]) {
                     (1, Some((_, bd))) => Some(bd as f64),
                     _ => None,
                 };
-                self.eval_records_into(col, scratch, col.record(l), rr, bound, &mut dists);
+                fixed.eval(col.record(l), bound, &mut dists);
                 for (slot, &d) in out.iter_mut().zip(&dists) {
                     offer_nearest(slot, l as u32, d);
                 }
@@ -250,7 +425,8 @@ impl KernelGroup {
     /// per member: the `f32` distances to `candidates` that are finite and
     /// below the member's entry of `cutoffs`, pushed in candidate order and
     /// then sorted ascending.  `bound` follows the bound contract, so it
-    /// must leave every distance a cutoff keeps exact.
+    /// must leave every distance a cutoff keeps exact.  A set family marks
+    /// `lr` once and walks each candidate once.
     pub fn neighbourhood_into(
         &self,
         col: &PreparedColumn,
@@ -264,8 +440,9 @@ impl KernelGroup {
         debug_assert_eq!(out.len(), k);
         let mut dists = vec![0.0; k];
         with_scratch(|scratch| {
+            let mut fixed = Fixed::new(self, col, scratch, lr, Side::Left);
             for &l2 in candidates {
-                self.eval_records_into(col, scratch, lr, col.record(l2), bound, &mut dists);
+                fixed.eval(col.record(l2), bound, &mut dists);
                 for ((row, &cutoff), &d) in out.iter_mut().zip(cutoffs).zip(&dists) {
                     let d = d as f32;
                     if d.is_finite() && (d as f64) < cutoff {
@@ -298,49 +475,48 @@ pub fn offer_nearest(slot: &mut Option<(u32, f32)>, l: u32, d: f64) {
 
 /// Plan shared-evaluation groups over a function list.
 ///
-/// Set-based functions are grouped by `(preprocessing, tokenization,
-/// weighting, family)` — every member's distance is derived from the one
-/// merge walk the group performs per pair (hybrids group separately from the
-/// standard set distances so per-family timing stays honest).  Char and
-/// embedding functions become single-member groups.  Groups are ordered by
-/// first member appearance and members keep their original indices, so any
-/// iteration that respects group/member order reproduces the per-function
-/// evaluation order exactly.
+/// Set-based functions — the standard set distances and their containment
+/// hybrids, under either weighting — are grouped by `(preprocessing,
+/// tokenization)`: every member's distance is derived from the one marked
+/// walk the group performs per pair.  Char and embedding functions become
+/// single-member groups.  Groups are ordered by first member appearance and
+/// members keep their original indices, so any iteration that respects
+/// group/member order reproduces the per-function evaluation order exactly.
 pub fn plan_kernel_groups(functions: &[JoinFunction]) -> Vec<KernelGroup> {
     let mut groups: Vec<KernelGroup> = Vec::new();
     for (fi, f) in functions.iter().enumerate() {
         let family = KernelFamily::of(f.dist);
-        if let (Some(tok), Some(weight), true) = (f.tok, f.weight, f.dist.is_set_based()) {
-            if let Some(g) = groups.iter_mut().find(|g| {
-                g.family == family
-                    && matches!(
-                        &g.kind,
-                        GroupKind::SetFamily { prep, tok: t, weight: w, .. }
-                            if *prep == f.prep && *t == tok && *w == weight
-                    )
-            }) {
-                g.members.push(fi);
-                if let GroupKind::SetFamily { slots, .. } = &mut g.kind {
-                    slots.push(f.dist);
-                }
-                continue;
-            }
-            groups.push(KernelGroup {
-                family,
-                members: vec![fi],
-                kind: GroupKind::SetFamily {
-                    prep: f.prep,
-                    tok,
-                    weight,
-                    slots: vec![f.dist],
-                },
-            });
-        } else {
+        let (Some(tok), Some(weight), true) = (f.tok, f.weight, f.dist.is_set_based()) else {
             groups.push(KernelGroup {
                 family,
                 members: vec![fi],
                 kind: GroupKind::Single(*f),
             });
+            continue;
+        };
+        let slot = (f.dist, weight);
+        let scheme = groups.iter_mut().find_map(|g| match &mut g.kind {
+            GroupKind::SetFamily {
+                prep,
+                tok: t,
+                slots,
+            } if *prep == f.prep && *t == tok => Some((&mut g.members, slots)),
+            _ => None,
+        });
+        match scheme {
+            Some((members, slots)) => {
+                members.push(fi);
+                slots.push(slot);
+            }
+            None => groups.push(KernelGroup {
+                family,
+                members: vec![fi],
+                kind: GroupKind::SetFamily {
+                    prep: f.prep,
+                    tok,
+                    slots: vec![slot],
+                },
+            }),
         }
     }
     groups
@@ -370,20 +546,42 @@ mod tests {
         }
     }
 
-    #[test]
-    fn reduced24_plans_four_set_family_groups_of_five() {
-        let space = JoinFunctionSpace::reduced24();
+    /// `(set-family sizes, number of single groups)` of a space's plan.
+    fn plan_shape(space: &JoinFunctionSpace) -> (Vec<usize>, usize) {
         let groups = plan_kernel_groups(space.functions());
-        let family_sizes: Vec<usize> = groups
-            .iter()
-            .filter(|g| g.family == KernelFamily::Set)
+        let sets = (groups.iter())
+            .filter(|g| matches!(g.kind, GroupKind::SetFamily { .. }))
             .map(|g| g.members.len())
             .collect();
-        // 1 prep × 2 toks × 2 weights, each sharing the 5 standard set
-        // distances in one merge walk.
-        assert_eq!(family_sizes, vec![5, 5, 5, 5]);
-        // 2 char + 2 embed singles.
-        assert_eq!(groups.len(), 4 + 4);
+        let singles = (groups.iter())
+            .filter(|g| matches!(g.kind, GroupKind::Single(_)))
+            .count();
+        assert!(groups
+            .iter()
+            .all(|g| matches!(g.kind, GroupKind::Single(_)) || g.family == KernelFamily::Set));
+        (sets, singles)
+    }
+
+    #[test]
+    fn reduced24_plans_two_scheme_groups_of_ten() {
+        // 1 prep × 2 toks, each walking the 5 standard set distances under
+        // both weightings at once; 2 char + 2 embed singles.
+        let (sets, singles) = plan_shape(&JoinFunctionSpace::reduced24());
+        assert_eq!(sets, vec![10, 10]);
+        assert_eq!(singles, 4);
+    }
+
+    #[test]
+    fn full140_plans_eight_scheme_groups_of_sixteen() {
+        // 4 preps × 2 toks, each walking the 5 set distances and 3 hybrids
+        // under both weightings at once; edit, Jaro and embed per prep.
+        let (sets, singles) = plan_shape(&JoinFunctionSpace::full());
+        assert_eq!(sets, vec![16; 8]);
+        assert_eq!(singles, 12);
+        assert_eq!(
+            plan_kernel_groups(JoinFunctionSpace::full().functions()).len(),
+            20
+        );
     }
 
     #[test]
@@ -445,7 +643,7 @@ mod tests {
         assert_eq!(KernelFamily::of(DistanceFunction::Jaccard).label(), "set");
         assert_eq!(
             KernelFamily::of(DistanceFunction::ContainDice).label(),
-            "hybrid"
+            "set"
         );
         assert_eq!(
             KernelFamily::of(DistanceFunction::Embedding).label(),

@@ -15,14 +15,29 @@
 //!   whenever the true distance is ≤ τ, and some value > τ otherwise;
 //! * grouped evaluation (`KernelGroup::eval_records_into`,
 //!   `batch_distances`) returns the same bytes as the one-function-at-a-time
-//!   [`JoinFunction::distance`] path.
+//!   [`JoinFunction::distance`] path;
+//! * a set family's marked walk — every set and hybrid member under both
+//!   weightings, with the fixed record on either side, over empty sets and
+//!   ids at or past the vocabulary's end — returns the bytes the member
+//!   derives from [`set::overlap`], and so do the nearest fold and the
+//!   neighbourhood walk built on it;
+//! * every kernel family but the containment hybrids is symmetric bit for
+//!   bit: `d(a, b)` and `d(b, a)` are the same `f64`.
 
+use autofj_text::distance::clamp_unit;
+use autofj_text::distance::hybrid::{containment_distance, ContainmentBase};
 use autofj_text::distance::jaro::{bounded_jaro_winkler_ids, JaroScratch};
 use autofj_text::distance::myers::{bounded_normalized_edit, levenshtein_ids, EditScratch};
 use autofj_text::distance::reference::{
     char_ids, jaro_winkler_distance_reference, levenshtein_reference, normalized_edit_reference,
 };
-use autofj_text::{plan_kernel_groups, JoinFunctionSpace, KernelScratch, PreparedColumn};
+use autofj_text::distance::set::overlap;
+use autofj_text::kernel::{offer_nearest, GroupKind};
+use autofj_text::prepared::scheme_index;
+use autofj_text::{
+    plan_kernel_groups, DistanceFunction, JoinFunction, JoinFunctionSpace, KernelScratch,
+    PreparedColumn, PreparedRecord,
+};
 use proptest::prelude::*;
 use std::sync::Mutex;
 
@@ -77,6 +92,82 @@ fn check_jaro(
         prop_assert!(bounded <= exact);
     }
     Ok(())
+}
+
+/// Strategy: column values over a two-letter word alphabet, so token sets
+/// often overlap and contain one another; `""` and `"-"` give records whose
+/// token sets are empty in some or all schemes.
+fn word_strategy() -> impl Strategy<Value = String> {
+    proptest::string::string_regex("(|-|[ab]{1,2}( [ab]{1,2}){0,4})").unwrap()
+}
+
+/// Strategy: query values whose `c` words and grams the column never saw,
+/// so `prepare_query` gives them ids at or past each vocabulary's end.
+fn query_strategy() -> impl Strategy<Value = String> {
+    proptest::string::string_regex("[abc]{1,2}( [abc]{1,2}){0,4}").unwrap()
+}
+
+/// The records a set-family property walks, on either side of a pair: the
+/// column's own, `queries` prepared against it, and one record per
+/// `crafted` id list, its every scheme's set holding those ids shifted to
+/// straddle the scheme's vocabulary end (unmarked, weight 1.0 past it).
+fn walk_records(
+    col: &PreparedColumn,
+    queries: &[String],
+    crafted: &[Vec<usize>],
+) -> Vec<PreparedRecord> {
+    let mut records: Vec<PreparedRecord> = col.records().to_vec();
+    records.extend(queries.iter().map(|q| col.prepare_query(q)));
+    for ids in crafted {
+        let mut rec = col.record(0).clone();
+        for (si, set) in rec.token_sets.iter_mut().enumerate() {
+            let end = col.vocab_by_scheme(si).len();
+            *set = ids
+                .iter()
+                .map(|&x| (end + x).saturating_sub(24) as u32)
+                .collect();
+            set.sort_unstable();
+            set.dedup();
+        }
+        records.push(rec);
+    }
+    records
+}
+
+/// The spec a set-family member is pinned to: [`overlap`] of the pair's
+/// token sets in the member's scheme, under its weighting, then the
+/// member's distance.
+fn spec_distance(
+    col: &PreparedColumn,
+    f: JoinFunction,
+    a: &PreparedRecord,
+    b: &PreparedRecord,
+) -> f64 {
+    let (tok, weighting) = (f.tok.unwrap(), f.weight.unwrap());
+    let si = scheme_index(f.prep, tok);
+    let weights = col.weight_table(f.prep, tok, weighting);
+    let o = overlap(&a.token_sets[si], &b.token_sets[si], weights);
+    clamp_unit(match f.dist {
+        DistanceFunction::Jaccard => o.jaccard_distance(),
+        DistanceFunction::Cosine => o.cosine_distance(),
+        DistanceFunction::Dice => o.dice_distance(),
+        DistanceFunction::MaxInclusion => o.max_inclusion_distance(),
+        DistanceFunction::Intersect => o.intersect_distance(),
+        DistanceFunction::ContainJaccard => containment_distance(&o, ContainmentBase::Jaccard),
+        DistanceFunction::ContainCosine => containment_distance(&o, ContainmentBase::Cosine),
+        DistanceFunction::ContainDice => containment_distance(&o, ContainmentBase::Dice),
+        other => unreachable!("{other:?} is not a set member"),
+    })
+}
+
+/// The containment hybrids: asymmetric by definition (`B ⊆ A`).
+fn is_hybrid(dist: DistanceFunction) -> bool {
+    matches!(
+        dist,
+        DistanceFunction::ContainJaccard
+            | DistanceFunction::ContainCosine
+            | DistanceFunction::ContainDice
+    )
 }
 
 /// `build_global` mutates process-wide state; the thread-count sweep
@@ -269,6 +360,127 @@ proptest! {
                     "function {f} pair {p}: {g} vs {w}"
                 );
             }
+        }
+    }
+
+    /// Every set family of the full space — the 5 set distances and 3
+    /// hybrids of one scheme under both weightings — equals the spec bit for
+    /// bit: one pair at a time with the right record fixed, the
+    /// neighbourhood walk with the left record fixed, and the nearest fold
+    /// with the right record fixed, over empty sets and ids at or past the
+    /// vocabulary's end on either side.
+    #[test]
+    fn marked_walk_matches_overlap_spec(
+        strings in proptest::collection::vec(word_strategy(), 1..8),
+        queries in proptest::collection::vec(query_strategy(), 1..4),
+        crafted in proptest::collection::vec(proptest::collection::vec(0usize..48, 0..10), 1..4),
+    ) {
+        let col = PreparedColumn::build(&strings);
+        let records = walk_records(&col, &queries, &crafted);
+        let space = JoinFunctionSpace::full();
+        let functions = space.functions();
+        let lefts: Vec<usize> = (0..col.len()).collect();
+        let mut scratch = KernelScratch::default();
+        for group in plan_kernel_groups(functions) {
+            if !matches!(group.kind, GroupKind::SetFamily { .. }) {
+                continue;
+            }
+            let k = group.members.len();
+            let member = |m: usize| functions[group.members[m]];
+            let mut out = vec![0.0f64; k];
+            for a in &records {
+                for b in &records {
+                    group.eval_records_into(&col, &mut scratch, a, b, None, &mut out);
+                    for (m, &d) in out.iter().enumerate() {
+                        let spec = spec_distance(&col, member(m), a, b);
+                        prop_assert!(d.to_bits() == spec.to_bits(),
+                            "{}: {d} vs spec {spec}", member(m).code());
+                    }
+                }
+            }
+            for x in &records {
+                let mut rows = vec![Vec::new(); k];
+                group.neighbourhood_into(&col, x, &lefts, None, &vec![f64::INFINITY; k], &mut rows);
+                let mut nearest = vec![None; k];
+                group.nearest_into(&col, &lefts, x, &mut nearest);
+                for m in 0..k {
+                    let mut row: Vec<f32> = (lefts.iter())
+                        .map(|&l| spec_distance(&col, member(m), x, col.record(l)) as f32)
+                        .collect();
+                    row.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap());
+                    prop_assert_eq!(&rows[m], &row);
+                    let mut best = None;
+                    for &l in &lefts {
+                        offer_nearest(&mut best, l as u32, spec_distance(&col, member(m), col.record(l), x));
+                    }
+                    prop_assert_eq!(nearest[m], best);
+                }
+            }
+        }
+    }
+
+    /// `d(a, b)` and `d(b, a)` are the same `f64` for every function of the
+    /// full space but the containment hybrids — the set members under both
+    /// weightings (ids past the vocabulary's end included), edit, Jaro and
+    /// embed — and the edit and Jaro kernels are symmetric on id sequences
+    /// that spill the mask table or cross the 64- and 128-char word
+    /// boundaries.
+    #[test]
+    fn kernel_families_are_symmetric(
+        strings in proptest::collection::vec(word_strategy(), 1..6),
+        queries in proptest::collection::vec(query_strategy(), 1..3),
+        crafted in proptest::collection::vec(proptest::collection::vec(0usize..48, 0..10), 1..3),
+        mixed in (mixed_strategy(), mixed_strategy()),
+        long in (ids_strategy(), ids_strategy()),
+    ) {
+        let col = PreparedColumn::build(&strings);
+        let records = walk_records(&col, &queries, &crafted);
+        let space = JoinFunctionSpace::full();
+        let functions = space.functions();
+        let mut scratch = KernelScratch::default();
+        for group in plan_kernel_groups(functions) {
+            let k = group.members.len();
+            let (mut ab, mut ba) = (vec![0.0f64; k], vec![0.0f64; k]);
+            for (i, a) in records.iter().enumerate() {
+                for b in &records[i + 1..] {
+                    group.eval_records_into(&col, &mut scratch, a, b, None, &mut ab);
+                    group.eval_records_into(&col, &mut scratch, b, a, None, &mut ba);
+                    for (m, &fi) in group.members.iter().enumerate() {
+                        let f = functions[fi];
+                        if is_hybrid(f.dist) {
+                            continue;
+                        }
+                        prop_assert!(ab[m].to_bits() == ba[m].to_bits(),
+                            "{}: d(a,b) {} vs d(b,a) {}", f.code(), ab[m], ba[m]);
+                    }
+                }
+            }
+        }
+        let (mut edit, mut jaro) = (EditScratch::default(), JaroScratch::default());
+        for (a, b) in [(to_mixed(&mixed.0), to_mixed(&mixed.1)), (to_u32(&long.0), to_u32(&long.1))] {
+            prop_assert_eq!(
+                bounded_normalized_edit(&a, &b, None, &mut edit).to_bits(),
+                bounded_normalized_edit(&b, &a, None, &mut edit).to_bits()
+            );
+            prop_assert_eq!(
+                bounded_jaro_winkler_ids(&a, &b, None, &mut jaro).to_bits(),
+                bounded_jaro_winkler_ids(&b, &a, None, &mut jaro).to_bits()
+            );
+        }
+    }
+}
+
+/// The containment hybrids are asymmetric by definition: a hybrid is its
+/// base distance when the right record's tokens are contained in the left
+/// record's (`B ⊆ A`), and 1 otherwise.
+#[test]
+fn hybrids_are_asymmetric_by_definition() {
+    let col = PreparedColumn::build(&["tigers football", "tigers"]);
+    let (whole, part) = (col.record(0), col.record(1));
+    for f in JoinFunctionSpace::full().functions() {
+        if is_hybrid(f.dist) {
+            assert!(f.distance_between(&col, whole, part) < 1.0, "{}", f.code());
+            assert_eq!(f.distance_between(&col, part, whole), 1.0, "{}", f.code());
         }
     }
 }

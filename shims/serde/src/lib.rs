@@ -121,6 +121,12 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     }
 }
 
+impl Serialize for Value {
+    fn serialize_value(&self) -> Value {
+        self.clone()
+    }
+}
+
 impl Serialize for bool {
     fn serialize_value(&self) -> Value {
         Value::Bool(*self)
@@ -250,6 +256,12 @@ ser_tuple! {
 // ---------------------------------------------------------------------------
 // Deserialize impls for std types
 // ---------------------------------------------------------------------------
+
+impl Deserialize for Value {
+    fn deserialize_value(value: &Value) -> Result<Self, Error> {
+        Ok(value.clone())
+    }
+}
 
 impl Deserialize for bool {
     fn deserialize_value(value: &Value) -> Result<Self, Error> {
