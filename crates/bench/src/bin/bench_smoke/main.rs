@@ -237,11 +237,12 @@ fn print_profile(
         }
     };
     println!(
-        "block work: {} of {} postings scanned ({:.1}%), {} records verified, \
+        "block work: {} of {} postings scanned ({:.1}%), {} touched, {} records verified, \
          {} candidates kept ({} postings/s)",
         blocking.postings_scanned,
         blocking.postings_total,
         100.0 * (1.0 - blocking.reduction_ratio()),
+        blocking.touched_records,
         blocking.scored_records,
         blocking.lr_pairs + blocking.ll_pairs,
         rate(blocking.postings_scanned, Phase::Block),
@@ -373,6 +374,7 @@ fn fig6d_points(cells: &[Cell]) -> Vec<Fig6dPoint> {
                 sum.ll_pairs += c.ll_pairs;
                 sum.per_probe_max = sum.per_probe_max.max(c.per_probe_max);
                 sum.scored_records += c.scored_records;
+                sum.touched_records += c.touched_records;
                 sum.postings_scanned += c.postings_scanned;
                 sum.postings_total += c.postings_total;
             }

@@ -3,11 +3,13 @@
 //! The index is fully *interned*: grams are `u32` ids over a shared
 //! vocabulary, postings live in one contiguous CSR arena, and probes score
 //! through a dense accumulator that is reset via its touched list (so not
-//! even the reset walks the full table).  Top-k selection uses a bounded
-//! min-heap of size `k` instead of sorting the whole scored set.  Parallel
-//! probes process contiguous chunks with one scratch buffer per worker, so
-//! the steady-state hot path allocates nothing beyond the candidate lists it
-//! returns.
+//! even the reset walks the full table).  The touched list is a buffer of
+//! `|L| + 1` slots: every posting writes its record at the list's end and
+//! advances the length only on a first touch, so the walk has no branch on
+//! it.  Top-k selection uses a bounded min-heap of size `k` instead of
+//! sorting the whole scored set.  Parallel probes process contiguous chunks
+//! with one scratch buffer per worker, so the steady-state hot path
+//! allocates nothing beyond the candidate lists it returns.
 //!
 //! # One exact probe: rarest lists first, a head-gram bound, gather-sum scores
 //!
@@ -33,13 +35,16 @@
 //! * **Head-gram bitmap bound.**  The 128 most frequent grams of the index
 //!   (the top ranks) own one bit each, and every record carries the `u128`
 //!   mask of its head grams.  The probe's unwalked grams split into a head
-//!   mask and the rest (the tail).  A touched record the walk left
-//!   unverified is verified only if `partial + weight(tail) + Σ idf over
-//!   (probe head mask ∩ record mask)` can still reach the worst kept score.
-//!   Frequent grams are what most records share, so this bound is far
-//!   tighter than `partial + weight(unwalked)`; it is evaluated as the
-//!   latter less the head grams the record lacks, largest first, so most
-//!   pruned records stop after a few bits.
+//!   mask and the rest (the tail).  The bound pass then visits every
+//!   touched record.  It first drops records whose flat bound `partial +
+//!   weight(unwalked)` cannot reach the worst kept score, then records
+//!   already verified.  A survivor is verified only if `partial +
+//!   weight(tail) + Σ idf over (probe head mask ∩ record mask)` can still
+//!   reach the worst.  Frequent grams are what most records share, so this
+//!   bound is far tighter than the flat one.  The head sum reads a 16 × 256
+//!   table built with the index: entry `[b][v]` is the summed idf of the
+//!   head bits set in byte value `v` at byte `b` of the mask, so the sum is
+//!   16 loads and adds with no loop over bits.
 //! * **Gather-sum verification.**  Before the probe, its idf values are
 //!   written into a per-scratch weight row indexed by gram id (zero
 //!   elsewhere).  A record's exact score is that row summed over the
@@ -96,6 +101,9 @@ pub struct BlockingStats {
     /// score was offered to the top-k heap: those the walk verified, plus
     /// those the head-gram bound could not prune.
     pub scored_records: u64,
+    /// Records the walk touched across all probes (a nonzero partial sum):
+    /// the length of the bound pass, which visits each of them once.
+    pub touched_records: u64,
     /// Posting entries actually walked: every list up to the essential
     /// split, each at most once.
     pub postings_scanned: u64,
@@ -162,13 +170,13 @@ impl Default for Blocker {
 /// holds the left-record indices containing gram `g`, in ascending order
 /// (records are scanned in order at build time).
 ///
-/// The probe-side structures (frequency ranks, the CSR transpose and the
-/// head-gram masks) are pure functions of the CSR arrays.  Batch blocking
-/// and the serving state build their index with one constructor,
-/// [`Self::over_column`], so a snapshot persists none of it: loading one
-/// re-derives the index from the raw records.  [`Self::top_k`] is the
-/// public probe entry point the online query path shares with batch
-/// blocking.
+/// The probe-side structures (frequency ranks, the CSR transpose, the
+/// head-gram masks and their weight table) are pure functions of the CSR
+/// arrays.  Batch blocking and the serving state build their index with
+/// one constructor, [`Self::over_column`], so a snapshot persists none of
+/// it: loading one re-derives the index from the raw records.
+/// [`Self::top_k`] is the public probe entry point the online query path
+/// shares with batch blocking.
 #[derive(Debug, Clone)]
 pub struct GramIndex {
     offsets: Vec<u32>,
@@ -189,8 +197,9 @@ pub struct GramIndex {
     /// Head-gram mask per record: bit `b` is set when the record holds the
     /// gram of rank `num_grams − 1 − b` (the `b`-th most frequent).
     head_masks: Vec<u128>,
-    /// idf weight of the gram owning each head bit.
-    head_idf: Vec<f64>,
+    /// `head_table[b][v]`: summed idf of the grams owning the bits set in
+    /// byte value `v` at byte `b` of a head mask (bits no gram owns add 0).
+    head_table: Box<[[f64; 256]; HEAD_BYTES]>,
 }
 
 /// A scored candidate in the bounded top-k heap.
@@ -240,6 +249,7 @@ struct ProbeStats {
     kept_pairs: u64,
     per_probe_max: u64,
     scored_records: u64,
+    touched_records: u64,
     postings_scanned: u64,
     postings_total: u64,
 }
@@ -249,6 +259,7 @@ impl ProbeStats {
         self.kept_pairs += other.kept_pairs;
         self.per_probe_max = self.per_probe_max.max(other.per_probe_max);
         self.scored_records += other.scored_records;
+        self.touched_records += other.touched_records;
         self.postings_scanned += other.postings_scanned;
         self.postings_total += other.postings_total;
     }
@@ -263,8 +274,12 @@ pub struct ProbeScratch {
     /// Accumulated sums, `0.0` for every record not yet touched (idf weights
     /// are strictly positive, so a touched record's sum never is).
     scores: Vec<f64>,
-    /// The records with a nonzero sum; resetting zeroes only these.
+    /// `touched[..touched_len]` are the records with a nonzero sum;
+    /// resetting zeroes only these.  One slot longer than `scores`, so the
+    /// unconditional write at `touched_len` stays in bounds when every
+    /// record is touched.
     touched: Vec<u32>,
+    touched_len: usize,
     /// `admit_epoch[l] == admit_cur` marks `l` as already admitted (exactly
     /// scored, or the excluded record) for the current probe.
     admit_epoch: Vec<u32>,
@@ -283,11 +298,14 @@ pub struct ProbeScratch {
 }
 
 impl ProbeScratch {
-    /// Scratch sized for an index over `num_left` reference records.
+    /// Scratch sized for an index over `num_left` reference records.  A
+    /// probe of a larger index grows it first, so any size is correct; the
+    /// right one only saves that growth.
     pub fn new(num_left: usize) -> Self {
         Self {
             scores: vec![0.0; num_left],
-            touched: Vec::new(),
+            touched: vec![0; num_left + 1],
+            touched_len: 0,
             admit_epoch: vec![0; num_left],
             admit_cur: 0,
             ord: Vec::new(),
@@ -299,12 +317,26 @@ impl ProbeScratch {
         }
     }
 
+    /// Grow the record- and gram-indexed buffers to `index`'s sizes; new
+    /// slots read as untouched, unadmitted and outside the probe.
+    fn fit(&mut self, index: &GramIndex) {
+        let n = index.num_left;
+        if self.scores.len() < n {
+            self.scores.resize(n, 0.0);
+            self.admit_epoch.resize(n, 0);
+            self.touched.resize(n + 1, 0);
+        }
+        if self.weights.len() < index.idf.len() {
+            self.weights.resize(index.idf.len(), 0.0);
+        }
+    }
+
     /// Start a new accumulation: zero the touched sums and clear the list.
     fn begin(&mut self) {
-        for &li in &self.touched {
+        for &li in &self.touched[..self.touched_len] {
             self.scores[li as usize] = 0.0;
         }
-        self.touched.clear();
+        self.touched_len = 0;
     }
 
     /// Start the admission phase of a probe: advance the stamp epoch
@@ -325,12 +357,13 @@ impl ProbeScratch {
     }
 
     /// Add weight `w` to record `li`'s accumulated sum and return the sum.
+    /// `li` is always written at the end of the touched list, and the list
+    /// grows over it only on the record's first touch.
     #[inline]
     fn accumulate(&mut self, li: u32, w: f64) -> f64 {
         let sum = &mut self.scores[li as usize];
-        if *sum == 0.0 {
-            self.touched.push(li);
-        }
+        self.touched[self.touched_len] = li;
+        self.touched_len += usize::from(*sum == 0.0);
         *sum += w;
         *sum
     }
@@ -374,10 +407,11 @@ impl ProbeScratch {
 
 /// Relative inflation applied to every pruning bound before it is compared
 /// (strictly) against an exact kept score.  Bounds are partial sums plus
-/// prefix-sum segments, less at most 128 head weights, so their float
-/// rounding error is ~`(m + 128) · 2⁻⁵²` of the probe's total weight (m =
-/// probe gram count); inflating by 1e-9 makes a wrongly-pruned candidate
-/// impossible while costing effectively no pruning power.
+/// prefix-sum segments or a tail sum, plus at most 128 head weights summed
+/// through 16 table entries, so their float rounding error is
+/// ~`(m + 128) · 2⁻⁵²` of the probe's total weight (m = probe gram count);
+/// inflating by 1e-9 makes a wrongly-pruned candidate impossible while
+/// costing effectively no pruning power.
 const FILTER_INFL: f64 = 1.0 + 1e-9;
 /// Absolute slack added alongside [`FILTER_INFL`], covering cancellation in
 /// prefix-sum differences when the remaining suffix weight is tiny.
@@ -393,6 +427,8 @@ fn bound_reaches(bound: f64, worst: f64) -> bool {
 /// Number of head grams: the most frequent grams of an index, one bit each
 /// of a record's `u128` head mask.
 const HEAD_BITS: usize = 128;
+/// Bytes of a head mask: the rows of the head-weight table.
+const HEAD_BYTES: usize = HEAD_BITS / 8;
 
 impl GramIndex {
     /// Rows per shard of the partitioned index build: small enough that a
@@ -505,7 +541,7 @@ impl GramIndex {
     }
 
     /// Derive the probe-side structures (frequency ranks, CSR transpose,
-    /// head-gram masks) from a finished CSR.
+    /// head-gram masks and weight table) from a finished CSR.
     fn finalize(offsets: Vec<u32>, postings: Vec<u32>, idf: Vec<f64>, num_left: usize) -> Self {
         let num_grams = idf.len();
         // Global frequency order — the PPJoin token ordering on gram ids:
@@ -542,14 +578,20 @@ impl GramIndex {
         }
 
         // Head masks: the `HEAD_BITS` top ranks own one bit each, the most
-        // frequent gram bit 0.
-        let head = num_grams.min(HEAD_BITS);
+        // frequent gram bit 0.  Each table row sums its byte's bit weights
+        // for every byte value.
         let mut head_masks = vec![0u128; num_left];
-        let mut head_idf = Vec::with_capacity(head);
-        for (bit, &g) in by_rarity.iter().rev().take(head).enumerate() {
-            head_idf.push(idf[g as usize]);
+        let mut head_idf = [0.0; HEAD_BITS];
+        for (bit, &g) in by_rarity.iter().rev().take(HEAD_BITS).enumerate() {
+            head_idf[bit] = idf[g as usize];
             for &li in &postings[offsets[g as usize] as usize..offsets[g as usize + 1] as usize] {
                 head_masks[li as usize] |= 1u128 << bit;
+            }
+        }
+        let mut head_table = Box::new([[0.0; 256]; HEAD_BYTES]);
+        for (row, bits) in head_table.iter_mut().zip(head_idf.chunks_exact(8)) {
+            for (v, sum) in row.iter_mut().enumerate() {
+                *sum = (0..8).filter(|j| (v >> j) & 1 == 1).map(|j| bits[j]).sum();
             }
         }
 
@@ -562,8 +604,22 @@ impl GramIndex {
             rec_offsets,
             rec_grams,
             head_masks,
-            head_idf,
+            head_table,
         }
+    }
+
+    /// The lowest rank that owns a head bit.
+    fn head_from(&self) -> u32 {
+        self.idf.len().saturating_sub(HEAD_BITS) as u32
+    }
+
+    /// Summed idf of the head grams whose bits are set in `mask`: one table
+    /// entry per byte.
+    #[inline]
+    fn head_weight(&self, mask: u128) -> f64 {
+        (self.head_table.iter().enumerate())
+            .map(|(b, row)| row[(mask >> (8 * b)) as u8 as usize])
+            .sum()
     }
 
     /// Number of reference records the index was built over.
@@ -652,9 +708,7 @@ impl GramIndex {
         // weights and write them into the gather-sum row.  Grams with empty
         // postings contribute nothing and would only loosen the bounds, so
         // they are dropped exactly like out-of-vocabulary ids.
-        if scratch.weights.len() < self.idf.len() {
-            scratch.weights.resize(self.idf.len(), 0.0);
-        }
+        scratch.fit(self);
         scratch.ord.clear();
         for &g in probe {
             if (g as usize) < self.idf.len() {
@@ -703,28 +757,33 @@ impl GramIndex {
         }
 
         // Bound every touched record the walk left unverified by its partial
-        // plus what the unwalked grams `ord[i..]` can add: the whole weight
-        // `rest`, less the head grams the record does not hold.  Such a
-        // record was touched after the heap filled, so the heap is full.
+        // plus what the unwalked grams `ord[i..]` can add: first their whole
+        // weight `rest`, then the tail grams' weight plus the head grams the
+        // record holds.  While the heap is not full the threshold is `-∞`,
+        // and then every touched record was verified by the walk.
         let rest = scratch.psum[m] - scratch.psum[i];
-        let head_from = (self.idf.len() - self.head_idf.len()) as u32;
-        let head_mask = scratch.ord[i..]
-            .iter()
-            .filter(|&&(rank, _)| rank >= head_from)
-            .fold(0u128, |mask, &(rank, _)| {
-                mask | 1 << (self.idf.len() as u32 - 1 - rank)
-            });
-        for j in 0..scratch.touched.len() {
+        let head_from = self.head_from();
+        let (mut head_mask, mut tail) = (0u128, 0.0);
+        for &(rank, g) in &scratch.ord[i..] {
+            if rank >= head_from {
+                head_mask |= 1 << (self.idf.len() as u32 - 1 - rank);
+            } else {
+                tail += self.idf[g as usize];
+            }
+        }
+        scratch.stats.touched_records += scratch.touched_len as u64;
+        let mut worst = scratch.admit_threshold(k);
+        for j in 0..scratch.touched_len {
             let li = scratch.touched[j];
-            if scratch.admitted(li) {
+            let partial = scratch.scores[li as usize];
+            if !bound_reaches(partial + rest, worst) || scratch.admitted(li) {
                 continue;
             }
-            let worst = scratch.heap.peek().expect("heap is full").score;
-            let bound = scratch.scores[li as usize] + rest;
-            let missing = head_mask & !self.head_masks[li as usize];
-            if self.head_bound_reaches(bound, missing, worst) {
+            let held = head_mask & self.head_masks[li as usize];
+            if bound_reaches(partial + tail + self.head_weight(held), worst) {
                 let score = self.gather_score(li, &scratch.weights);
                 scratch.admit(li, score, k, trace);
+                worst = scratch.admit_threshold(k);
             }
         }
 
@@ -763,19 +822,6 @@ impl GramIndex {
         }
     }
 
-    /// Whether a record whose bound over every unwalked gram is `bound`
-    /// could still reach `worst` once the head grams in `missing` (those it
-    /// does not hold) are taken off.  The largest weights go first, so a
-    /// record that falls short usually does so after a few bits.
-    #[inline]
-    fn head_bound_reaches(&self, mut bound: f64, mut missing: u128, worst: f64) -> bool {
-        while missing != 0 && bound_reaches(bound, worst) {
-            let bit = 127 - missing.leading_zeros();
-            bound -= self.head_idf[bit as usize];
-            missing ^= 1 << bit;
-        }
-        bound_reaches(bound, worst)
-    }
     /// The dense walk: the full postings of every probe gram in ascending id
     /// order, dense-accumulated, the touched set bounded-heaped.  Kept only
     /// as the executable specification of [`Self::top_k`], which property
@@ -792,6 +838,7 @@ impl GramIndex {
         if k == 0 {
             return Vec::new();
         }
+        scratch.fit(self);
         scratch.begin();
         for &g in probe {
             if (g as usize) < self.idf.len() {
@@ -803,8 +850,9 @@ impl GramIndex {
                 }
             }
         }
+        scratch.stats.touched_records += scratch.touched_len as u64;
         scratch.heap.clear();
-        for i in 0..scratch.touched.len() {
+        for i in 0..scratch.touched_len {
             let li = scratch.touched[i];
             if exclude != Some(li) {
                 scratch.stats.scored_records += 1;
@@ -949,6 +997,7 @@ impl Blocker {
             ll_pairs: ll.kept_pairs,
             per_probe_max: lr.per_probe_max.max(ll.per_probe_max),
             scored_records: lr.scored_records + ll.scored_records,
+            touched_records: lr.touched_records + ll.touched_records,
             postings_scanned: lr.postings_scanned + ll.postings_scanned,
             postings_total: lr.postings_total + ll.postings_total,
         };
@@ -1269,6 +1318,10 @@ mod tests {
         // superset of what is kept; the dense walk reads every posting.
         assert!(s.scored_records >= s.lr_pairs + s.ll_pairs);
         assert!(s.scored_records <= oracle.scored_records);
+        // Every verified record was touched, and the walk touches a subset
+        // of what the dense walk touches.
+        assert!(s.touched_records >= s.scored_records);
+        assert!(s.touched_records <= oracle.touched_records);
         assert_eq!(s.postings_total, oracle.postings_total);
         assert_eq!(oracle.postings_scanned, oracle.postings_total);
         // Each list is walked at most once.
@@ -1341,7 +1394,7 @@ mod tests {
             .collect();
         let probes: Vec<Vec<u32>> = (0..60).map(|p| content_set(6 + p % 14)).collect();
         let index = GramIndex::from_id_sets(&sets, (CONTENT + FILLER) as usize);
-        let head_from = index.num_grams() - index.head_idf.len();
+        let head_from = index.head_from() as usize;
         assert!(probes
             .iter()
             .flatten()
@@ -1365,5 +1418,151 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_scratch_sized_for_a_smaller_index_grows_to_fit() {
+        let left = teams();
+        let right = vec!["2003 LSU Tigres footbal".to_string()];
+        let (left_sets, right_sets, num_grams) = id_sets(&left, &right);
+        let index = GramIndex::from_id_sets(&left_sets, num_grams);
+        assert_eq!(index.num_left(), 120);
+        let tiny = GramIndex::from_id_sets(&left_sets[..2], num_grams);
+        // One scratch made for no records at all, first used on a 2-row
+        // index; the other made for the 120-row index.
+        let mut grown = ProbeScratch::new(0);
+        let mut fresh = ProbeScratch::new(index.num_left());
+        let mut oracle = ProbeScratch::new(0);
+        assert_eq!(tiny.top_k(&right_sets[0], 5, None, &mut grown).len(), 2);
+        grown.stats = ProbeStats::default();
+        for k in [1usize, 11, 200] {
+            for (l, probe) in left_sets.iter().enumerate() {
+                let exclude = Some(l as u32);
+                let want = index.top_k(probe, k, exclude, &mut fresh);
+                assert_eq!(index.top_k(probe, k, exclude, &mut grown), want);
+                assert_eq!(index.top_k_unfiltered(probe, k, exclude, &mut oracle), want);
+            }
+            let want = index.top_k(&right_sets[0], k, None, &mut fresh);
+            assert_eq!(index.top_k(&right_sets[0], k, None, &mut grown), want);
+        }
+        assert_eq!(grown.stats.scored_records, fresh.stats.scored_records);
+        assert_eq!(grown.stats.touched_records, fresh.stats.touched_records);
+    }
+
+    /// The idf of the gram owning each head bit, read bit by bit off the
+    /// ranks (0 for bits no gram owns).
+    fn head_idf_by_bit(index: &GramIndex) -> Vec<f64> {
+        let n = index.num_grams();
+        (0..HEAD_BITS)
+            .map(|bit| {
+                (0..n)
+                    .find(|&g| index.rank[g] as usize + bit + 1 == n)
+                    .map_or(0.0, |g| index.idf[g])
+            })
+            .collect()
+    }
+
+    #[test]
+    fn head_table_sums_match_the_bitwise_head_sum() {
+        let left = teams();
+        let (left_sets, _, num_grams) = id_sets(&left, &[]);
+        let index = GramIndex::from_id_sets(&left_sets, num_grams);
+        assert!(index.num_grams() > HEAD_BITS);
+        let head_idf = head_idf_by_bit(&index);
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut draw = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut masks = vec![0u128, u128::MAX, 1, 1 << 127];
+        masks.extend(index.head_masks.iter().take(40));
+        // Dense, sparse (AND of draws) and record-like masks.
+        for _ in 0..200 {
+            let (a, b) = (
+                u128::from(draw()) << 64 | u128::from(draw()),
+                u128::from(draw()),
+            );
+            masks.extend([a, a & (b | b << 64), a & index.head_masks[b as usize % 120]]);
+        }
+        for mask in masks {
+            let bitwise: f64 = (0..HEAD_BITS)
+                .filter(|&b| (mask >> b) & 1 == 1)
+                .map(|b| head_idf[b])
+                .sum();
+            let table = index.head_weight(mask);
+            assert!(
+                (table - bitwise).abs() <= bitwise * (FILTER_INFL - 1.0) + FILTER_SLACK,
+                "mask {mask:#x}: table {table} against bitwise {bitwise}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_vocabulary_under_128_grams_leaves_unowned_bits_at_zero() {
+        const GRAMS: usize = 40;
+        let sets: Vec<Vec<u32>> = (0..90u32)
+            .map(|l| {
+                let mut set: Vec<u32> = (0..GRAMS as u32)
+                    .filter(|g| (l * 7 + g * 3) % (g % 5 + 2) == 0)
+                    .collect();
+                set.push(l % GRAMS as u32);
+                set.sort_unstable();
+                set.dedup();
+                set
+            })
+            .collect();
+        let index = GramIndex::from_id_sets(&sets, GRAMS);
+        assert_eq!(index.head_from(), 0);
+        assert_eq!(index.head_weight(u128::MAX << GRAMS), 0.0);
+        let head_idf = head_idf_by_bit(&index);
+        assert!(head_idf[GRAMS..].iter().all(|&w| w == 0.0));
+        let all: f64 = head_idf.iter().sum();
+        let table = index.head_weight(u128::MAX);
+        assert!((table - all).abs() <= all * (FILTER_INFL - 1.0) + FILTER_SLACK);
+        let mut a = ProbeScratch::new(index.num_left());
+        let mut b = ProbeScratch::new(index.num_left());
+        for k in [1usize, 3, 9, 90] {
+            for (l, probe) in sets.iter().enumerate() {
+                for exclude in [None, Some(l as u32)] {
+                    assert_eq!(
+                        index.top_k(probe, k, exclude, &mut a),
+                        index.top_k_unfiltered(probe, k, exclude, &mut b),
+                        "k={k}, left {l}, exclude {exclude:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn probes_touching_every_record_fill_the_spare_touched_slot() {
+        // Every record holds grams 0 and 1, so each of those lists touches
+        // all of them.  With k = |L| and the probe's own record excluded the
+        // heap never fills, so both probes walk both lists: the second
+        // list's writes land in the slot past the last record.
+        let n = 30usize;
+        let sets: Vec<Vec<u32>> = (0..n as u32).map(|l| vec![0, 1, 2 + l % 3]).collect();
+        let index = GramIndex::from_id_sets(&sets, 5);
+        let mut scratch = ProbeScratch::new(n);
+        for probe in [0usize, 1] {
+            let exclude = Some(probe as u32);
+            let want = index.top_k_unfiltered(&sets[probe], n, exclude, &mut ProbeScratch::new(n));
+            assert_eq!(want.len(), n - 1);
+            assert_eq!(index.top_k(&sets[probe], n, exclude, &mut scratch), want);
+            assert_eq!(scratch.touched_len, n);
+            assert_eq!(
+                index.top_k_unfiltered(&sets[probe], n, exclude, &mut scratch),
+                want
+            );
+            assert_eq!(scratch.touched_len, n);
+            assert_eq!(scratch.touched.len(), n + 1);
+        }
+        // The spare slot was never counted and every sum was reset: a probe
+        // of gram 2 then touches its ten records only.
+        let want = index.top_k_unfiltered(&[2], n, None, &mut ProbeScratch::new(n));
+        assert_eq!(index.top_k(&[2], n, None, &mut scratch), want);
+        assert_eq!(scratch.touched_len, n / 3);
     }
 }

@@ -16,8 +16,9 @@
 //! The hot path ([`index`]) runs on interned `u32` gram ids: one exact
 //! top-k probe walks the probe's full postings lists rarest-first into a
 //! scratch-reusing dense accumulator, prunes the touched records with a
-//! bitmap bound over the index's 128 most frequent grams, and scores the
-//! survivors by gather-sum into a bounded heap.  [`mod@reference`] keeps
+//! bitmap bound over the index's 128 most frequent grams (summed through a
+//! per-byte weight table), and scores the survivors by gather-sum into a
+//! bounded heap.  [`mod@reference`] keeps
 //! the simple string-path implementation as an executable specification
 //! that property tests compare against.
 
