@@ -4,9 +4,10 @@
 //! * `blocking`: a small task at several β values;
 //! * `wide`: a 33 120 × 1 000 TeamSeason table at β = 0.25, where almost
 //!   all the time is the probe (33 120 L–L plus 1 000 L–R probes), so a
-//!   probe change can be timed without a full learn.
+//!   probe change can be timed without a full learn; `wide/index_build`
+//!   times the index build over the same column alone.
 
-use autofj_block::Blocker;
+use autofj_block::{Blocker, GramIndex};
 use autofj_datagen::{benchmark_specs, BenchmarkScale, DomainSpec, Family, PerturbationMix};
 use autofj_text::PreparedColumn;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -53,6 +54,9 @@ fn bench_wide(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(1));
     group.bench_function("beta_0.25", |b| {
         b.iter(|| black_box(Blocker::with_factor(0.25).block_prepared(&col, task.left.len())))
+    });
+    group.bench_function("index_build", |b| {
+        b.iter(|| black_box(GramIndex::over_column(&col, task.left.len())))
     });
     group.finish();
 }

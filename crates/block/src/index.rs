@@ -48,7 +48,7 @@
 //! * **Gather-sum verification.**  Before the probe, its idf values are
 //!   written into a per-scratch weight row indexed by gram id (zero
 //!   elsewhere).  A record's exact score is that row summed over the
-//!   record's ascending gram list (the CSR transpose).  Adding `+0.0` is
+//!   record's ascending gram list (a copy of its gram set).  Adding `+0.0` is
 //!   exact, so the sum is the same float sequence — matching grams in
 //!   ascending id order — that the dense walk adds, and the scores are
 //!   bit-identical.  Gather-sums are the only scores the heap sees: the
@@ -63,14 +63,12 @@
 //! ([`GramIndex::top_k_unfiltered`]); property tests (`tests/properties.rs`)
 //! pin the two identical across tables, factors and thread counts.
 //!
-//! # Sharded builds
+//! # One-pass build
 //!
-//! [`GramIndex::from_id_sets`] partitions the reference table into
-//! contiguous row shards, builds one sub-index per shard in parallel, and
-//! merges them gram-major in shard order.  Record ids ascend within a shard
-//! and shards cover contiguous ranges, so the merged CSR is byte-identical
-//! to a sequential build — a 100k-row table never funnels through one giant
-//! single-threaded accumulator pass.
+//! [`GramIndex::from_id_sets`] reads the reference sets once: it counts
+//! each gram's document frequency and copies each set as its record's gram
+//! list.  It prefix-sums the counts into the postings offsets and scatters
+//! the records in order, so every postings list ascends.
 //!
 //! A deliberately simple string-path implementation is retained in
 //! [`crate::reference`]; a property test pins that both paths produce
@@ -170,9 +168,9 @@ impl Default for Blocker {
 /// holds the left-record indices containing gram `g`, in ascending order
 /// (records are scanned in order at build time).
 ///
-/// The probe-side structures (frequency ranks, the CSR transpose, the
-/// head-gram masks and their weight table) are pure functions of the CSR
-/// arrays.  Batch blocking and the serving state build their index with
+/// The probe-side structures (frequency ranks, the per-record gram lists,
+/// the head-gram masks and their weight table) are pure functions of the
+/// reference sets.  Batch blocking and the serving state build their index with
 /// one constructor, [`Self::over_column`], so a snapshot persists none of
 /// it: loading one re-derives the index from the raw records.
 /// [`Self::top_k`] is the public probe entry point the online query path
@@ -189,9 +187,9 @@ pub struct GramIndex {
     /// `r`-th rarest (df ascending, gram id breaking ties).  Ranks are a
     /// permutation, so comparisons on them are a strict total order.
     rank: Vec<u32>,
-    /// CSR transpose: `rec_grams[rec_offsets[l]..rec_offsets[l + 1]]` is the
-    /// gram set of record `l`, ascending — what gather-sum verification
-    /// walks.
+    /// Per-record gram lists: `rec_grams[rec_offsets[l]..rec_offsets[l + 1]]`
+    /// is a copy of record `l`'s gram set, ascending — what gather-sum
+    /// verification walks.
     rec_offsets: Vec<u32>,
     rec_grams: Vec<u32>,
     /// Head-gram mask per record: bit `b` is set when the record holds the
@@ -431,150 +429,64 @@ const HEAD_BITS: usize = 128;
 const HEAD_BYTES: usize = HEAD_BITS / 8;
 
 impl GramIndex {
-    /// Rows per shard of the partitioned index build: small enough that a
-    /// 100k-row table spreads across every worker, large enough that the
-    /// per-shard vocabulary-sized count arrays stay negligible.
-    const BUILD_SHARD_ROWS: usize = 16_384;
-
     /// Build the index from the sorted, deduplicated gram-id sets of the
     /// reference records.  `num_grams` is the size of the shared vocabulary;
     /// grams that never occur in a reference record get an empty postings
     /// range (probe grams hitting them contribute nothing).
     ///
-    /// The build is sharded: contiguous row partitions become per-shard
-    /// sub-indexes (in parallel), merged gram-major in shard order into a
-    /// CSR byte-identical to a sequential build.
-    pub fn from_id_sets<S: AsRef<[u32]> + Sync>(left_sets: &[S], num_grams: usize) -> Self {
-        Self::from_id_sets_sharded(left_sets, num_grams, Self::BUILD_SHARD_ROWS)
-    }
-
-    /// The index over the `(lower-case, 3-gram)` sets of the first
-    /// `num_left` records of `col`, with the column's whole gram vocabulary
-    /// as universe: query-only grams get empty postings.  Batch blocking and
-    /// the serving state (freeze and snapshot load) all build their index
-    /// here.
-    pub fn over_column(col: &PreparedColumn, num_left: usize) -> Self {
-        let si = scheme_index(Preprocessing::Lower, Tokenization::Gram3);
-        let left_sets: Vec<&[u32]> = (0..num_left)
-            .map(|i| col.record(i).token_sets[si].as_slice())
-            .collect();
-        Self::from_id_sets(&left_sets, col.vocab_by_scheme(si).len())
-    }
-
-    /// [`Self::from_id_sets`] with an explicit shard size — exposed so tests
-    /// can pin that any partitioning merges to the same index.
-    #[doc(hidden)]
-    pub fn from_id_sets_sharded<S: AsRef<[u32]> + Sync>(
-        left_sets: &[S],
-        num_grams: usize,
-        shard_rows: usize,
-    ) -> Self {
-        let shard_rows = shard_rows.max(1);
-        let starts: Vec<usize> = (0..left_sets.len()).step_by(shard_rows).collect();
-        // Per-shard sub-index: gram counts plus a shard-local CSR holding
-        // *global* record ids.
-        let shards: Vec<(Vec<u32>, Vec<u32>, Vec<u32>)> = starts
-            .into_par_iter()
-            .map(|start| {
-                let end = (start + shard_rows).min(left_sets.len());
-                let mut counts = vec![0u32; num_grams];
-                for set in &left_sets[start..end] {
-                    for &g in set.as_ref() {
-                        counts[g as usize] += 1;
-                    }
-                }
-                let mut offs = Vec::with_capacity(num_grams + 1);
-                let mut acc = 0u32;
-                offs.push(0);
-                for &c in &counts {
-                    acc += c;
-                    offs.push(acc);
-                }
-                let mut cursor: Vec<u32> = offs[..num_grams].to_vec();
-                let mut postings = vec![0u32; acc as usize];
-                for (local, set) in left_sets[start..end].iter().enumerate() {
-                    for &g in set.as_ref() {
-                        let slot = &mut cursor[g as usize];
-                        postings[*slot as usize] = (start + local) as u32;
-                        *slot += 1;
-                    }
-                }
-                (counts, offs, postings)
-            })
-            .collect();
-        // Deterministic merge: per-gram runs concatenate in shard order.
-        // Record ids ascend within a shard and shards are contiguous record
-        // ranges, so the merged postings equal a single-shard build's.
-        let mut counts = vec![0u32; num_grams];
-        for (shard_counts, _, _) in &shards {
-            for (total, &c) in counts.iter_mut().zip(shard_counts) {
-                *total += c;
+    /// One pass counts each gram's document frequency and copies each set
+    /// as its record's gram list; a scatter pass in record order then fills
+    /// the postings, so every postings list ascends.
+    pub fn from_id_sets<S: AsRef<[u32]>>(left_sets: &[S], num_grams: usize) -> Self {
+        let num_left = left_sets.len();
+        let total: usize = left_sets.iter().map(|set| set.as_ref().len()).sum();
+        let mut df = vec![0u32; num_grams];
+        let mut rec_offsets = Vec::with_capacity(num_left + 1);
+        let mut rec_grams = Vec::with_capacity(total);
+        rec_offsets.push(0);
+        for set in left_sets {
+            let set = set.as_ref();
+            // The copy is the record's ascending gram list only for a
+            // sorted, deduplicated set.
+            debug_assert!(
+                set.windows(2).all(|w| w[0] < w[1]),
+                "left sets must be sorted and deduplicated"
+            );
+            for &g in set {
+                df[g as usize] += 1;
             }
+            rec_grams.extend_from_slice(set);
+            rec_offsets.push(rec_grams.len() as u32);
         }
         let mut offsets = Vec::with_capacity(num_grams + 1);
         let mut acc = 0u32;
         offsets.push(0);
-        for &c in &counts {
+        for &c in &df {
             acc += c;
             offsets.push(acc);
         }
-        let mut postings = vec![0u32; acc as usize];
         let mut cursor: Vec<u32> = offsets[..num_grams].to_vec();
-        for (shard_counts, shard_offs, shard_posts) in &shards {
-            for g in 0..num_grams {
-                let c = shard_counts[g] as usize;
-                if c == 0 {
-                    continue;
-                }
-                let dst = cursor[g] as usize;
-                let src = shard_offs[g] as usize;
-                postings[dst..dst + c].copy_from_slice(&shard_posts[src..src + c]);
-                cursor[g] += c as u32;
+        let mut postings = vec![0u32; total];
+        for (li, grams) in rec_offsets.windows(2).enumerate() {
+            for &g in &rec_grams[grams[0] as usize..grams[1] as usize] {
+                let slot = &mut cursor[g as usize];
+                postings[*slot as usize] = li as u32;
+                *slot += 1;
             }
         }
-        let n = left_sets.len().max(1) as f64;
-        let idf = counts
+        let n = num_left.max(1) as f64;
+        let idf: Vec<f64> = df
             .iter()
             .map(|&df| (1.0 + n / (1.0 + df as f64)).ln())
             .collect();
-        Self::finalize(offsets, postings, idf, left_sets.len())
-    }
 
-    /// Derive the probe-side structures (frequency ranks, CSR transpose,
-    /// head-gram masks and weight table) from a finished CSR.
-    fn finalize(offsets: Vec<u32>, postings: Vec<u32>, idf: Vec<f64>, num_left: usize) -> Self {
-        let num_grams = idf.len();
         // Global frequency order — the PPJoin token ordering on gram ids:
-        // rarest first, ties toward the lower id.  df is read straight off
-        // the offset table.
+        // rarest first, ties toward the lower id.
         let mut by_rarity: Vec<u32> = (0..num_grams as u32).collect();
-        by_rarity.sort_unstable_by_key(|&g| (offsets[g as usize + 1] - offsets[g as usize], g));
+        by_rarity.sort_unstable_by_key(|&g| (df[g as usize], g));
         let mut rank = vec![0u32; num_grams];
         for (r, &g) in by_rarity.iter().enumerate() {
             rank[g as usize] = r as u32;
-        }
-
-        // CSR transpose: per-record gram lists, ascending (grams are visited
-        // in ascending id order and postings ascend within a gram).
-        let mut lengths = vec![0u32; num_left];
-        for &li in &postings {
-            lengths[li as usize] += 1;
-        }
-        let mut rec_offsets = Vec::with_capacity(num_left + 1);
-        let mut acc = 0u32;
-        rec_offsets.push(0);
-        for &c in &lengths {
-            acc += c;
-            rec_offsets.push(acc);
-        }
-        let mut rec_grams = vec![0u32; postings.len()];
-        let mut cursor: Vec<u32> = rec_offsets[..num_left].to_vec();
-        for g in 0..num_grams {
-            for &li in &postings[offsets[g] as usize..offsets[g + 1] as usize] {
-                let slot = &mut cursor[li as usize];
-                rec_grams[*slot as usize] = g as u32;
-                *slot += 1;
-            }
         }
 
         // Head masks: the `HEAD_BITS` top ranks own one bit each, the most
@@ -606,6 +518,19 @@ impl GramIndex {
             head_masks,
             head_table,
         }
+    }
+
+    /// The index over the `(lower-case, 3-gram)` sets of the first
+    /// `num_left` records of `col`, with the column's whole gram vocabulary
+    /// as universe: query-only grams get empty postings.  Batch blocking and
+    /// the serving state (freeze and snapshot load) all build their index
+    /// here.
+    pub fn over_column(col: &PreparedColumn, num_left: usize) -> Self {
+        let si = scheme_index(Preprocessing::Lower, Tokenization::Gram3);
+        let left_sets: Vec<&[u32]> = (0..num_left)
+            .map(|i| col.record(i).token_sets[si].as_slice())
+            .collect();
+        Self::from_id_sets(&left_sets, col.vocab_by_scheme(si).len())
     }
 
     /// The lowest rank that owns a head bit.
@@ -1262,16 +1187,66 @@ mod tests {
     }
 
     #[test]
-    fn sharded_build_matches_single_shard_build() {
-        let left = teams();
-        let (left_sets, _, num_grams) = id_sets(&left, &[]);
-        let whole = GramIndex::from_id_sets_sharded(&left_sets, num_grams, usize::MAX);
-        for shard_rows in [1usize, 2, 7, 64] {
-            let sharded = GramIndex::from_id_sets_sharded(&left_sets, num_grams, shard_rows);
-            assert_eq!(whole.offsets, sharded.offsets, "shard={shard_rows}");
-            assert_eq!(whole.postings, sharded.postings, "shard={shard_rows}");
-            assert_eq!(whole.idf, sharded.idf, "shard={shard_rows}");
+    fn one_pass_build_inverts_the_left_sets_on_a_skewed_table() {
+        // Gram 0 sits in three records of four and the drawn ids skew
+        // toward 0 (the minimum of three draws), so document frequencies
+        // span single records to most of the table; the last 20 grams of
+        // the universe occur in no record at all.
+        const GRAMS: u32 = 300;
+        let mut state = 0x0BAD_5EED_1234_5678u64;
+        let mut draw = move |n: u32| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ((state >> 33) % u64::from(n)) as u32
+        };
+        let sets: Vec<Vec<u32>> = (0..500)
+            .map(|l| {
+                let len = [0, 1, 5, 40][l % 4];
+                let mut set: Vec<u32> = (0..len)
+                    .map(|_| draw(GRAMS - 20).min(draw(GRAMS)).min(draw(GRAMS)))
+                    .collect();
+                if l % 4 != 0 {
+                    set.push(0);
+                }
+                set.sort_unstable();
+                set.dedup();
+                set
+            })
+            .collect();
+        let index = GramIndex::from_id_sets(&sets, GRAMS as usize);
+        assert_eq!(index.num_left(), sets.len());
+        assert_eq!(index.num_grams(), GRAMS as usize);
+        let n = sets.len() as f64;
+        let mut pairs = 0;
+        for g in 0..GRAMS {
+            let posts = index.postings_of(g);
+            assert!(posts.windows(2).all(|w| w[0] < w[1]), "gram {g}");
+            for &l in posts {
+                assert!(sets[l as usize].binary_search(&g).is_ok(), "gram {g}");
+            }
+            pairs += posts.len();
+            let df = sets.iter().filter(|set| set.contains(&g)).count();
+            assert_eq!(posts.len(), df, "gram {g}");
+            let idf = (1.0 + n / (1.0 + df as f64)).ln();
+            assert_eq!(index.idf[g as usize].to_bits(), idf.to_bits(), "gram {g}");
         }
+        assert_eq!(pairs, sets.iter().map(Vec::len).sum::<usize>());
+        assert!(index.postings_of(GRAMS - 1).is_empty());
+        assert!(4 * index.postings_of(0).len() >= 3 * sets.len());
+        assert!((0..GRAMS).any(|g| (1..10).contains(&index.postings_of(g).len())));
+        for (l, set) in sets.iter().enumerate() {
+            let grams =
+                &index.rec_grams[index.rec_offsets[l] as usize..index.rec_offsets[l + 1] as usize];
+            assert_eq!(grams, set.as_slice(), "left {l}");
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "sorted and deduplicated")]
+    fn an_unsorted_left_set_is_refused_in_debug_builds() {
+        let _ = GramIndex::from_id_sets(&[vec![0u32, 2], vec![2, 1]], 3);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Levenshtein (edit) distance, raw and normalized.
 //!
-//! These are compatibility entry points for the experiment bins and the
-//! baselines crate.  They all route through the bit-parallel kernel in
+//! These are the `&str` entry points (the fuzzywuzzy baseline calls
+//! [`levenshtein`]).  They route through the bit-parallel kernel in
 //! [`super::myers`] on this thread's reused kernel scratch; the original
 //! scalar DP lives in [`super::reference`] and is exercised against the
 //! kernel by the `kernel_reference` proptests.
@@ -19,14 +19,6 @@ pub fn levenshtein(a: &str, b: &str) -> usize {
     with_scratch(|s| levenshtein_ids(&ids(a), &ids(b), &mut s.edit))
 }
 
-/// Levenshtein distance over pre-collected character slices.
-#[doc(hidden)]
-pub fn levenshtein_chars(a: &[char], b: &[char]) -> usize {
-    let ai: Vec<u32> = a.iter().map(|&c| c as u32).collect();
-    let bi: Vec<u32> = b.iter().map(|&c| c as u32).collect();
-    with_scratch(|s| levenshtein_ids(&ai, &bi, &mut s.edit))
-}
-
 /// Normalized edit distance: `levenshtein(a, b) / max(|a|, |b|)`, in `[0, 1]`.
 /// Two empty strings have distance 0.
 pub fn normalized_edit_distance(a: &str, b: &str) -> f64 {
@@ -37,16 +29,6 @@ pub fn normalized_edit_distance(a: &str, b: &str) -> f64 {
         return 0.0;
     }
     with_scratch(|s| levenshtein_ids(&ai, &bi, &mut s.edit)) as f64 / max_len as f64
-}
-
-/// Normalized edit distance over pre-collected character slices.
-#[doc(hidden)]
-pub fn normalized_edit_distance_chars(a: &[char], b: &[char]) -> f64 {
-    let max_len = a.len().max(b.len());
-    if max_len == 0 {
-        return 0.0;
-    }
-    levenshtein_chars(a, b) as f64 / max_len as f64
 }
 
 #[cfg(test)]
@@ -109,18 +91,6 @@ mod tests {
     fn completely_disjoint_strings_have_normalized_distance_one() {
         assert_eq!(normalized_edit_distance("aaaa", "bbbb"), 1.0);
         assert_eq!(normalized_edit_distance("ab", "xyz"), 1.0);
-    }
-
-    #[test]
-    fn char_slice_entry_points_agree_with_str_ones() {
-        let (a, b) = ("résumé folder", "resume folders");
-        let ac: Vec<char> = a.chars().collect();
-        let bc: Vec<char> = b.chars().collect();
-        assert_eq!(levenshtein(a, b), levenshtein_chars(&ac, &bc));
-        assert_eq!(
-            normalized_edit_distance(a, b),
-            normalized_edit_distance_chars(&ac, &bc)
-        );
     }
 
     #[test]

@@ -44,7 +44,7 @@ mod tests {
 
     #[test]
     fn contained_pair_uses_base_distance() {
-        let w = WeightTable::equal(8);
+        let w = WeightTable::default();
         // B = {1,2} ⊆ A = {0,1,2,3}
         let o = overlap(&[0, 1, 2, 3], &[1, 2], &w);
         let cj = containment_distance(&o, ContainmentBase::Jaccard);
@@ -54,7 +54,7 @@ mod tests {
 
     #[test]
     fn non_contained_pair_is_distance_one() {
-        let w = WeightTable::equal(8);
+        let w = WeightTable::default();
         // B has token 5 which is not in A.
         let o = overlap(&[0, 1, 2, 3], &[1, 5], &w);
         for base in [
@@ -68,14 +68,14 @@ mod tests {
 
     #[test]
     fn identical_sets_have_zero_containment_distance() {
-        let w = WeightTable::equal(4);
+        let w = WeightTable::default();
         let o = overlap(&[0, 1], &[0, 1], &w);
         assert_eq!(containment_distance(&o, ContainmentBase::Dice), 0.0);
     }
 
     #[test]
     fn containment_is_directional() {
-        let w = WeightTable::equal(8);
+        let w = WeightTable::default();
         // A ⊆ B but B ⊄ A: the hybrid distance (defined w.r.t. r ⊆ l) is 1.
         let o = overlap(&[1, 2], &[0, 1, 2, 3], &w);
         assert_eq!(containment_distance(&o, ContainmentBase::Jaccard), 1.0);

@@ -165,13 +165,13 @@ impl SetOverlap {
 mod tests {
     use super::*;
 
-    fn table(n: usize) -> WeightTable {
-        WeightTable::equal(n)
+    fn table() -> WeightTable {
+        WeightTable::default()
     }
 
     #[test]
     fn identical_sets_have_zero_distance_everywhere() {
-        let w = table(4);
+        let w = table();
         let o = overlap(&[0, 1, 2], &[0, 1, 2], &w);
         assert_eq!(o.jaccard_distance(), 0.0);
         assert_eq!(o.cosine_distance(), 0.0);
@@ -183,7 +183,7 @@ mod tests {
 
     #[test]
     fn disjoint_sets_have_distance_one() {
-        let w = table(6);
+        let w = table();
         let o = overlap(&[0, 1], &[2, 3], &w);
         assert_eq!(o.jaccard_distance(), 1.0);
         assert_eq!(o.cosine_distance(), 1.0);
@@ -195,7 +195,7 @@ mod tests {
     #[test]
     fn unweighted_jaccard_matches_hand_computation() {
         // |A∩B| = 2, |A∪B| = 4 → distance 0.5
-        let w = table(5);
+        let w = table();
         let o = overlap(&[0, 1, 2], &[1, 2, 3], &w);
         assert!((o.jaccard_distance() - 0.5).abs() < 1e-12);
         // Dice: 1 - 2*2/6 = 1/3
@@ -209,7 +209,7 @@ mod tests {
 
     #[test]
     fn containment_sets_have_zero_intersect_distance() {
-        let w = table(5);
+        let w = table();
         let o = overlap(&[0, 1, 2, 3], &[1, 2], &w);
         assert!(o.b_subset_of_a);
         assert!(!o.a_subset_of_b);
@@ -229,7 +229,7 @@ mod tests {
         let b = v.add_document(&["team", "football", "badgers"]);
         let w = WeightTable::idf(&v);
         let weighted = overlap(&a, &b, &w).jaccard_distance();
-        let unweighted = overlap(&a, &b, &WeightTable::equal(v.len())).jaccard_distance();
+        let unweighted = overlap(&a, &b, &table()).jaccard_distance();
         // With IDF weights, sharing only common tokens should look *less*
         // similar (higher distance) than under equal weights.
         assert!(weighted > unweighted);
@@ -237,7 +237,7 @@ mod tests {
 
     #[test]
     fn empty_sets_are_identical() {
-        let w = table(1);
+        let w = table();
         let o = overlap(&[], &[], &w);
         assert_eq!(o.jaccard_distance(), 0.0);
         assert_eq!(o.intersect_distance(), 0.0);
@@ -245,7 +245,7 @@ mod tests {
 
     #[test]
     fn empty_vs_nonempty_is_maximal() {
-        let w = table(3);
+        let w = table();
         let o = overlap(&[], &[0, 1], &w);
         assert_eq!(o.jaccard_distance(), 1.0);
         assert_eq!(o.intersect_distance(), 1.0);
@@ -253,7 +253,7 @@ mod tests {
 
     #[test]
     fn overlap_is_symmetric_up_to_role_swap() {
-        let w = table(8);
+        let w = table();
         let o1 = overlap(&[0, 2, 4], &[2, 4, 6], &w);
         let o2 = overlap(&[2, 4, 6], &[0, 2, 4], &w);
         assert_eq!(o1.jaccard_distance(), o2.jaccard_distance());
@@ -267,7 +267,7 @@ mod tests {
     fn jaccard_on_token_sets_of_team_names() {
         // {"2007","lsu","tigers","football"} vs {"2007","lsu","tigers",
         // "football","team"}: |A∩B| = 4, |A∪B| = 5.
-        let w = table(5);
+        let w = table();
         let o = overlap(&[0, 1, 2, 3], &[0, 1, 2, 3, 4], &w);
         assert!((o.jaccard_distance() - 0.2).abs() < 1e-12);
         // A ⊆ B, so the containment (intersect) distance is 0.
@@ -285,7 +285,7 @@ mod tests {
     fn distance_family_ordering_invariant() {
         // For any pair: ID <= MD <= JD (smaller denominators forgive more)
         // and DD <= JD, with all values in [0, 1].
-        let w = table(10);
+        let w = table();
         let sets: [&[u32]; 6] = [
             &[],
             &[0],
@@ -318,9 +318,12 @@ mod tests {
     fn unknown_token_ids_fall_back_to_unit_weight() {
         // Ids beyond the table length weigh 1, so a table that is too small
         // behaves exactly like equal weights.
-        let small = table(1);
-        let o_small = overlap(&[0, 7, 9], &[7, 9, 11], &small);
-        let o_equal = overlap(&[0, 7, 9], &[7, 9, 11], &table(12));
+        let mut v = crate::vocab::Vocab::new();
+        v.add_document(&["a"]);
+        v.add_document(&["b"]);
+        let small = WeightTable::idf(&v);
+        let o_small = overlap(&[3, 7, 9], &[7, 9, 11], &small);
+        let o_equal = overlap(&[3, 7, 9], &[7, 9, 11], &table());
         assert_eq!(o_small.jaccard_distance(), o_equal.jaccard_distance());
         assert!((o_small.jaccard_distance() - 0.5).abs() < 1e-12);
     }

@@ -6,12 +6,15 @@
 //! `L ∪ R` so that IDF weights reflect both tables, as the blocking and
 //! weighting of the paper do).  It caches, for every record:
 //!
-//! * the pre-processed string and its interned character-id vector per
+//! * the interned character-id vector of the pre-processed string per
 //!   [`Preprocessing`] option (4 variants) — the char distances only need
 //!   id equality, so Unicode scalar values serve as ids directly,
 //! * the sorted, deduplicated token-id set per `(Preprocessing,
 //!   Tokenization)` scheme (8 variants),
 //! * the hashed document embedding per [`Preprocessing`] option (4 variants).
+//!
+//! The pre-processed strings themselves are transient: they live only until
+//! the record's tokens are interned (or, for a query, looked up).
 
 use crate::distance::embed::{self, Embedding};
 use crate::preprocess::Preprocessing;
@@ -19,6 +22,7 @@ use crate::tokenize::{GramScratch, Tokenization};
 use crate::vocab::Vocab;
 use crate::weights::{TokenWeighting, WeightTable};
 use rayon::prelude::*;
+use std::collections::HashMap;
 
 /// Number of pre-processing variants.
 pub const NUM_PREP: usize = 4;
@@ -56,8 +60,6 @@ pub fn scheme_index(p: Preprocessing, t: Tokenization) -> usize {
 pub struct PreparedRecord {
     /// Original raw string.
     pub raw: String,
-    /// Pre-processed string per pre-processing option.
-    pub strings: [String; NUM_PREP],
     /// Interned character-id vectors of the pre-processed strings (Unicode
     /// scalar values as `u32`), consumed by the char-distance kernels.
     pub char_ids: [Vec<u32>; NUM_PREP],
@@ -74,11 +76,15 @@ pub struct PreparedColumn {
     records: Vec<PreparedRecord>,
     vocabs: [Vocab; NUM_SCHEMES],
     idf_tables: [WeightTable; NUM_SCHEMES],
-    equal_tables: [WeightTable; NUM_SCHEMES],
+    /// The equal-weight table of every scheme: empty, so
+    /// [`WeightTable::weight`] gives every id — interned or a query overflow
+    /// id — its past-the-end weight `1.0`.
+    equal_table: WeightTable,
 }
 
 /// Per-record output of the parallel preparation phase, before tokens are
-/// interned into the shared vocabularies.
+/// interned into the shared vocabularies (or looked up, for a query).  The
+/// pre-processed strings live only here.
 struct RawPrepared {
     raw: String,
     strings: [String; NUM_PREP],
@@ -93,8 +99,7 @@ const PREPARE_BATCH: usize = 4096;
 
 /// The pure (vocabulary-free) part of record preparation: pre-processed
 /// strings, character-id vectors, and embeddings.  Deterministic per record,
-/// so it can run in parallel during builds and be recomputed when a column is
-/// reconstructed from serialized token sets.
+/// so it can run in parallel during builds.
 fn prepare_raw(raw: &str) -> RawPrepared {
     let mut prepped: [String; NUM_PREP] = Default::default();
     let mut char_ids: [Vec<u32>; NUM_PREP] = Default::default();
@@ -117,8 +122,7 @@ fn prepare_raw(raw: &str) -> RawPrepared {
 }
 
 /// Sequentially intern one prepared record into the shared vocabularies,
-/// registering its document frequencies — the order-sensitive half of the
-/// build, shared by [`PreparedColumn::build`] and
+/// registering its document frequencies — the order-sensitive half of
 /// [`PreparedColumn::append_records`].
 fn intern_record(
     rec: RawPrepared,
@@ -139,7 +143,6 @@ fn intern_record(
     }
     PreparedRecord {
         raw: rec.raw,
-        strings: rec.strings,
         char_ids: rec.char_ids,
         token_sets,
         embeddings: rec.embeddings,
@@ -147,55 +150,39 @@ fn intern_record(
 }
 
 impl PreparedColumn {
-    /// Build a prepared column from raw strings.
+    /// Build a prepared column from raw strings: an empty column plus
+    /// [`Self::append_records`], so the state after `build(a)` +
+    /// `append_records(b)` equals `build(a ++ b)` by construction.
+    pub fn build<S: AsRef<str> + Sync>(strings: &[S]) -> Self {
+        let mut col = Self {
+            records: Vec::new(),
+            vocabs: Default::default(),
+            idf_tables: Default::default(),
+            equal_table: WeightTable::default(),
+        };
+        col.append_records(strings);
+        col
+    }
+
+    /// Append records to the column, extending the shared vocabularies and
+    /// document frequencies.
     ///
     /// The per-record work (pre-processing, character decomposition,
     /// embedding) runs in parallel over fixed-size batches; tokenization then
     /// interns token ids directly into the shared vocabularies — sequentially
     /// in record order, reusing one scratch buffer and never materializing
     /// token strings — so token ids (and everything derived from them) are
-    /// identical at every thread count and the only steady-state allocations
-    /// are the per-record id sets themselves.
-    pub fn build<S: AsRef<str> + Sync>(strings: &[S]) -> Self {
-        let mut vocabs: [Vocab; NUM_SCHEMES] = Default::default();
-        let mut records = Vec::with_capacity(strings.len());
-        let mut scratch = GramScratch::default();
-        let mut ids: Vec<u32> = Vec::new();
-        // One batch buffer for the whole stream: `collect_into_vec` +
-        // `drain` keep its allocation alive across batches, so the
-        // transient footprint of a 100k-record build is one batch, not one
-        // Vec per batch.
-        let mut raw_batch: Vec<RawPrepared> = Vec::with_capacity(PREPARE_BATCH.min(strings.len()));
-        for batch in strings.chunks(PREPARE_BATCH.max(1)) {
-            batch
-                .par_iter()
-                .map(|raw| prepare_raw(raw.as_ref()))
-                .collect_into_vec(&mut raw_batch);
-            for rec in raw_batch.drain(..) {
-                records.push(intern_record(rec, &mut vocabs, &mut scratch, &mut ids));
-            }
-        }
-        let idf_tables = std::array::from_fn(|i| WeightTable::idf(&vocabs[i]));
-        let equal_tables = std::array::from_fn(|i| WeightTable::equal(vocabs[i].len()));
-        Self {
-            records,
-            vocabs,
-            idf_tables,
-            equal_tables,
-        }
-    }
-
-    /// Append records to the column, extending the shared vocabularies and
-    /// document frequencies exactly as [`Self::build`] would have: the state
-    /// after `build(a)` + `append_records(b)` is byte-identical to
-    /// `build(a ++ b)` (the parallel phase is pure and interning is
-    /// sequential in record order, so batch boundaries cannot matter).
-    /// Weight tables are re-derived at the end since document frequencies
+    /// identical at every thread count and batch boundaries cannot matter.
+    /// The IDF tables are re-derived at the end since document frequencies
     /// shift.
     pub fn append_records<S: AsRef<str> + Sync>(&mut self, strings: &[S]) {
         let mut scratch = GramScratch::default();
         let mut ids: Vec<u32> = Vec::new();
         self.records.reserve(strings.len());
+        // One batch buffer for the whole stream: `collect_into_vec` +
+        // `drain` keep its allocation alive across batches, so the
+        // transient footprint of a 100k-record build is one batch, not one
+        // Vec per batch.
         let mut raw_batch: Vec<RawPrepared> = Vec::with_capacity(PREPARE_BATCH.min(strings.len()));
         for batch in strings.chunks(PREPARE_BATCH.max(1)) {
             batch
@@ -208,7 +195,6 @@ impl PreparedColumn {
             }
         }
         self.idf_tables = std::array::from_fn(|i| WeightTable::idf(&self.vocabs[i]));
-        self.equal_tables = std::array::from_fn(|i| WeightTable::equal(self.vocabs[i].len()));
     }
 
     /// Prepare a query record against this column's *frozen* vocabularies:
@@ -223,7 +209,7 @@ impl PreparedColumn {
         let rec = prepare_raw(raw);
         let mut token_sets: [Vec<u32>; NUM_SCHEMES] = Default::default();
         let mut scratch = GramScratch::default();
-        let mut overflow: Vec<String> = Vec::new();
+        let mut overflow = HashMap::new();
         for p in Preprocessing::ALL {
             let pi = prep_index(p);
             for t in Tokenization::ALL {
@@ -243,7 +229,6 @@ impl PreparedColumn {
         }
         PreparedRecord {
             raw: rec.raw,
-            strings: rec.strings,
             char_ids: rec.char_ids,
             token_sets,
             embeddings: rec.embeddings,
@@ -275,23 +260,23 @@ impl PreparedColumn {
         &self.vocabs[scheme_index(p, t)]
     }
 
-    /// The vocabulary at a raw [`scheme_index`] — the serialization-side
-    /// accessor for iterating all `NUM_SCHEMES` vocabularies in id order.
+    /// The vocabulary at a raw [`scheme_index`], for callers that hold a
+    /// scheme index rather than its `(pre-processing, tokenization)` pair.
     pub fn vocab_by_scheme(&self, si: usize) -> &Vocab {
         &self.vocabs[si]
     }
 
-    /// The weight table for a scheme under a weighting option.
+    /// The weight table for a scheme under a weighting option.  Every scheme
+    /// shares one empty equal-weight table, which weighs every id `1.0`.
     pub fn weight_table(
         &self,
         p: Preprocessing,
         t: Tokenization,
         w: TokenWeighting,
     ) -> &WeightTable {
-        let si = scheme_index(p, t);
         match w {
-            TokenWeighting::Equal => &self.equal_tables[si],
-            TokenWeighting::Idf => &self.idf_tables[si],
+            TokenWeighting::Equal => &self.equal_table,
+            TokenWeighting::Idf => &self.idf_tables[scheme_index(p, t)],
         }
     }
 }
@@ -299,6 +284,7 @@ impl PreparedColumn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample() -> PreparedColumn {
         PreparedColumn::build(&[
@@ -314,8 +300,12 @@ mod tests {
         assert_eq!(col.len(), 3);
         let r = col.record(0);
         assert_eq!(r.raw, "2007 LSU Tigers football team");
-        // Lower-cased variant is lower case.
-        assert!(r.strings[prep_index(Preprocessing::Lower)].contains("lsu"));
+        // The lower-cased variant's character ids spell the lower-cased text.
+        let lower: String = r.char_ids[prep_index(Preprocessing::Lower)]
+            .iter()
+            .map(|&c| char::from_u32(c).unwrap())
+            .collect();
+        assert_eq!(lower, "2007 lsu tigers football team");
         // All 8 token sets are non-empty.
         for s in &r.token_sets {
             assert!(!s.is_empty());
@@ -365,7 +355,6 @@ mod tests {
         }
         for (ra, rb) in a.records().iter().zip(b.records()) {
             if ra.raw != rb.raw
-                || ra.strings != rb.strings
                 || ra.char_ids != rb.char_ids
                 || ra.token_sets != rb.token_sets
                 || ra.embeddings != rb.embeddings
@@ -409,9 +398,86 @@ mod tests {
         for r in col.records() {
             let q = col.prepare_query(&r.raw);
             assert_eq!(q.token_sets, r.token_sets, "{:?}", r.raw);
-            assert_eq!(q.strings, r.strings);
             assert_eq!(q.char_ids, r.char_ids);
+            assert_eq!(q.embeddings, r.embeddings);
         }
+    }
+
+    /// Strategy: short records over Latin letters, combining marks, CJK,
+    /// punctuation and whitespace runs — plus empty and whitespace-only ones.
+    fn record_strategy() -> impl Strategy<Value = String> {
+        proptest::string::string_regex(concat!(
+            "([a-dA-D]|é|[\u{301}\u{308}]|[\u{4e2d}-\u{4e30}]|[.,!-]|[ \t\n])",
+            "{0,14}|[ \t]{1,3}",
+        ))
+        .unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// One interning loop: a build cut anywhere and finished by
+        /// `append_records` equals the whole build, and `prepare_query`
+        /// reproduces every stored record.
+        #[test]
+        fn split_builds_and_queries_reproduce_the_whole_build(
+            records in proptest::collection::vec(record_strategy(), 0..12),
+            repeats in proptest::collection::vec(0usize..12, 0..4),
+            cut in 0usize..16,
+        ) {
+            let mut all = records.clone();
+            if !records.is_empty() {
+                all.extend(repeats.iter().map(|&i| records[i % records.len()].clone()));
+            }
+            let cut = cut.min(all.len());
+            let full = PreparedColumn::build(&all);
+            let mut split = PreparedColumn::build(&all[..cut]);
+            split.append_records(&all[cut..]);
+            prop_assert!(columns_equal(&full, &split), "cut {cut} of {all:?}");
+            for r in full.records() {
+                let q = full.prepare_query(&r.raw);
+                prop_assert_eq!(&q.token_sets, &r.token_sets);
+                prop_assert_eq!(&q.char_ids, &r.char_ids);
+                prop_assert_eq!(&q.embeddings, &r.embeddings);
+            }
+        }
+    }
+
+    #[test]
+    fn equal_weights_are_one_for_interned_and_overflow_ids() {
+        let col = sample();
+        let q = col.prepare_query("2007 zzz qqq unknownworda");
+        for p in Preprocessing::ALL {
+            for t in Tokenization::ALL {
+                let si = scheme_index(p, t);
+                let table = col.weight_table(p, t, TokenWeighting::Equal);
+                let vocab_len = col.vocab_by_scheme(si).len() as u32;
+                assert!(q.token_sets[si].iter().any(|&id| id >= vocab_len));
+                for id in (0..vocab_len).chain(q.token_sets[si].iter().copied()) {
+                    assert_eq!(table.weight(id), 1.0, "scheme {si}, id {id}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn many_distinct_unknown_words_get_contiguous_overflow_ids_quickly() {
+        const WORDS: usize = 40_000;
+        let col = sample();
+        let line: Vec<String> = (0..WORDS).map(|i| format!("qx{i}")).collect();
+        let start = std::time::Instant::now();
+        let q = col.prepare_query(&line.join(" "));
+        let elapsed = start.elapsed();
+        for p in Preprocessing::ALL {
+            let si = scheme_index(p, Tokenization::Space);
+            let base = col.vocab_by_scheme(si).len() as u32;
+            let want: Vec<u32> = (base..base + WORDS as u32).collect();
+            assert_eq!(q.token_sets[si], want, "scheme {si}");
+        }
+        assert!(
+            elapsed < std::time::Duration::from_secs(10),
+            "{WORDS} unknown words took {elapsed:?}"
+        );
     }
 
     #[test]

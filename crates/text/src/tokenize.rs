@@ -6,6 +6,7 @@
 
 use crate::vocab::Vocab;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// A tokenization option.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -63,8 +64,8 @@ impl Tokenization {
     /// Tokenize `input` against a *frozen* vocabulary: known tokens map to
     /// their interned ids, unknown tokens receive deterministic overflow ids
     /// `vocab.len() + k` where `k` is the first-appearance rank of the
-    /// distinct unknown token within this call (tracked in `overflow`, which
-    /// is cleared first).  The vocabulary is never grown, so this is safe to
+    /// distinct unknown token within this call (tracked in `overflow`, a map
+    /// from token to rank that is cleared first, so each lookup is O(1)).  The vocabulary is never grown, so this is safe to
     /// run from many readers concurrently — the query-side counterpart of
     /// [`Self::intern_into`].  Overflow ids are stable for a given input but
     /// have no meaning across calls; they exist so that two unknown tokens
@@ -75,7 +76,7 @@ impl Tokenization {
         vocab: &Vocab,
         out: &mut Vec<u32>,
         scratch: &mut GramScratch,
-        overflow: &mut Vec<String>,
+        overflow: &mut HashMap<String, u32>,
     ) {
         overflow.clear();
         let base = vocab.len() as u32;
@@ -84,11 +85,12 @@ impl Tokenization {
                 out.push(id);
                 return;
             }
-            let slot = match overflow.iter().position(|t| t == token) {
-                Some(pos) => pos as u32,
+            let slot = match overflow.get(token) {
+                Some(&rank) => rank,
                 None => {
-                    overflow.push(token.to_string());
-                    (overflow.len() - 1) as u32
+                    let rank = overflow.len() as u32;
+                    overflow.insert(token.to_string(), rank);
+                    rank
                 }
             };
             out.push(base + slot);
@@ -296,7 +298,7 @@ mod tests {
             t.intern_into(input, &mut vocab, &mut interned, &mut scratch);
             let before = vocab.len();
             let mut looked_up = Vec::new();
-            let mut overflow = Vec::new();
+            let mut overflow = HashMap::new();
             t.lookup_into_with_overflow(input, &vocab, &mut looked_up, &mut scratch, &mut overflow);
             assert_eq!(looked_up, interned);
             assert!(overflow.is_empty());
@@ -312,7 +314,7 @@ mod tests {
         Tokenization::Space.intern_into("alpha beta", &mut vocab, &mut ids, &mut scratch);
         let base = vocab.len() as u32;
         let mut out = Vec::new();
-        let mut overflow = Vec::new();
+        let mut overflow = HashMap::new();
         Tokenization::Space.lookup_into_with_overflow(
             "gamma alpha delta gamma",
             &vocab,
@@ -322,7 +324,8 @@ mod tests {
         );
         // gamma -> base+0 (first unknown), delta -> base+1, repeats reuse ids.
         assert_eq!(out, vec![base, vocab.get("alpha").unwrap(), base + 1, base]);
-        assert_eq!(overflow, vec!["gamma".to_string(), "delta".to_string()]);
+        let ranks = HashMap::from([("gamma".to_string(), 0), ("delta".to_string(), 1)]);
+        assert_eq!(overflow, ranks);
         assert_eq!(vocab.len() as u32, base, "lookup must not grow the vocab");
     }
 }

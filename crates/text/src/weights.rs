@@ -30,20 +30,15 @@ impl TokenWeighting {
     }
 }
 
-/// A dense table of per-token weights for one tokenization scheme.
-#[derive(Debug, Clone)]
+/// A dense table of per-token weights for one tokenization scheme.  The
+/// default table is empty, so it weighs every id `1.0` (see
+/// [`Self::weight`]).
+#[derive(Debug, Clone, Default)]
 pub struct WeightTable {
     weights: Vec<f64>,
 }
 
 impl WeightTable {
-    /// Equal weights for `n` tokens.
-    pub fn equal(n: usize) -> Self {
-        Self {
-            weights: vec![1.0; n],
-        }
-    }
-
     /// IDF weights derived from a vocabulary's document frequencies.
     pub fn idf(vocab: &Vocab) -> Self {
         let weights = (0..vocab.len() as u32).map(|id| vocab.idf(id)).collect();
@@ -79,7 +74,7 @@ mod tests {
 
     #[test]
     fn equal_table_gives_unit_weights() {
-        let t = WeightTable::equal(3);
+        let t = WeightTable::default();
         assert_eq!(t.weight(0), 1.0);
         assert_eq!(t.weight(2), 1.0);
         assert_eq!(t.total(&[0, 1, 2]), 3.0);
@@ -87,7 +82,11 @@ mod tests {
 
     #[test]
     fn out_of_range_tokens_default_to_one() {
-        let t = WeightTable::equal(1);
+        let mut v = Vocab::new();
+        v.add_document(&["a"]);
+        v.add_document(&["b"]);
+        let t = WeightTable::idf(&v);
+        assert_eq!(t.weight(0), v.idf(0));
         assert_eq!(t.weight(99), 1.0);
     }
 
