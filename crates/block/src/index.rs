@@ -59,9 +59,6 @@
 //! its summation order — can only weaken pruning, never change the result.
 //! Which records the walk verifies early only decides how soon the bounds
 //! tighten.
-//! The dense walk is kept as a test oracle
-//! ([`GramIndex::top_k_unfiltered`]); property tests (`tests/properties.rs`)
-//! pin the two identical across tables, factors and thread counts.
 //!
 //! # One-pass build
 //!
@@ -70,9 +67,13 @@
 //! list.  It prefix-sums the counts into the postings offsets and scatters
 //! the records in order, so every postings list ascends.
 //!
-//! A deliberately simple string-path implementation is retained in
-//! [`crate::reference`]; a property test pins that both paths produce
-//! identical candidate lists on random tables at every thread count.
+//! # The spec
+//!
+//! This module holds one probe.  Its specification is the dense walk of
+//! [`crate::reference`], which only tests call: unit and property tests
+//! (`tests/properties.rs`) pin every candidate list and the kept-pair,
+//! per-probe-max and postings-total counters equal to it across tables,
+//! factors and thread counts.
 
 use autofj_text::prepared::scheme_index;
 use autofj_text::preprocess::Preprocessing;
@@ -376,21 +377,13 @@ impl ProbeScratch {
         }
     }
 
-    /// Admit record `li` with its exact `score`: stamp it, count it, trace
-    /// it, and offer it to the top-k heap.
+    /// Admit record `li` with its exact `score`: stamp it, count it, and
+    /// offer it to the bounded top-k heap.
     #[inline]
-    fn admit(&mut self, li: u32, score: f64, k: usize, trace: &mut Option<&mut Vec<u32>>) {
+    fn admit(&mut self, li: u32, score: f64, k: usize) {
         self.admit_epoch[li as usize] = self.admit_cur;
         self.stats.scored_records += 1;
-        if let Some(t) = trace.as_deref_mut() {
-            t.push(li);
-        }
-        self.offer(HeapEntry { score, left: li }, k);
-    }
-
-    /// Offer an exactly scored record to the bounded top-k heap.
-    #[inline]
-    fn offer(&mut self, entry: HeapEntry, k: usize) {
+        let entry = HeapEntry { score, left: li };
         if self.heap.len() < k {
             self.heap.push(entry);
         } else if let Some(mut worst) = self.heap.peek_mut() {
@@ -583,7 +576,8 @@ impl GramIndex {
     /// fixes the floating-point result independent of thread count.
     ///
     /// This is the MaxScore probe of the module docs; it returns exactly
-    /// what the dense walk returns, at every table size.
+    /// what the dense walk of [`crate::reference`] returns, at every table
+    /// size.
     ///
     /// Probe gram ids at or beyond [`Self::num_grams`] are skipped: a gram
     /// the index has never seen contributes nothing, exactly like a known
@@ -596,33 +590,6 @@ impl GramIndex {
         k: usize,
         exclude: Option<u32>,
         scratch: &mut ProbeScratch,
-    ) -> Vec<usize> {
-        self.top_k_impl(probe, k, exclude, scratch, &mut None)
-    }
-
-    /// [`Self::top_k`] that additionally records, into `scored`, every
-    /// record the probe verified exactly — the candidate superset property
-    /// tests pin against the dense top-k.
-    #[doc(hidden)]
-    pub fn top_k_traced(
-        &self,
-        probe: &[u32],
-        k: usize,
-        exclude: Option<u32>,
-        scratch: &mut ProbeScratch,
-        scored: &mut Vec<u32>,
-    ) -> Vec<usize> {
-        scored.clear();
-        self.top_k_impl(probe, k, exclude, scratch, &mut Some(scored))
-    }
-
-    fn top_k_impl(
-        &self,
-        probe: &[u32],
-        k: usize,
-        exclude: Option<u32>,
-        scratch: &mut ProbeScratch,
-        trace: &mut Option<&mut Vec<u32>>,
     ) -> Vec<usize> {
         let k = k.min(self.num_left);
         if k == 0 {
@@ -671,7 +638,7 @@ impl GramIndex {
         let mut i = 0;
         let mut e = m;
         while i < e {
-            self.walk(scratch, i, k, trace);
+            self.walk(scratch, i, k);
             i += 1;
             if scratch.heap.len() == k {
                 let worst = scratch.heap.peek().expect("heap is full").score;
@@ -707,7 +674,7 @@ impl GramIndex {
             let held = head_mask & self.head_masks[li as usize];
             if bound_reaches(partial + tail + self.head_weight(held), worst) {
                 let score = self.gather_score(li, &scratch.weights);
-                scratch.admit(li, score, k, trace);
+                scratch.admit(li, score, k);
                 worst = scratch.admit_threshold(k);
             }
         }
@@ -726,13 +693,7 @@ impl GramIndex {
     /// Which records are verified here only decides how soon the bounds
     /// tighten, never the result.
     #[inline]
-    fn walk(
-        &self,
-        scratch: &mut ProbeScratch,
-        i: usize,
-        k: usize,
-        trace: &mut Option<&mut Vec<u32>>,
-    ) {
+    fn walk(&self, scratch: &mut ProbeScratch, i: usize, k: usize) {
         let g = scratch.ord[i].1;
         let posts = self.postings_of(g);
         let w = self.idf[g as usize];
@@ -741,51 +702,10 @@ impl GramIndex {
         for &li in posts {
             if scratch.accumulate(li, w) >= worst && !scratch.admitted(li) {
                 let score = self.gather_score(li, &scratch.weights);
-                scratch.admit(li, score, k, trace);
+                scratch.admit(li, score, k);
                 worst = scratch.admit_threshold(k);
             }
         }
-    }
-
-    /// The dense walk: the full postings of every probe gram in ascending id
-    /// order, dense-accumulated, the touched set bounded-heaped.  Kept only
-    /// as the executable specification of [`Self::top_k`], which property
-    /// tests pin identical to it.
-    #[doc(hidden)]
-    pub fn top_k_unfiltered(
-        &self,
-        probe: &[u32],
-        k: usize,
-        exclude: Option<u32>,
-        scratch: &mut ProbeScratch,
-    ) -> Vec<usize> {
-        let k = k.min(self.num_left);
-        if k == 0 {
-            return Vec::new();
-        }
-        scratch.fit(self);
-        scratch.begin();
-        for &g in probe {
-            if (g as usize) < self.idf.len() {
-                let posts = self.postings_of(g);
-                scratch.stats.postings_scanned += posts.len() as u64;
-                scratch.stats.postings_total += posts.len() as u64;
-                for &li in posts {
-                    scratch.accumulate(li, self.idf[g as usize]);
-                }
-            }
-        }
-        scratch.stats.touched_records += scratch.touched_len as u64;
-        scratch.heap.clear();
-        for i in 0..scratch.touched_len {
-            let li = scratch.touched[i];
-            if exclude != Some(li) {
-                scratch.stats.scored_records += 1;
-                let score = scratch.scores[li as usize];
-                scratch.offer(HeapEntry { score, left: li }, k);
-            }
-        }
-        self.drain_top_k(scratch)
     }
 
     /// Drain the heap best-first into a candidate list and update the kept
@@ -807,9 +727,9 @@ impl GramIndex {
 /// index that must not appear in its candidates (self-exclusion for L–L).
 /// Per-chunk probe counters merge into one [`ProbeStats`] (integer sums, so
 /// the totals are identical at every thread count).
-fn probe_chunks<S: AsRef<[u32]> + Sync>(
+fn probe_chunks(
     index: &GramIndex,
-    probes: &[S],
+    probes: &[&[u32]],
     k: usize,
     exclude: impl Fn(usize) -> Option<u32> + Sync,
 ) -> (Vec<Vec<usize>>, ProbeStats) {
@@ -825,7 +745,7 @@ fn probe_chunks<S: AsRef<[u32]> + Sync>(
             let end = (start + chunk).min(n);
             let mut scratch = ProbeScratch::new(index.num_left);
             let lists = (start..end)
-                .map(|i| index.top_k(probes[i].as_ref(), k, exclude(i), &mut scratch))
+                .map(|i| index.top_k(probes[i], k, exclude(i), &mut scratch))
                 .collect();
             (lists, scratch.stats)
         })
@@ -874,7 +794,9 @@ impl Blocker {
     /// each record is prepared exactly once, and the same interned sets feed
     /// blocking, negative rules and distance evaluation.
     ///
-    /// Uses the `(lower-case, 3-gram)` scheme of the column.  Reference
+    /// The index is [`GramIndex::over_column`] and every query record, then
+    /// every reference record excluding itself, is one [`GramIndex::top_k`]
+    /// probe of `k =` [`Self::candidates_per_record`] candidates.  Reference
     /// records are interned first, so the vocabulary numbers their grams
     /// exactly as [`crate::block_reference`] does, and query-only grams have
     /// empty postings.  Candidate lists keep the same deterministic order
@@ -890,33 +812,10 @@ impl Blocker {
         let sets: Vec<&[u32]> = (0..col.len())
             .map(|i| col.record(i).token_sets[si].as_slice())
             .collect();
-        self.probe_index(&index, &sets[..num_left], &sets[num_left..])
-    }
-
-    /// Run blocking directly over interned gram-id sets (each sorted and
-    /// deduplicated, ids `< num_grams`), the same probes
-    /// [`Self::block_prepared`] runs; the property tests drive it directly.
-    pub fn block_id_sets<S1: AsRef<[u32]> + Sync, S2: AsRef<[u32]> + Sync>(
-        &self,
-        left_sets: &[S1],
-        right_sets: &[S2],
-        num_grams: usize,
-    ) -> BlockingOutput {
-        let index = GramIndex::from_id_sets(left_sets, num_grams);
-        self.probe_index(&index, left_sets, right_sets)
-    }
-
-    /// Probe `index`, built over `left_sets`, with every right set and every
-    /// left set (excluding itself) for the L–R and L–L candidate lists.
-    fn probe_index<S1: AsRef<[u32]> + Sync, S2: AsRef<[u32]> + Sync>(
-        &self,
-        index: &GramIndex,
-        left_sets: &[S1],
-        right_sets: &[S2],
-    ) -> BlockingOutput {
-        let k = self.candidates_per_record(left_sets.len());
-        let (left_candidates_of_right, lr) = probe_chunks(index, right_sets, k, |_| None);
-        let (left_candidates_of_left, ll) = probe_chunks(index, left_sets, k, |i| Some(i as u32));
+        let (left_sets, right_sets) = sets.split_at(num_left);
+        let k = self.candidates_per_record(num_left);
+        let (left_candidates_of_right, lr) = probe_chunks(&index, right_sets, k, |_| None);
+        let (left_candidates_of_left, ll) = probe_chunks(&index, left_sets, k, |i| Some(i as u32));
         let stats = BlockingStats {
             lr_pairs: lr.kept_pairs,
             ll_pairs: ll.kept_pairs,
@@ -938,6 +837,7 @@ impl Blocker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{block_sets, BlockingSpec};
 
     fn teams() -> Vec<String> {
         (2000..2040)
@@ -959,19 +859,29 @@ mod tests {
         blocker.block_prepared(&PreparedColumn::build(&all), left.len())
     }
 
-    /// The lower-case 3-gram id sets `block_prepared` reads (interned
-    /// left-first), for tests that drive `GramIndex` directly.
-    fn id_sets(left: &[String], right: &[String]) -> (Vec<Vec<u32>>, Vec<Vec<u32>>, usize) {
-        let all: Vec<&str> = left.iter().chain(right).map(String::as_str).collect();
-        let col = PreparedColumn::build(&all);
+    /// The lower-case 3-gram id sets `block_prepared` reads from `col`: its
+    /// first `num_left` records, the rest, and the gram count.
+    fn column_sets(col: &PreparedColumn, num_left: usize) -> (Vec<Vec<u32>>, Vec<Vec<u32>>, usize) {
         let si = scheme_index(Preprocessing::Lower, Tokenization::Gram3);
         let mut left_sets: Vec<Vec<u32>> = col
             .records()
             .iter()
             .map(|rec| rec.token_sets[si].clone())
             .collect();
-        let right_sets = left_sets.split_off(left.len());
+        let right_sets = left_sets.split_off(num_left);
         (left_sets, right_sets, col.vocab_by_scheme(si).len())
+    }
+
+    /// A prepared column of `left ++ right`.
+    fn column(left: &[String], right: &[String]) -> PreparedColumn {
+        let all: Vec<&str> = left.iter().chain(right).map(String::as_str).collect();
+        PreparedColumn::build(&all)
+    }
+
+    /// The id sets of a column of `left ++ right` (interned left-first), for
+    /// tests that drive `GramIndex` directly.
+    fn id_sets(left: &[String], right: &[String]) -> (Vec<Vec<u32>>, Vec<Vec<u32>>, usize) {
+        column_sets(&column(left, right), left.len())
     }
 
     #[test]
@@ -1108,76 +1018,81 @@ mod tests {
     }
 
     #[test]
-    fn filtered_probe_matches_unfiltered_probe() {
+    fn probe_matches_the_spec() {
         let left = teams();
         let right = vec![
             "2003 LSU Tigres footbal".to_string(),
             "2015 Wisconsin Badgers football team".to_string(),
+            "2015 Wisconsin Badgers".to_string(),
             "Alabama".to_string(),
             "totally unrelated".to_string(),
         ];
         let (left_sets, right_sets, num_grams) = id_sets(&left, &right);
         let index = GramIndex::from_id_sets(&left_sets, num_grams);
-        let mut a = ProbeScratch::new(index.num_left());
-        let mut b = ProbeScratch::new(index.num_left());
-        for k in [1usize, 3, 10, 200] {
+        let mut spec = BlockingSpec::new(&left_sets);
+        let mut scratch = ProbeScratch::new(index.num_left());
+        for k in [1usize, 3, 5, 10, 20, 200] {
             for probe in right_sets.iter().chain(left_sets.iter()) {
                 assert_eq!(
-                    index.top_k(probe, k, None, &mut a),
-                    index.top_k_unfiltered(probe, k, None, &mut b),
+                    index.top_k(probe, k, None, &mut scratch),
+                    spec.top_k(probe, k, None),
                     "k={k}"
                 );
             }
             for (i, probe) in left_sets.iter().enumerate() {
+                let exclude = Some(i as u32);
                 assert_eq!(
-                    index.top_k(probe, k, Some(i as u32), &mut a),
-                    index.top_k_unfiltered(probe, k, Some(i as u32), &mut b),
+                    index.top_k(probe, k, exclude, &mut scratch),
+                    spec.top_k(probe, k, exclude),
                     "k={k}, exclude={i}"
                 );
             }
         }
     }
 
-    /// Pin every L–R and L–L candidate list of `out` to the per-probe
-    /// dense-walk oracle, and return the oracle's counters.
-    fn assert_matches_dense_oracle(
-        out: &BlockingOutput,
-        left_sets: &[Vec<u32>],
-        right_sets: &[Vec<u32>],
-        num_grams: usize,
-    ) -> ProbeStats {
-        let index = GramIndex::from_id_sets(left_sets, num_grams);
-        let k = out.candidates_per_record;
-        let mut scratch = ProbeScratch::new(index.num_left());
-        for (r, probe) in right_sets.iter().enumerate() {
-            let oracle = index.top_k_unfiltered(probe, k, None, &mut scratch);
-            assert_eq!(out.left_candidates_of_right[r], oracle, "k={k}, right {r}");
-        }
-        for (l, probe) in left_sets.iter().enumerate() {
-            let oracle = index.top_k_unfiltered(probe, k, Some(l as u32), &mut scratch);
-            assert_eq!(out.left_candidates_of_left[l], oracle, "k={k}, left {l}");
-        }
-        scratch.stats
+    /// Block `col` at `factor` and pin it to the spec over the same id
+    /// sets: every L–R and L–L list, and the kept-pair, per-probe-max and
+    /// postings-total counters.  Returns the fast output and the spec's.
+    fn block_against_spec(
+        col: &PreparedColumn,
+        num_left: usize,
+        factor: f64,
+    ) -> (BlockingOutput, BlockingOutput) {
+        let out = Blocker::with_factor(factor).block_prepared(col, num_left);
+        let (left_sets, right_sets, _) = column_sets(col, num_left);
+        let spec = block_sets(&left_sets, &right_sets, factor);
+        assert_eq!(
+            out.left_candidates_of_right, spec.left_candidates_of_right,
+            "β={factor}"
+        );
+        assert_eq!(
+            out.left_candidates_of_left, spec.left_candidates_of_left,
+            "β={factor}"
+        );
+        assert_eq!(out.candidates_per_record, spec.candidates_per_record);
+        let (s, t) = (&out.stats, &spec.stats);
+        assert_eq!((s.lr_pairs, s.ll_pairs), (t.lr_pairs, t.ll_pairs));
+        assert_eq!(s.per_probe_max, t.per_probe_max);
+        assert_eq!(s.postings_total, t.postings_total);
+        (out, spec)
     }
 
     #[test]
-    fn blocker_matches_dense_oracle_across_factors_and_threads() {
+    fn blocker_matches_the_spec_across_factors_and_threads() {
         let left = teams();
         let right = vec![
             "2003 LSU Tigres footbal".to_string(),
             "Alabama Crimson".to_string(),
             "2015 Wisconsin Badgers football team".to_string(),
         ];
-        let (left_sets, right_sets, num_grams) = id_sets(&left, &right);
+        let col = column(&left, &right);
         for threads in [1usize, 4] {
             rayon::ThreadPoolBuilder::new()
                 .num_threads(threads)
                 .build_global()
                 .expect("configure shim pool");
             for factor in [0.2, 0.8, 1.5, 3.0, 20.0] {
-                let out =
-                    Blocker::with_factor(factor).block_id_sets(&left_sets, &right_sets, num_grams);
-                assert_matches_dense_oracle(&out, &left_sets, &right_sets, num_grams);
+                block_against_spec(&col, left.len(), factor);
             }
         }
         rayon::ThreadPoolBuilder::new()
@@ -1250,55 +1165,24 @@ mod tests {
     }
 
     #[test]
-    fn traced_scored_set_covers_unfiltered_top_k() {
-        let left = teams();
-        let right = vec![
-            "2003 LSU Tigres footbal".to_string(),
-            "2015 Wisconsin Badgers".to_string(),
-        ];
-        let (left_sets, right_sets, num_grams) = id_sets(&left, &right);
-        let index = GramIndex::from_id_sets(&left_sets, num_grams);
-        let mut a = ProbeScratch::new(index.num_left());
-        let mut b = ProbeScratch::new(index.num_left());
-        let mut scored = Vec::new();
-        for probe in &right_sets {
-            for k in [1usize, 5, 20] {
-                let kept = index.top_k_traced(probe, k, None, &mut a, &mut scored);
-                let unfiltered = index.top_k_unfiltered(probe, k, None, &mut b);
-                assert_eq!(kept, unfiltered);
-                for &li in &unfiltered {
-                    assert!(
-                        scored.contains(&(li as u32)),
-                        "top-k candidate {li} was never admitted for scoring"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn blocking_stats_are_recorded_and_sane() {
         let left = teams();
         let right = vec![left[5].clone(), "2003 LSU Tigres footbal".to_string()];
-        let (left_sets, right_sets, num_grams) = id_sets(&left, &right);
-        let out = Blocker::new().block_id_sets(&left_sets, &right_sets, num_grams);
-        let oracle = assert_matches_dense_oracle(&out, &left_sets, &right_sets, num_grams);
-        let s = &out.stats;
+        // Kept pairs, per-probe max and postings total equal the spec's.
+        let (out, spec) = block_against_spec(&column(&left, &right), left.len(), 1.5);
+        let (s, t) = (&out.stats, &spec.stats);
         assert_eq!(s.lr_pairs as usize, out.num_lr_pairs());
         assert_eq!(s.ll_pairs as usize, out.num_ll_pairs());
-        assert_eq!(s.lr_pairs + s.ll_pairs, oracle.kept_pairs);
-        assert_eq!(s.per_probe_max, oracle.per_probe_max);
         assert!(s.per_probe_max as usize <= out.candidates_per_record);
-        // Verified records are a subset of what the dense walk scores, and a
-        // superset of what is kept; the dense walk reads every posting.
+        // Verified records are a subset of what the spec scores, and a
+        // superset of what is kept; the spec reads every posting.
         assert!(s.scored_records >= s.lr_pairs + s.ll_pairs);
-        assert!(s.scored_records <= oracle.scored_records);
+        assert!(s.scored_records <= t.scored_records);
         // Every verified record was touched, and the walk touches a subset
-        // of what the dense walk touches.
+        // of what the spec touches.
         assert!(s.touched_records >= s.scored_records);
-        assert!(s.touched_records <= oracle.touched_records);
-        assert_eq!(s.postings_total, oracle.postings_total);
-        assert_eq!(oracle.postings_scanned, oracle.postings_total);
+        assert!(s.touched_records <= t.touched_records);
+        assert_eq!(t.postings_scanned, t.postings_total);
         // Each list is walked at most once.
         assert!(s.postings_scanned <= s.postings_total);
         assert!((0.0..=1.0).contains(&s.reduction_ratio()));
@@ -1308,8 +1192,8 @@ mod tests {
     fn one_probe_path_at_every_table_size() {
         // From a handful of records (every list essential, heap never full)
         // to thousands (k ≪ |L|, most lists non-essential): one probe, equal
-        // to the dense walk, and verifying fewer records than it scores
-        // once the table is large.
+        // to the spec, and verifying fewer records than it scores once the
+        // table is large.
         for copies in [1usize, 8, 30] {
             let left: Vec<String> = (0..copies)
                 .flat_map(|c| teams().into_iter().map(move |t| format!("{t} {c}")))
@@ -1319,17 +1203,15 @@ mod tests {
                 .step_by(7)
                 .map(|t| t.replace('o', "0"))
                 .collect();
-            let (left_sets, right_sets, num_grams) = id_sets(&left, &right);
+            let col = column(&left, &right);
             for factor in [0.25, 1.5] {
-                let out =
-                    Blocker::with_factor(factor).block_id_sets(&left_sets, &right_sets, num_grams);
-                let oracle = assert_matches_dense_oracle(&out, &left_sets, &right_sets, num_grams);
+                let (out, spec) = block_against_spec(&col, left.len(), factor);
                 if copies == 30 {
                     assert!(
-                        2 * out.stats.scored_records < oracle.scored_records,
-                        "verified {} of the dense walk's {} at |L| = {}",
+                        2 * out.stats.scored_records < spec.stats.scored_records,
+                        "verified {} of the spec's {} at |L| = {}",
                         out.stats.scored_records,
-                        oracle.scored_records,
+                        spec.stats.scored_records,
                         left.len()
                     );
                 }
@@ -1338,7 +1220,7 @@ mod tests {
     }
 
     #[test]
-    fn probes_whose_unwalked_grams_are_all_tail_grams_match_the_dense_walk() {
+    fn probes_whose_unwalked_grams_are_all_tail_grams_match_the_spec() {
         // 160 filler grams sit in four records of five, so they take every
         // head bit; the fifth record holds no head gram at all.  Probes made
         // of content grams only leave nothing but tail grams unwalked.
@@ -1374,21 +1256,21 @@ mod tests {
             .iter()
             .flatten()
             .all(|&g| (index.rank[g as usize] as usize) < head_from));
-        let mut a = ProbeScratch::new(index.num_left());
-        let mut b = ProbeScratch::new(index.num_left());
+        let mut scratch = ProbeScratch::new(index.num_left());
+        let mut spec = BlockingSpec::new(&sets);
         for k in [1usize, 4, 20, 60] {
             for probe in &probes {
                 assert_eq!(
-                    index.top_k(probe, k, None, &mut a),
-                    index.top_k_unfiltered(probe, k, None, &mut b),
+                    index.top_k(probe, k, None, &mut scratch),
+                    spec.top_k(probe, k, None),
                     "k={k}, probe {probe:?}"
                 );
             }
             for (l, probe) in sets.iter().enumerate().step_by(5) {
                 let exclude = Some(l as u32);
                 assert_eq!(
-                    index.top_k(probe, k, exclude, &mut a),
-                    index.top_k_unfiltered(probe, k, exclude, &mut b),
+                    index.top_k(probe, k, exclude, &mut scratch),
+                    spec.top_k(probe, k, exclude),
                     "k={k}, left {l}"
                 );
             }
@@ -1407,7 +1289,7 @@ mod tests {
         // index; the other made for the 120-row index.
         let mut grown = ProbeScratch::new(0);
         let mut fresh = ProbeScratch::new(index.num_left());
-        let mut oracle = ProbeScratch::new(0);
+        let mut spec = BlockingSpec::new(&left_sets);
         assert_eq!(tiny.top_k(&right_sets[0], 5, None, &mut grown).len(), 2);
         grown.stats = ProbeStats::default();
         for k in [1usize, 11, 200] {
@@ -1415,7 +1297,7 @@ mod tests {
                 let exclude = Some(l as u32);
                 let want = index.top_k(probe, k, exclude, &mut fresh);
                 assert_eq!(index.top_k(probe, k, exclude, &mut grown), want);
-                assert_eq!(index.top_k_unfiltered(probe, k, exclude, &mut oracle), want);
+                assert_eq!(spec.top_k(probe, k, exclude), want);
             }
             let want = index.top_k(&right_sets[0], k, None, &mut fresh);
             assert_eq!(index.top_k(&right_sets[0], k, None, &mut grown), want);
@@ -1496,14 +1378,14 @@ mod tests {
         let all: f64 = head_idf.iter().sum();
         let table = index.head_weight(u128::MAX);
         assert!((table - all).abs() <= all * (FILTER_INFL - 1.0) + FILTER_SLACK);
-        let mut a = ProbeScratch::new(index.num_left());
-        let mut b = ProbeScratch::new(index.num_left());
+        let mut scratch = ProbeScratch::new(index.num_left());
+        let mut spec = BlockingSpec::new(&sets);
         for k in [1usize, 3, 9, 90] {
             for (l, probe) in sets.iter().enumerate() {
                 for exclude in [None, Some(l as u32)] {
                     assert_eq!(
-                        index.top_k(probe, k, exclude, &mut a),
-                        index.top_k_unfiltered(probe, k, exclude, &mut b),
+                        index.top_k(probe, k, exclude, &mut scratch),
+                        spec.top_k(probe, k, exclude),
                         "k={k}, left {l}, exclude {exclude:?}"
                     );
                 }
@@ -1521,22 +1403,18 @@ mod tests {
         let sets: Vec<Vec<u32>> = (0..n as u32).map(|l| vec![0, 1, 2 + l % 3]).collect();
         let index = GramIndex::from_id_sets(&sets, 5);
         let mut scratch = ProbeScratch::new(n);
+        let mut spec = BlockingSpec::new(&sets);
         for probe in [0usize, 1] {
             let exclude = Some(probe as u32);
-            let want = index.top_k_unfiltered(&sets[probe], n, exclude, &mut ProbeScratch::new(n));
+            let want = spec.top_k(&sets[probe], n, exclude);
             assert_eq!(want.len(), n - 1);
             assert_eq!(index.top_k(&sets[probe], n, exclude, &mut scratch), want);
-            assert_eq!(scratch.touched_len, n);
-            assert_eq!(
-                index.top_k_unfiltered(&sets[probe], n, exclude, &mut scratch),
-                want
-            );
             assert_eq!(scratch.touched_len, n);
             assert_eq!(scratch.touched.len(), n + 1);
         }
         // The spare slot was never counted and every sum was reset: a probe
         // of gram 2 then touches its ten records only.
-        let want = index.top_k_unfiltered(&[2], n, None, &mut ProbeScratch::new(n));
+        let want = spec.top_k(&[2], n, None);
         assert_eq!(index.top_k(&[2], n, None, &mut scratch), want);
         assert_eq!(scratch.touched_len, n / 3);
     }

@@ -18,9 +18,9 @@
 //! scratch-reusing dense accumulator, prunes the touched records with a
 //! bitmap bound over the index's 128 most frequent grams (summed through a
 //! per-byte weight table), and scores the survivors by gather-sum into a
-//! bounded heap.  [`mod@reference`] keeps
-//! the simple string-path implementation as an executable specification
-//! that property tests compare against.
+//! bounded heap.  [`mod@reference`] is its executable specification, a dense
+//! top-k over the same gram-id sets with a string front end
+//! ([`block_reference`]); only tests call it.
 
 pub mod index;
 pub mod reference;

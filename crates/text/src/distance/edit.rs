@@ -1,10 +1,11 @@
-//! Levenshtein (edit) distance, raw and normalized.
+//! Levenshtein (edit) distance over strings.
 //!
-//! These are the `&str` entry points (the fuzzywuzzy baseline calls
-//! [`levenshtein`]).  They route through the bit-parallel kernel in
-//! [`super::myers`] on this thread's reused kernel scratch; the original
-//! scalar DP lives in [`super::reference`] and is exercised against the
-//! kernel by the `kernel_reference` proptests.
+//! [`levenshtein`] is the `&str` entry point the fuzzywuzzy baseline calls.
+//! It routes through the bit-parallel kernel in [`super::myers`] on this
+//! thread's reused kernel scratch; the normalized distance the join
+//! functions use is [`super::myers::bounded_normalized_edit`].  The
+//! original scalar DP lives in [`super::reference`] and is exercised
+//! against the kernel by the `kernel_reference` proptests.
 
 use super::myers::levenshtein_ids;
 use crate::kernel::with_scratch;
@@ -19,26 +20,21 @@ pub fn levenshtein(a: &str, b: &str) -> usize {
     with_scratch(|s| levenshtein_ids(&ids(a), &ids(b), &mut s.edit))
 }
 
-/// Normalized edit distance: `levenshtein(a, b) / max(|a|, |b|)`, in `[0, 1]`.
-/// Two empty strings have distance 0.
-pub fn normalized_edit_distance(a: &str, b: &str) -> f64 {
-    let ai = ids(a);
-    let bi = ids(b);
-    let max_len = ai.len().max(bi.len());
-    if max_len == 0 {
-        return 0.0;
-    }
-    with_scratch(|s| levenshtein_ids(&ai, &bi, &mut s.edit)) as f64 / max_len as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distance::myers::{bounded_normalized_edit, EditScratch};
+
+    /// The unbounded normalized distance the edit join functions evaluate:
+    /// `levenshtein(a, b) / max(|a|, |b|)`.
+    fn normalized(a: &str, b: &str) -> f64 {
+        bounded_normalized_edit(&ids(a), &ids(b), None, &mut EditScratch::default())
+    }
 
     #[test]
     fn identical_strings_have_zero_distance() {
         assert_eq!(levenshtein("kitten", "kitten"), 0);
-        assert_eq!(normalized_edit_distance("kitten", "kitten"), 0.0);
+        assert_eq!(normalized("kitten", "kitten"), 0.0);
     }
 
     #[test]
@@ -50,8 +46,8 @@ mod tests {
     fn empty_vs_nonempty_is_length() {
         assert_eq!(levenshtein("", "abc"), 3);
         assert_eq!(levenshtein("abc", ""), 3);
-        assert_eq!(normalized_edit_distance("", ""), 0.0);
-        assert_eq!(normalized_edit_distance("", "ab"), 1.0);
+        assert_eq!(normalized("", ""), 0.0);
+        assert_eq!(normalized("", "ab"), 1.0);
     }
 
     #[test]
@@ -66,7 +62,7 @@ mod tests {
 
     #[test]
     fn normalized_stays_in_unit_interval() {
-        let d = normalized_edit_distance("completely", "different!");
+        let d = normalized("completely", "different!");
         assert!((0.0..=1.0).contains(&d));
     }
 
@@ -74,7 +70,7 @@ mod tests {
     fn single_typo_has_small_normalized_distance() {
         // "Missisippi" vs "Mississippi" — the paper's Figure 3(a) motivation
         // for edit distance.
-        let d = normalized_edit_distance("missisippi bulldog", "mississippi bulldogs");
+        let d = normalized("missisippi bulldog", "mississippi bulldogs");
         assert!(d < 0.15, "expected a small distance, got {d}");
     }
 
@@ -84,13 +80,13 @@ mod tests {
         assert_eq!(levenshtein("saturday", "sunday"), 3);
         assert_eq!(levenshtein("gumbo", "gambol"), 2);
         // kitten -> sitting: 3 edits over max length 7.
-        assert!((normalized_edit_distance("kitten", "sitting") - 3.0 / 7.0).abs() < 1e-12);
+        assert!((normalized("kitten", "sitting") - 3.0 / 7.0).abs() < 1e-12);
     }
 
     #[test]
     fn completely_disjoint_strings_have_normalized_distance_one() {
-        assert_eq!(normalized_edit_distance("aaaa", "bbbb"), 1.0);
-        assert_eq!(normalized_edit_distance("ab", "xyz"), 1.0);
+        assert_eq!(normalized("aaaa", "bbbb"), 1.0);
+        assert_eq!(normalized("ab", "xyz"), 1.0);
     }
 
     #[test]

@@ -1,14 +1,22 @@
-//! Scalar reference implementations of the character distances.
+//! Scalar reference implementations of the distances.
 //!
 //! These are the original, obviously-correct inner loops that the
 //! bit-parallel and banded kernels of [`super::myers`] and the bit-parallel
-//! Jaro scan of [`super::jaro`] replaced on the hot path.  They stay in-tree as the correctness pin: the
-//! `kernel_reference` proptests drive arbitrary strings (and bounds, and
-//! thread counts) through both paths and require byte-identical output.
+//! Jaro scan of [`super::jaro`] replaced on the hot path, and
+//! [`spec_distance`], the scalar spec of every join function built on them.
+//! They stay in-tree as the correctness pin: the `kernel_reference`
+//! proptests drive arbitrary strings (and bounds, and thread counts)
+//! through both paths and require byte-identical output, and the
+//! end-to-end spec pipeline computes every distance here.
 //!
-//! Everything here works over `u32` character ids (Unicode scalar values or
-//! any other equality-preserving interning) so that the reference and the
-//! fast kernels consume exactly the same prepared inputs.
+//! The character distances work over `u32` character ids (Unicode scalar
+//! values or any other equality-preserving interning) so that the reference
+//! and the fast kernels consume exactly the same prepared inputs.
+
+use super::hybrid::{containment_distance, ContainmentBase};
+use super::{clamp_unit, embed, set};
+use crate::prepared::{prep_index, scheme_index};
+use crate::{DistanceFunction, JoinFunction, PreparedColumn, PreparedRecord};
 
 /// Single-row dynamic-program Levenshtein distance over id slices
 /// (insertions, deletions and substitutions all cost 1).
@@ -107,6 +115,47 @@ pub fn jaro_winkler_distance_reference(a: &[u32], b: &[u32]) -> f64 {
         .take_while(|(x, y)| x == y)
         .count() as f64;
     1.0 - (jaro + prefix * PREFIX_SCALE * (1.0 - jaro)).min(1.0)
+}
+
+/// The scalar spec of join function `f` between two prepared records, `a`
+/// the reference side of the directional containment hybrids, using `col`
+/// only for its weight tables: [`normalized_edit_reference`] and
+/// [`jaro_winkler_distance_reference`] over the character ids, the cosine
+/// distance of the cached embeddings, and a set member's distance from
+/// [`set::overlap`] of the pair's token sets under its weighting.  Every
+/// kernel group returns these bits.
+pub fn spec_distance(
+    col: &PreparedColumn,
+    f: JoinFunction,
+    a: &PreparedRecord,
+    b: &PreparedRecord,
+) -> f64 {
+    let pi = prep_index(f.prep);
+    let (ca, cb) = (&a.char_ids[pi], &b.char_ids[pi]);
+    match f.dist {
+        DistanceFunction::Edit => return normalized_edit_reference(ca, cb),
+        DistanceFunction::JaroWinkler => return jaro_winkler_distance_reference(ca, cb),
+        DistanceFunction::Embedding => {
+            return embed::cosine_distance(&a.embeddings[pi], &b.embeddings[pi])
+        }
+        _ => {}
+    }
+    let tok = f.tok.expect("set members carry a tokenization");
+    let weighting = f.weight.expect("set members carry a weighting");
+    let si = scheme_index(f.prep, tok);
+    let weights = col.weight_table(f.prep, tok, weighting);
+    let o = set::overlap(&a.token_sets[si], &b.token_sets[si], weights);
+    clamp_unit(match f.dist {
+        DistanceFunction::Jaccard => o.jaccard_distance(),
+        DistanceFunction::Cosine => o.cosine_distance(),
+        DistanceFunction::Dice => o.dice_distance(),
+        DistanceFunction::MaxInclusion => o.max_inclusion_distance(),
+        DistanceFunction::Intersect => o.intersect_distance(),
+        DistanceFunction::ContainJaccard => containment_distance(&o, ContainmentBase::Jaccard),
+        DistanceFunction::ContainCosine => containment_distance(&o, ContainmentBase::Cosine),
+        DistanceFunction::ContainDice => containment_distance(&o, ContainmentBase::Dice),
+        other => unreachable!("{other:?} is not a set member"),
+    })
 }
 
 /// Collect a string's Unicode scalar values as `u32` character ids — the

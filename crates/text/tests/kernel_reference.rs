@@ -16,27 +16,26 @@
 //! * grouped evaluation (`KernelGroup::eval_records_into`,
 //!   `batch_distances`) returns the same bytes as the one-function-at-a-time
 //!   [`JoinFunction::distance`] path;
+//! * every function's per-pair distance — edit, Jaro, embed and every set
+//!   member — equals the scalar spec [`spec_distance`] bit for bit;
 //! * a set family's marked walk — every set and hybrid member under both
 //!   weightings, with the fixed record on either side, over empty sets and
-//!   ids at or past the vocabulary's end — returns the bytes the member
-//!   derives from [`set::overlap`], and so do the nearest fold and the
-//!   neighbourhood walk built on it;
+//!   ids at or past the vocabulary's end — returns the bytes of
+//!   [`spec_distance`], and so do the nearest fold and the neighbourhood
+//!   walk built on it;
 //! * every kernel family but the containment hybrids is symmetric bit for
 //!   bit: `d(a, b)` and `d(b, a)` are the same `f64`.
 
-use autofj_text::distance::clamp_unit;
-use autofj_text::distance::hybrid::{containment_distance, ContainmentBase};
 use autofj_text::distance::jaro::{bounded_jaro_winkler_ids, JaroScratch};
 use autofj_text::distance::myers::{bounded_normalized_edit, levenshtein_ids, EditScratch};
 use autofj_text::distance::reference::{
     char_ids, jaro_winkler_distance_reference, levenshtein_reference, normalized_edit_reference,
+    spec_distance,
 };
-use autofj_text::distance::set::overlap;
 use autofj_text::kernel::{offer_nearest, GroupKind};
-use autofj_text::prepared::scheme_index;
 use autofj_text::{
-    plan_kernel_groups, DistanceFunction, JoinFunction, JoinFunctionSpace, KernelScratch,
-    PreparedColumn, PreparedRecord,
+    plan_kernel_groups, DistanceFunction, JoinFunctionSpace, KernelScratch, PreparedColumn,
+    PreparedRecord,
 };
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -132,32 +131,6 @@ fn walk_records(
         records.push(rec);
     }
     records
-}
-
-/// The spec a set-family member is pinned to: [`overlap`] of the pair's
-/// token sets in the member's scheme, under its weighting, then the
-/// member's distance.
-fn spec_distance(
-    col: &PreparedColumn,
-    f: JoinFunction,
-    a: &PreparedRecord,
-    b: &PreparedRecord,
-) -> f64 {
-    let (tok, weighting) = (f.tok.unwrap(), f.weight.unwrap());
-    let si = scheme_index(f.prep, tok);
-    let weights = col.weight_table(f.prep, tok, weighting);
-    let o = overlap(&a.token_sets[si], &b.token_sets[si], weights);
-    clamp_unit(match f.dist {
-        DistanceFunction::Jaccard => o.jaccard_distance(),
-        DistanceFunction::Cosine => o.cosine_distance(),
-        DistanceFunction::Dice => o.dice_distance(),
-        DistanceFunction::MaxInclusion => o.max_inclusion_distance(),
-        DistanceFunction::Intersect => o.intersect_distance(),
-        DistanceFunction::ContainJaccard => containment_distance(&o, ContainmentBase::Jaccard),
-        DistanceFunction::ContainCosine => containment_distance(&o, ContainmentBase::Cosine),
-        DistanceFunction::ContainDice => containment_distance(&o, ContainmentBase::Dice),
-        other => unreachable!("{other:?} is not a set member"),
-    })
 }
 
 /// The containment hybrids: asymmetric by definition (`B ⊆ A`).
@@ -286,7 +259,7 @@ proptest! {
     /// `KernelGroup::eval_records_into` — bounded or not — matches the
     /// per-function `JoinFunction::distance` path for every function of the
     /// reduced space, bit for bit (bounded results only where the bound
-    /// admits them).
+    /// admits them), and both match the scalar spec.
     #[test]
     fn grouped_eval_into_matches_per_pair_distance(
         strings in proptest::collection::vec(name_strategy(), 2..10),
@@ -307,6 +280,11 @@ proptest! {
                 group.eval_records_into(&col, &mut scratch, li, rj, Some(tau), &mut bounded);
                 for (m, &f_idx) in group.members.iter().enumerate() {
                     let exact = functions[f_idx].distance(&col, i, j);
+                    let spec = spec_distance(&col, functions[f_idx], li, rj);
+                    prop_assert!(
+                        exact.to_bits() == spec.to_bits(),
+                        "{}: {exact} vs spec {spec}", functions[f_idx].code()
+                    );
                     let got = out[m];
                     prop_assert!(
                         got.to_bits() == exact.to_bits(),

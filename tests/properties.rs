@@ -1,6 +1,7 @@
 //! Property-based tests over the public API (proptest): distance invariants,
 //! blocking guarantees, estimator bounds and metric bounds.
 
+use autofj::block::reference::{block_sets, BlockingSpec};
 use autofj::block::{block_reference, Blocker, GramIndex, ProbeScratch};
 use autofj::core::estimate::{ball_count_sorted, ball_cutoff, FunctionStats};
 use autofj::core::negative_rules::reference::NegativeRuleSet;
@@ -296,10 +297,9 @@ proptest! {
     }
 
     /// The MaxScore probe is *exact*: on arbitrary gram-id sets it returns
-    /// the same top-k as the dense-walk oracle, and every record the oracle
-    /// ranks into the top-k is among the records the probe verified (the
-    /// superset guarantee that makes its pruning a candidate-count
-    /// reduction, not an approximation).
+    /// the same top-k as the dense spec.  Only verified records enter its
+    /// heap, so the records it verified cover the spec's top-k: its pruning
+    /// is a candidate-count reduction, not an approximation.
     #[test]
     fn filtered_probe_is_exact_and_supersets_unfiltered(
         mut sets in proptest::collection::vec(
@@ -317,25 +317,18 @@ proptest! {
         let index = GramIndex::from_id_sets(&sets, 60);
         let exclude = exclude_pick.map(|p| (p % sets.len()) as u32);
         let mut scratch = ProbeScratch::new(sets.len());
-
-        let unfiltered = index.top_k_unfiltered(&probe, k, exclude, &mut scratch);
-        let mut scored = Vec::new();
-        let filtered = index.top_k_traced(&probe, k, exclude, &mut scratch, &mut scored);
-
-        prop_assert_eq!(&filtered, &unfiltered);
-        for &li in &unfiltered {
-            prop_assert!(
-                scored.contains(&(li as u32)),
-                "unfiltered top-k record {li} was never admitted for exact scoring"
-            );
-        }
+        prop_assert_eq!(
+            index.top_k(&probe, k, exclude, &mut scratch),
+            BlockingSpec::new(&sets).top_k(&probe, k, exclude)
+        );
     }
 
     /// The pruning of the MaxScore probe never changes what blocking keeps,
     /// hence never the join result: every L–R and L–L candidate list that
-    /// `Blocker::block_prepared` and `Blocker::block_id_sets` return equals
-    /// the dense-walk oracle's list for that probe, across random tables,
-    /// blocking factors and 1 and 4 threads.
+    /// `Blocker::block_prepared` returns equals the dense spec's list for
+    /// that probe, and so do the kept pairs, the per-probe maximum and the
+    /// postings total, across random tables, blocking factors and 1 and 4
+    /// threads.
     #[test]
     fn blocking_filters_never_change_the_join_result(
         left in proptest::collection::vec(name_strategy(), 1..40),
@@ -354,36 +347,27 @@ proptest! {
         let sets: Vec<Vec<u32>> = (0..col.len())
             .map(|i| col.record(i).token_sets[si].clone())
             .collect();
-        let num_grams = col.vocab(Preprocessing::Lower, Tokenization::Gram3).len();
         let (left_sets, right_sets) = sets.split_at(left.len());
-        let blocker = Blocker::with_factor(factor);
 
         let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build_global()
             .expect("configure shim pool");
-        let prepared = blocker.block_prepared(&col, left.len());
-        let by_ids = blocker.block_id_sets(left_sets, right_sets, num_grams);
+        let out = Blocker::with_factor(factor).block_prepared(&col, left.len());
         rayon::ThreadPoolBuilder::new()
             .num_threads(0)
             .build_global()
             .expect("reset shim pool");
         drop(_guard);
 
-        let index = GramIndex::from_id_sets(left_sets, num_grams);
-        let k = blocker.candidates_per_record(left.len());
-        let mut scratch = ProbeScratch::new(left.len());
-        for out in [&prepared, &by_ids] {
-            for (r, probe) in right_sets.iter().enumerate() {
-                let oracle = index.top_k_unfiltered(probe, k, None, &mut scratch);
-                prop_assert_eq!(&out.left_candidates_of_right[r], &oracle);
-            }
-            for (l, probe) in left_sets.iter().enumerate() {
-                let oracle = index.top_k_unfiltered(probe, k, Some(l as u32), &mut scratch);
-                prop_assert_eq!(&out.left_candidates_of_left[l], &oracle);
-            }
-        }
+        let spec = block_sets(left_sets, right_sets, factor);
+        prop_assert_eq!(&out.left_candidates_of_right, &spec.left_candidates_of_right);
+        prop_assert_eq!(&out.left_candidates_of_left, &spec.left_candidates_of_left);
+        let (s, t) = (out.stats, spec.stats);
+        prop_assert_eq!((s.lr_pairs, s.ll_pairs), (t.lr_pairs, t.ll_pairs));
+        prop_assert_eq!(s.per_probe_max, t.per_probe_max);
+        prop_assert_eq!(s.postings_total, t.postings_total);
     }
 
     /// The MaxScore probe is exact where its essential split bites: on
@@ -392,8 +376,7 @@ proptest! {
     /// rare tail) over a vocabulary below or above the head width, with
     /// duplicated records (index tie-breaks) and `k` from 1 to beyond `|L|`,
     /// every probe — each record with and without itself excluded, plus a
-    /// fresh one — returns the dense walk's top-k, and the records it
-    /// verified cover that top-k.
+    /// fresh one — returns the dense spec's top-k.
     #[test]
     fn maxscore_probe_is_exact_on_skewed_tables(
         raw in proptest::collection::vec(
@@ -412,8 +395,7 @@ proptest! {
         }
         let index = GramIndex::from_id_sets(&sets, vocab as usize);
         let mut scratch = ProbeScratch::new(sets.len());
-        let mut oracle_scratch = ProbeScratch::new(sets.len());
-        let mut scored = Vec::new();
+        let mut spec = BlockingSpec::new(&sets);
         let fresh = zipf_gram_set(&raw_probe, vocab);
         let probes = sets
             .iter()
@@ -421,16 +403,8 @@ proptest! {
             .flat_map(|(i, s)| [(s, Some(i as u32)), (s, None)])
             .chain([(&fresh, None)]);
         for (probe, exclude) in probes {
-            let oracle = index.top_k_unfiltered(probe, k, exclude, &mut oracle_scratch);
-            prop_assert_eq!(&index.top_k(probe, k, exclude, &mut scratch), &oracle);
-            let traced = index.top_k_traced(probe, k, exclude, &mut scratch, &mut scored);
-            prop_assert_eq!(&traced, &oracle);
-            for &li in &oracle {
-                prop_assert!(
-                    scored.contains(&(li as u32)),
-                    "oracle top-k record {li} was never verified (k={k}, exclude={exclude:?})"
-                );
-            }
+            let (fast, want) = (index.top_k(probe, k, exclude, &mut scratch), spec.top_k(probe, k, exclude));
+            prop_assert!(fast == want, "k={k}, exclude={exclude:?}: {fast:?} against {want:?}");
         }
     }
 
